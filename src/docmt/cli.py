@@ -1,9 +1,9 @@
 """Command-line surface: one executable, one subcommand per pipeline stage.
 
 Every file-writing run leaves a ``<output>.manifest.json`` next to its
-primary output recording the command, flag snapshot, seed, and SHA-256
-digests of all inputs and outputs, so reruns can be checked for
-byte-identical behavior. Exit codes: 0 success, 1 validation or IO
+primary output recording the command, the subcommand's options, seed,
+and SHA-256 digests of all inputs and outputs, so reruns can be checked
+for byte-identical behavior. Exit codes: 0 success, 1 validation or IO
 error (diagnostics name the offending file/document/index), 2 usage
 error.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,10 +43,8 @@ class RunManifest:
             "input_digests": self.input_digests,
             "output_digests": self.output_digests,
         }
-        Path(path).write_text(
-            json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-            newline="\n",
+        corpus_io.write_text(
+            path, [json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"]
         )
 
 
@@ -53,15 +52,26 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _config(args: argparse.Namespace) -> dict[str, str]:
+    """The subcommand's options that are set, keyed by long flag name with
+    ``-`` as ``_`` (positionals by name); lists are joined with ``,``."""
+    config = {}
+    for action in args.actions:
+        value = getattr(args, action.dest, None)
+        if value is None:
+            continue
+        flags = [f for f in action.option_strings if f.startswith("--")]
+        key = flags[0][2:].replace("-", "_") if flags else action.dest
+        config[key] = ",".join(value) if isinstance(value, list) else str(value)
+    return config
+
+
 def _manifest(
-    args: argparse.Namespace,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    flags: dict[str, object],
+    args: argparse.Namespace, inputs: Sequence[str], outputs: Sequence[str]
 ) -> None:
     manifest = RunManifest(
         command=args.command,
-        config={k: str(v) for k, v in sorted(flags.items()) if v is not None},
+        config=_config(args),
         seed=getattr(args, "seed", None),
         input_digests={p: _sha256(p) for p in inputs},
         output_digests={p: _sha256(p) for p in outputs},
@@ -75,7 +85,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
             raise ValueError("convert --to records needs --src, --tgt, and --out")
         corpus = corpus_io.read_doc_text(args.src, args.tgt)
         corpus_io.write_records(corpus, args.out)
-        _manifest(args, [args.src, args.tgt], [args.out], {"to": args.to})
+        _manifest(args, [args.src, args.tgt], [args.out])
     else:
         if not (args.input and args.src_out and args.tgt_out):
             raise ValueError(
@@ -83,9 +93,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
             )
         corpus = corpus_io.read_records(args.input)
         corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
-        _manifest(
-            args, [args.input], [args.src_out, args.tgt_out], {"to": args.to}
-        )
+        _manifest(args, [args.input], [args.src_out, args.tgt_out])
 
 
 def _cmd_clean(args: argparse.Namespace) -> None:
@@ -106,26 +114,10 @@ def _cmd_clean(args: argparse.Namespace) -> None:
     corpus_io.write_records(cleaned, args.out)
     outputs = [args.out]
     if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as handle:
-            for row in report.records():
-                handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+        corpus_io.write_jsonl(args.report, report.records())
         outputs.append(args.report)
     inputs = [args.input] + ([args.align_scores] if args.align_scores else [])
-    _manifest(
-        args,
-        inputs,
-        outputs,
-        {
-            "in": args.input,
-            "out": args.out,
-            "dedup": args.dedup,
-            "segment": args.segment,
-            "fix_punct": args.fix_punct,
-            "align_scores": args.align_scores,
-            "align_threshold": args.align_threshold,
-            "report": args.report,
-        },
-    )
+    _manifest(args, inputs, outputs)
     print(
         f"kept {len(cleaned)} of {len(corpus)} documents "
         f"({len(report.removed_duplicates)} duplicate, "
@@ -140,17 +132,7 @@ def _cmd_mr_split(args: argparse.Namespace) -> None:
     )
     built = mrsplit.build_mr_corpus(corpus, cfg)
     corpus_io.write_records(built, args.out)
-    _manifest(
-        args,
-        [args.input],
-        [args.out],
-        {
-            "in": args.input,
-            "out": args.out,
-            "no_singletons": args.no_singletons,
-            "joiner": args.joiner,
-        },
-    )
+    _manifest(args, [args.input], [args.out])
     ratio = mrsplit.mr_ratio(corpus, cfg) if len(corpus) else float("nan")
     print(f"wrote {len(built)} segment pairs (token ratio {ratio:.2f})")
 
@@ -159,12 +141,7 @@ def _cmd_oversample(args: argparse.Namespace) -> None:
     corpus = corpus_io.read_records(args.input)
     replicated = mrsplit.oversample(corpus, args.factor)
     corpus_io.write_records(replicated, args.out)
-    _manifest(
-        args,
-        [args.input],
-        [args.out],
-        {"in": args.input, "out": args.out, "factor": args.factor},
-    )
+    _manifest(args, [args.input], [args.out])
     print(f"wrote {len(replicated)} documents")
 
 
@@ -177,12 +154,7 @@ def _cmd_bucket(args: argparse.Namespace) -> None:
         out = f"{args.out_prefix}.b{budget}.jsonl"
         corpus_io.write_records(bucket, out)
         outputs.append(out)
-    _manifest(
-        args,
-        [args.input],
-        outputs,
-        {"in": args.input, "out_prefix": args.out_prefix, "budgets": args.budgets},
-    )
+    _manifest(args, [args.input], outputs)
     print(f"wrote {len(outputs)} buckets")
 
 
@@ -197,13 +169,7 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
     print(f"{report.name} = {report.value:.2f}")
     if args.out:
         metrics.write_reports([report], args.out)
-        _manifest(
-            args,
-            [args.hyp, args.ref],
-            [args.out],
-            {"hyp": args.hyp, "ref": args.ref, "level": args.level,
-             "max_n": args.max_n, "cased": args.cased},
-        )
+        _manifest(args, [args.hyp, args.ref], [args.out])
 
 
 def _cmd_tcp(args: argparse.Namespace) -> None:
@@ -226,13 +192,7 @@ def _cmd_tcp(args: argparse.Namespace) -> None:
         metrics.write_reports(
             reports + [metrics.MetricReport("TCP", overall)], args.out
         )
-        _manifest(
-            args,
-            [args.hyp, args.ref, args.labels],
-            [args.out],
-            {"hyp": args.hyp, "ref": args.ref, "labels": args.labels,
-             "radius": args.radius},
-        )
+        _manifest(args, [args.hyp, args.ref, args.labels], [args.out])
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
@@ -243,9 +203,14 @@ def _cmd_pearson(args: argparse.Namespace) -> None:
                 if not raw.strip():
                     continue
                 try:
-                    values.append(float(raw))
+                    value = float(raw)
                 except ValueError:
-                    raise ValueError(f"{path}: not a number on line {lineno}: {raw!r}")
+                    value = math.nan  # reported below, as nan and inf are
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: not a finite number on line {lineno}: {raw!r}"
+                    )
+                values.append(value)
         return values
 
     value = metrics.pearson(read_column(args.x), read_column(args.y))
@@ -259,15 +224,9 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
     else:
         shuffled, records = harness.global_shuffle(corpus, args.seed)
     corpus_io.write_records(shuffled, args.out)
-    perm_out = args.perm_out or f"{args.out}.perm.jsonl"
-    harness.write_permutation_records(records, perm_out)
-    _manifest(
-        args,
-        [args.input],
-        [args.out, perm_out],
-        {"in": args.input, "out": args.out, "mode": args.mode,
-         "perm_out": perm_out, "seed": args.seed},
-    )
+    args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
+    harness.write_permutation_records(records, args.perm_out)
+    _manifest(args, [args.input], [args.out, args.perm_out])
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")
 
 
@@ -287,12 +246,7 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
         metrics.write_reports(
             [results[k] for k in sorted(results)], args.out
         )
-        _manifest(
-            args,
-            [args.instances, args.scores],
-            [args.out],
-            {"instances": args.instances, "scores": args.scores},
-        )
+        _manifest(args, [args.instances, args.scores], [args.out])
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
@@ -321,20 +275,14 @@ def _cmd_report(args: argparse.Namespace) -> None:
     table = "\n".join(lines)
     print(table)
     if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8", newline="\n")
-        _manifest(args, list(args.files), [args.out], {"files": ",".join(args.files)})
+        corpus_io.write_text(args.out, [table + "\n"])
+        _manifest(args, list(args.files), [args.out])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="docmt",
         description="Document-level MT corpus construction, cleaning, and evaluation.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (results are deterministic regardless)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -419,6 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the table to a file")
     p.set_defaults(func=_cmd_report)
 
+    # The manifest config is read off each subcommand's own options;
+    # argparse offers no public accessor for them.
+    for p in sub.choices.values():
+        p.set_defaults(actions=p._actions)
     return parser
 
 

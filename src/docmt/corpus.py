@@ -24,15 +24,23 @@ Records format (a single JSON-lines file):
 Both formats round-trip exactly: ``read(write(c)) == c``. Doc-text
 carries aligned, metadata-free corpora (which is all it can ever
 produce); records carries every corpus.
+
+Every JSON-lines file of the toolkit goes through ``read_jsonl`` and
+``write_jsonl``; every output file is written atomically (a temp file in
+the same directory, then ``os.replace``).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 _HEADER_RE = re.compile(r"^#\s*doc_id:\s*(\S+)\s*$")
 
@@ -136,10 +144,85 @@ class ParallelCorpus:
         return sum(doc.n_pairs for doc in self.documents)
 
 
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines).
+
+    The chunks go to a temp file beside ``path``, which replaces ``path``
+    only once every chunk is written, so a failure part-way leaves the
+    previous content (or no file) and no temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[object]) -> None:
+    """Write one JSON object per line, atomically."""
+    write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> list[T]:
+    """Parse each non-blank line of a JSON-lines file with ``parse``.
+
+    A line that is not JSON, or that ``parse`` rejects with ``KeyError``,
+    ``TypeError`` or ``ValueError``, raises ``ValueError`` with the message
+    ``"{path}: malformed {what} on line {n}: {why}"``.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.strip():
+                continue
+            try:
+                rows.append(parse(json.loads(raw)))
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+                raise ValueError(
+                    f"{path}: malformed {what} on line {lineno}: {exc}"
+                ) from exc
+    return rows
+
+
+def field_of(record: Any, key: str, kind: type) -> Any:
+    """``record[key]``, required to be a ``kind``; a bool is never a number."""
+    value = record[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def finite_of(record: Any, key: str) -> float:
+    """``record[key]``, required to be a finite int or float (not a bool)."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key!r} must be a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite, got {value}")
+    return value
+
+
+def strings_of(record: Any, key: str) -> tuple[str, ...]:
+    """``record[key]``, required to be a list of strings."""
+    value = field_of(record, key, list)
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise TypeError(f"{key!r}[{i}] must be str, got {type(item).__name__}")
+    return tuple(value)
+
+
 def read_docs(path: str | Path) -> list[Document]:
-    """Read one side of the doc-text format into a list of documents."""
+    """Read one side of the doc-text format into a list of documents.
+
+    A doc_id given to two blocks is an error naming both block ordinals.
+    """
     text = Path(path).read_text(encoding="utf-8")
     docs: list[Document] = []
+    ordinals: dict[str, int] = {}
     lines: list[str] = []
     header: str | None = None
 
@@ -147,6 +230,12 @@ def read_docs(path: str | Path) -> list[Document]:
         nonlocal lines, header
         if lines:
             doc_id = header if header is not None else _ordinal_id(len(docs))
+            if doc_id in ordinals:
+                raise ValueError(
+                    f"{path}: duplicate doc_id {doc_id!r} in blocks "
+                    f"{ordinals[doc_id]} and {len(docs)}"
+                )
+            ordinals[doc_id] = len(docs)
             docs.append(Document(doc_id, tuple(lines)))
         lines = []
         header = None
@@ -185,7 +274,7 @@ def write_docs(docs: Sequence[Document], path: str | Path) -> None:
     content = "\n\n".join(blocks)
     if blocks:
         content += "\n"
-    Path(path).write_text(content, encoding="utf-8", newline="\n")
+    write_text(path, [content])
 
 
 def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
@@ -230,38 +319,27 @@ def write_doc_text(
 
 def read_records(path: str | Path) -> ParallelCorpus:
     """Read the JSON-lines records format; malformed lines report line numbers."""
-    documents = []
     metadata: dict[str, str] = {}
-    first_record = True
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed record on line {lineno}: {exc}")
-            if first_record and isinstance(record, dict) and set(record) == {"metadata"}:
-                metadata = dict(record["metadata"])
-                first_record = False
-                continue
-            first_record = False
-            try:
-                doc_id = record["doc_id"]
-                src = record["src"]
-                tgt = record["tgt"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed record on line {lineno}: {exc}")
-            try:
-                documents.append(
-                    ParallelDocument(
-                        Document(doc_id, tuple(src)),
-                        Document(doc_id, tuple(tgt)),
-                        aligned=record.get("aligned"),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: invalid record on line {lineno}: {exc}")
+    first = True
+
+    def parse(record: Any) -> ParallelDocument | None:
+        nonlocal first
+        is_metadata = first and isinstance(record, dict) and set(record) == {"metadata"}
+        first = False
+        if is_metadata:
+            metadata.update(record["metadata"])
+            return None
+        doc_id = field_of(record, "doc_id", str)
+        aligned = record.get("aligned")
+        if aligned is not None:
+            aligned = field_of(record, "aligned", bool)
+        return ParallelDocument(
+            Document(doc_id, strings_of(record, "src")),
+            Document(doc_id, strings_of(record, "tgt")),
+            aligned=aligned,
+        )
+
+    documents = [doc for doc in read_jsonl(path, parse, "record") if doc is not None]
     try:
         return ParallelCorpus(tuple(documents), metadata)
     except ValueError as exc:
@@ -270,11 +348,10 @@ def read_records(path: str | Path) -> ParallelCorpus:
 
 def write_records(corpus: ParallelCorpus, path: str | Path) -> None:
     """Write the JSON-lines records format (UTF-8, one document per line)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+
+    def rows() -> Iterator[dict[str, object]]:
         if corpus.metadata:
-            handle.write(
-                json.dumps({"metadata": corpus.metadata}, ensure_ascii=False) + "\n"
-            )
+            yield {"metadata": corpus.metadata}
         for doc in corpus:
             record: dict[str, object] = {
                 "doc_id": doc.doc_id,
@@ -283,4 +360,6 @@ def write_records(corpus: ParallelCorpus, path: str | Path) -> None:
             }
             if doc.aligned != (len(doc.source) == len(doc.target)):
                 record["aligned"] = doc.aligned
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            yield record
+
+    write_jsonl(path, rows())

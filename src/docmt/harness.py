@@ -11,7 +11,6 @@ traversal order.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -19,7 +18,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document, ParallelCorpus, ParallelDocument
+from .corpus import (
+    Document,
+    ParallelCorpus,
+    ParallelDocument,
+    field_of,
+    finite_of,
+    read_jsonl,
+    strings_of,
+    write_jsonl,
+)
 from .metrics import MetricReport, TokenizerConfig, tokenize
 
 OVERALL = "overall"
@@ -287,94 +295,42 @@ def reference_scorer(
 
 
 def read_instances(path: str | Path) -> list[ContrastiveInstance]:
-    instances = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                instances.append(
-                    ContrastiveInstance(
-                        record["instance_id"],
-                        record["source"],
-                        tuple(record["candidates"]),
-                        record["positive_index"],
-                        record["phenomenon"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed instance on line {lineno}: {exc}")
-    return instances
+    def parse(record: dict) -> ContrastiveInstance:
+        return ContrastiveInstance(
+            field_of(record, "instance_id", str),
+            field_of(record, "source", str),
+            strings_of(record, "candidates"),
+            field_of(record, "positive_index", int),
+            field_of(record, "phenomenon", str),
+        )
+
+    return read_jsonl(path, parse, "instance")
 
 
 def read_candidate_scores(path: str | Path) -> list[CandidateScore]:
-    scores = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                scores.append(
-                    CandidateScore(
-                        record["instance_id"],
-                        record["candidate_index"],
-                        record["score"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed score on line {lineno}: {exc}")
-    return scores
+    def parse(record: dict) -> CandidateScore:
+        return CandidateScore(
+            field_of(record, "instance_id", str),
+            field_of(record, "candidate_index", int),
+            finite_of(record, "score"),
+        )
+
+    return read_jsonl(path, parse, "score")
 
 
 def write_candidate_scores(scores: Iterable[CandidateScore], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for score in scores:
-            handle.write(
-                json.dumps(
-                    {
-                        "instance_id": score.instance_id,
-                        "candidate_index": score.candidate_index,
-                        "score": score.score,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(vars, scores))
 
 
 def write_permutation_records(
     records: Iterable[PermutationRecord], path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "doc_id": record.doc_id,
-                        "mapping": [list(entry) for entry in record.mapping],
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(vars, records))
 
 
 def read_permutation_records(path: str | Path) -> list[PermutationRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                records.append(
-                    PermutationRecord(
-                        record["doc_id"],
-                        tuple((d, i) for d, i in record["mapping"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed record on line {lineno}: {exc}")
-    return records
+    def parse(record: dict) -> PermutationRecord:
+        mapping = tuple((d, i) for d, i in record["mapping"])
+        return PermutationRecord(field_of(record, "doc_id", str), mapping)
+
+    return read_jsonl(path, parse, "record")

@@ -11,7 +11,6 @@ gives BLEU 0.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import unicodedata
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document
+from .corpus import Document, field_of, finite_of, read_jsonl, write_jsonl
 
 CATEGORIES = ("TENSE", "CONJ", "PRON")
 _CATEGORY_METRIC = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}
@@ -87,14 +86,6 @@ class MetricReport:
     value: float
     numerator: int = 0
     denominator: int = 0
-
-    def record(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-        }
 
 
 def _is_punct(char: str) -> bool:
@@ -175,10 +166,6 @@ def corpus_bleu(
     return MetricReport("BLEU", 100.0 * bp * math.exp(log_precision))
 
 
-def _flatten_tokens(doc: Document, cfg: TokenizerConfig) -> list[str]:
-    return tokenize(doc.text, cfg)
-
-
 def s_bleu(
     hypotheses: Sequence[Document],
     references: Sequence[Document],
@@ -223,8 +210,8 @@ def d_bleu(
             f"document count mismatch: {len(hypotheses)} hypothesis vs "
             f"{len(references)} reference"
         )
-    hyp_units = [_flatten_tokens(doc, cfg) for doc in hypotheses]
-    ref_units = [_flatten_tokens(doc, cfg) for doc in references]
+    hyp_units = [tokenize(doc.text, cfg) for doc in hypotheses]
+    ref_units = [tokenize(doc.text, cfg) for doc in references]
     report = corpus_bleu(hyp_units, ref_units, max_n)
     return MetricReport("d-BLEU", report.value)
 
@@ -257,10 +244,10 @@ def span_metric(
             continue
         if ref.doc_id not in by_id:
             raise ValueError(f"missing output for labeled document {ref.doc_id!r}")
-        ref_tokens = _flatten_tokens(ref.reference, cfg)
+        ref_tokens = tokenize(ref.reference.text, cfg)
         if not ref_tokens:
             raise ValueError(f"reference document {ref.doc_id!r} has no tokens")
-        out_tokens = _flatten_tokens(by_id[ref.doc_id], cfg)
+        out_tokens = tokenize(by_id[ref.doc_id].text, cfg)
         alpha = len(out_tokens) / len(ref_tokens)
         for label in labels:
             word = label.word.lower() if cfg.lowercase else label.word
@@ -350,20 +337,17 @@ def read_labeled_docs(
     Each record carries doc_id, word, position, and category; labels for
     unknown documents are an error. Documents without labels are omitted.
     """
+    def parse(record: dict) -> tuple[str, Label]:
+        label = Label(
+            field_of(record, "word", str),
+            field_of(record, "position", int),
+            record["category"],
+        )
+        return field_of(record, "doc_id", str), label
+
     by_id: dict[str, list[Label]] = {}
-    with open(labels_path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                label = Label(record["word"], record["position"], record["category"])
-                doc_id = record["doc_id"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{labels_path}: malformed label on line {lineno}: {exc}"
-                )
-            by_id.setdefault(doc_id, []).append(label)
+    for doc_id, label in read_jsonl(labels_path, parse, "label"):
+        by_id.setdefault(doc_id, []).append(label)
     refs_by_id = {doc.doc_id: doc for doc in references}
     unknown = sorted(set(by_id) - set(refs_by_id))
     if unknown:
@@ -375,27 +359,16 @@ def read_labeled_docs(
 
 
 def write_reports(reports: Iterable[MetricReport], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for report in reports:
-            handle.write(json.dumps(report.record(), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(vars, reports))
 
 
 def read_reports(path: str | Path) -> list[MetricReport]:
-    reports = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                reports.append(
-                    MetricReport(
-                        record["name"],
-                        record["value"],
-                        record.get("numerator", 0),
-                        record.get("denominator", 0),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed metric record on line {lineno}: {exc}")
-    return reports
+    def parse(record: dict) -> MetricReport:
+        return MetricReport(
+            record["name"],
+            finite_of(record, "value"),
+            record.get("numerator", 0),
+            record.get("denominator", 0),
+        )
+
+    return read_jsonl(path, parse, "metric record")

@@ -7,13 +7,20 @@ punctuation, filter by alignment); each is also usable on its own.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .corpus import Document, ParallelCorpus, ParallelDocument
+from .corpus import (
+    Document,
+    ParallelCorpus,
+    ParallelDocument,
+    field_of,
+    finite_of,
+    read_jsonl,
+    write_jsonl,
+)
 
 DEFAULT_TERMINALS = frozenset({".", "!", "?", "。", "！", "？", "…"})
 DEFAULT_QUOTE_CLOSERS = frozenset({'"', "'", "”", "’", "»", ")", "」", "』"})
@@ -254,43 +261,25 @@ def baseline_alignment_scores(
 
 def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
     """Read a JSON-lines alignment-score file; enforces unique pairs."""
-    scores = []
     seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw)
-                score = AlignmentScore(
-                    record["doc_id"], record["pair_index"], record["score"]
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed score on line {lineno}: {exc}")
-            key = (score.doc_id, score.pair_index)
-            if key in seen:
-                raise ValueError(
-                    f"{path}: duplicate score on line {lineno} for {key}"
-                )
-            seen.add(key)
-            scores.append(score)
-    return scores
+
+    def parse(record: dict) -> AlignmentScore:
+        score = AlignmentScore(
+            field_of(record, "doc_id", str),
+            field_of(record, "pair_index", int),
+            finite_of(record, "score"),
+        )
+        key = (score.doc_id, score.pair_index)
+        if key in seen:
+            raise ValueError(f"duplicate score for {key}")
+        seen.add(key)
+        return score
+
+    return read_jsonl(path, parse, "score")
 
 
 def write_alignment_scores(scores: Iterable[AlignmentScore], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for score in scores:
-            handle.write(
-                json.dumps(
-                    {
-                        "doc_id": score.doc_id,
-                        "pair_index": score.pair_index,
-                        "score": score.score,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(vars, scores))
 
 
 def _resegment(doc: ParallelDocument, cfg: SegmenterConfig) -> ParallelDocument:

@@ -250,3 +250,175 @@ class TestReportCommand:
         assert run("report", path) == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert "-" in row
+
+
+RECORD = '{"doc_id":"d0","src":["a."],"tgt":["b."]}\n'
+INSTANCES = (
+    '{"instance_id":"i0","source":"s","candidates":["good","bad"],'
+    '"positive_index":0,"phenomenon":"deixis"}\n'
+)
+SCORE = '{"instance_id":"i0","candidate_index":0,"score":1.0}\n'
+TCP_REF = "he went home and slept.\n"
+LABEL = '{"doc_id":"000000","word":"he","position":0,"category":"PRON"}\n'
+
+# case -> (files to create, argv, file the diagnostic names, where in it)
+MALFORMED = {
+    "record src is a string": (
+        {"in.jsonl": RECORD + '{"doc_id":"d1","src":"hello","tgt":["x."]}\n'},
+        ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"], "in.jsonl", "line 2",
+    ),
+    "record sentence is a number": (
+        {"in.jsonl": RECORD + '{"doc_id":"d1","src":[5],"tgt":["x."]}\n'},
+        ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"], "in.jsonl", "line 2",
+    ),
+    "score is a string": (
+        {"inst.jsonl": INSTANCES,
+         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":"high"}\n'},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "line 2",
+    ),
+    "score is a bool": (
+        {"inst.jsonl": INSTANCES,
+         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":true}\n'},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "line 2",
+    ),
+    "score is NaN": (
+        {"inst.jsonl": INSTANCES,
+         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":NaN}\n'},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "line 2",
+    ),
+    "label position is a float": (
+        {"ref.txt": TCP_REF,
+         "labels.jsonl": LABEL + LABEL.replace('"position":0', '"position":1.0')},
+        ["tcp", "--hyp", "ref.txt", "--ref", "ref.txt", "--labels", "labels.jsonl"],
+        "labels.jsonl", "line 2",
+    ),
+    "pearson nan": (
+        {"x.txt": "1\nnan\n3\n", "y.txt": "1\n2\n3\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt", "line 2",
+    ),
+    "pearson inf": (
+        {"x.txt": "1\n2\n3\n", "y.txt": "1\n2\ninf\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"], "y.txt", "line 3",
+    ),
+    "doc-text duplicate doc_id": (
+        {"hyp.txt": "a.\n\nb.\n", "ref.txt": "# doc_id: x\na.\n\n# doc_id: x\nb.\n"},
+        ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"], "ref.txt", "blocks 0 and 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_is_one_line_diagnostic(case, tmp_path, monkeypatch, capsys):
+    files, argv, named, where = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ")
+    assert where in err
+    assert err.count("\n") == 1
+
+
+@pytest.fixture
+def workspace(tmp_path, monkeypatch):
+    """A cwd holding one input of every kind the file-writing commands read."""
+    monkeypatch.chdir(tmp_path)
+    write_records(make_corpus([8, 3]), tmp_path / "corpus.jsonl")
+    files = {
+        "s.txt": "a b.\n\nc d.\n",
+        "t.txt": "x y.\n\nz w.\n",
+        "ref.txt": TCP_REF,
+        "labels.jsonl": LABEL
+        + '{"doc_id":"000000","word":"went","position":1,"category":"TENSE"}\n'
+        + '{"doc_id":"000000","word":"and","position":3,"category":"CONJ"}\n',
+        "inst.jsonl": INSTANCES,
+        "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":0.5}\n',
+        "m.jsonl": '{"name":"TC","value":50.0}\n',
+        "m2.jsonl": '{"name":"TC","value":60.0}\n',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+# command -> (argv, first output, expected manifest config). Keys are the
+# long flag names with "-" as "_"; options left unset are omitted.
+MANIFEST_CONFIGS = {
+    "convert-records": (
+        ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt",
+         "--out", "c.jsonl"],
+        "c.jsonl",
+        {"to": "records", "src": "s.txt", "tgt": "t.txt", "out": "c.jsonl"},
+    ),
+    "convert-doc-text": (
+        ["convert", "--to", "doc-text", "--in", "corpus.jsonl",
+         "--src-out", "s2.txt", "--tgt-out", "t2.txt"],
+        "s2.txt",
+        {"to": "doc-text", "in": "corpus.jsonl", "src_out": "s2.txt", "tgt_out": "t2.txt"},
+    ),
+    "clean": (
+        ["clean", "--in", "corpus.jsonl", "--out", "cl.jsonl", "--dedup",
+         "--report", "rm.jsonl"],
+        "cl.jsonl",
+        {"in": "corpus.jsonl", "out": "cl.jsonl", "dedup": "True", "segment": "False",
+         "align_threshold": "0.4", "report": "rm.jsonl"},
+    ),
+    "mr-split": (
+        ["mr-split", "--in", "corpus.jsonl", "--out", "mr.jsonl", "--no-singletons"],
+        "mr.jsonl",
+        {"in": "corpus.jsonl", "out": "mr.jsonl", "no_singletons": "True", "joiner": " "},
+    ),
+    "oversample": (
+        ["oversample", "--in", "corpus.jsonl", "--out", "os.jsonl", "--factor", "2"],
+        "os.jsonl",
+        {"in": "corpus.jsonl", "out": "os.jsonl", "factor": "2"},
+    ),
+    "bucket": (
+        ["bucket", "--in", "corpus.jsonl", "--out-prefix", "b", "--budgets", "4,64"],
+        "b.b4.jsonl",
+        {"in": "corpus.jsonl", "out_prefix": "b", "budgets": "4,64"},
+    ),
+    "bleu": (
+        ["bleu", "--hyp", "s.txt", "--ref", "s.txt", "--out", "bleu.jsonl"],
+        "bleu.jsonl",
+        {"hyp": "s.txt", "ref": "s.txt", "level": "doc", "max_n": "4", "cased": "False",
+         "out": "bleu.jsonl"},
+    ),
+    "tcp": (
+        ["tcp", "--hyp", "ref.txt", "--ref", "ref.txt", "--labels", "labels.jsonl",
+         "--radius", "3", "--out", "tcp.jsonl"],
+        "tcp.jsonl",
+        {"hyp": "ref.txt", "ref": "ref.txt", "labels": "labels.jsonl", "radius": "3",
+         "out": "tcp.jsonl"},
+    ),
+    "shuffle": (
+        ["shuffle", "--in", "corpus.jsonl", "--out", "sh.jsonl", "--mode", "local",
+         "--seed", "3"],
+        "sh.jsonl",
+        {"in": "corpus.jsonl", "out": "sh.jsonl", "mode": "local", "seed": "3",
+         "perm_out": "sh.jsonl.perm.jsonl"},
+    ),
+    "contrastive": (
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl",
+         "--out", "acc.jsonl"],
+        "acc.jsonl",
+        {"instances": "inst.jsonl", "scores": "sc.jsonl", "out": "acc.jsonl"},
+    ),
+    "report": (
+        ["report", "m.jsonl", "m2.jsonl", "--out", "table.txt"],
+        "table.txt",
+        {"files": "m.jsonl,m2.jsonl", "out": "table.txt"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CONFIGS))
+def test_manifest_config_follows_the_flags(command, workspace):
+    argv, output, config = MANIFEST_CONFIGS[command]
+    assert run(*argv) == 0
+    manifest = json.loads((workspace / f"{output}.manifest.json").read_text())
+    assert manifest["config"] == config

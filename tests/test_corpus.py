@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from docmt import (
     write_docs,
     write_records,
 )
+from docmt.corpus import write_jsonl
 from helpers import make_corpus, random_corpus
 
 
@@ -130,6 +132,16 @@ class TestDocTextFormat:
         with pytest.raises(ValueError, match="conflicts"):
             read_doc_text(tmp_path / "src", tmp_path / "tgt")
 
+    def test_duplicate_doc_id_names_both_blocks(self, tmp_path):
+        write(tmp_path / "s", "# doc_id: a\nx\n\n# doc_id: b\ny\n\n# doc_id: a\nz\n")
+        with pytest.raises(ValueError, match=r"/s: duplicate doc_id 'a' in blocks 0 and 2"):
+            read_docs(tmp_path / "s")
+
+    def test_header_repeating_an_ordinal_id_is_a_duplicate(self, tmp_path):
+        write(tmp_path / "s", "x\n\n# doc_id: 000000\ny\n")
+        with pytest.raises(ValueError, match="blocks 0 and 1"):
+            read_docs(tmp_path / "s")
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             read_docs(tmp_path / "absent.txt")
@@ -157,6 +169,21 @@ class TestRecordsFormat:
     def test_malformed_record_reports_line_number(self, tmp_path):
         write(tmp_path / "r", '{"doc_id":"d0","src":["a"],"tgt":["b"]}\nnot json\n')
         with pytest.raises(ValueError, match="line 2"):
+            read_records(tmp_path / "r")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"doc_id":"d1","src":"hello","tgt":["x"]}',
+            '{"doc_id":"d1","src":[5],"tgt":["x"]}',
+            '{"doc_id":"d1","src":["a"],"tgt":[["x"]]}',
+            '{"doc_id":1,"src":["a"],"tgt":["x"]}',
+            '{"doc_id":"d1","src":["a"],"tgt":["x"],"aligned":"yes"}',
+        ],
+    )
+    def test_record_shape_is_checked_with_line_number(self, tmp_path, record):
+        write(tmp_path / "r", '{"doc_id":"d0","src":["a"],"tgt":["b"]}\n' + record + "\n")
+        with pytest.raises(ValueError, match="malformed record on line 2"):
             read_records(tmp_path / "r")
 
     def test_round_trip(self, tmp_path):
@@ -204,3 +231,18 @@ class TestFormatInterop:
         via_text = read_doc_text(tmp_path / "src", tmp_path / "tgt")
         write_records(via_text, tmp_path / "r")
         assert read_records(tmp_path / "r").documents == corpus.documents
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_content(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl(path, [{"n": 1}])
+
+        def rows():
+            yield {"n": 2}
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError, match="row failed"):
+            write_jsonl(path, rows())
+        assert path.read_text(encoding="utf-8") == '{"n": 1}\n'
+        assert os.listdir(tmp_path) == ["out.jsonl"]
