@@ -29,7 +29,6 @@ from .metrics import (
     MetricReport,
     SpanConfig,
     TokenizerConfig,
-    bucketed_bleu,
     corpus_bleu,
     d_bleu,
     pearson,

@@ -36,20 +36,17 @@ class RunManifest:
     output_digests: dict[str, str] = field(default_factory=dict)
 
     def write(self, path: str | Path) -> None:
-        record = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "input_digests": self.input_digests,
-            "output_digests": self.output_digests,
-        }
-        corpus_io.write_text(
-            path, [json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) + "\n"]
-        )
+        text = json.dumps(vars(self), indent=2, sort_keys=True, ensure_ascii=False)
+        corpus_io.write_text(path, [text + "\n"])
 
 
 def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read in fixed-size blocks to bound memory."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _config(args: argparse.Namespace) -> dict[str, str]:
@@ -121,6 +118,7 @@ def _cmd_clean(args: argparse.Namespace) -> None:
     print(
         f"kept {len(cleaned)} of {len(corpus)} documents "
         f"({len(report.removed_duplicates)} duplicate, "
+        f"{len(report.removed_unaligned)} unaligned, "
         f"{len(report.removed_misaligned)} misaligned)"
     )
 

@@ -105,6 +105,17 @@ class ParallelDocument:
                 f"{len(self.source)} source vs {len(self.target)} target sentences"
             )
 
+    @classmethod
+    def of(
+        cls,
+        doc_id: str,
+        source: Sequence[str],
+        target: Sequence[str],
+        aligned: bool | None = None,
+    ) -> ParallelDocument:
+        """A pair whose two sides share ``doc_id``."""
+        return cls(Document(doc_id, source), Document(doc_id, target), aligned)
+
     @property
     def doc_id(self) -> str:
         return self.source.doc_id
@@ -129,6 +140,13 @@ class ParallelCorpus:
             if doc.doc_id in seen:
                 raise ValueError(f"duplicate doc_id {doc.doc_id!r} in corpus")
             seen.add(doc.doc_id)
+
+    def derive(
+        self, documents: Iterable[ParallelDocument], **metadata: str
+    ) -> ParallelCorpus:
+        """A new corpus of ``documents`` carrying a copy of this corpus's
+        metadata, updated with ``metadata``."""
+        return ParallelCorpus(tuple(documents), {**self.metadata, **metadata})
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -304,7 +322,7 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
                 f"{len(src)} source vs {len(tgt)} target"
             )
         documents.append(
-            ParallelDocument(src, Document(src.doc_id, tgt.sentences), aligned=True)
+            ParallelDocument.of(src.doc_id, src.sentences, tgt.sentences, aligned=True)
         )
     return ParallelCorpus(tuple(documents))
 
@@ -327,16 +345,15 @@ def read_records(path: str | Path) -> ParallelCorpus:
         is_metadata = first and isinstance(record, dict) and set(record) == {"metadata"}
         first = False
         if is_metadata:
-            metadata.update(record["metadata"])
+            for key in field_of(record, "metadata", dict):
+                metadata[key] = field_of(record["metadata"], key, str)
             return None
         doc_id = field_of(record, "doc_id", str)
         aligned = record.get("aligned")
         if aligned is not None:
             aligned = field_of(record, "aligned", bool)
-        return ParallelDocument(
-            Document(doc_id, strings_of(record, "src")),
-            Document(doc_id, strings_of(record, "tgt")),
-            aligned=aligned,
+        return ParallelDocument.of(
+            doc_id, strings_of(record, "src"), strings_of(record, "tgt"), aligned
         )
 
     documents = [doc for doc in read_jsonl(path, parse, "record") if doc is not None]

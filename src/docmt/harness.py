@@ -15,6 +15,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,11 +44,6 @@ class PermutationRecord:
 
     doc_id: str
     mapping: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mapping", tuple((d, int(i)) for d, i in self.mapping)
-        )
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,22 @@ def _substream(seed: int, namespace: str) -> random.Random:
     return random.Random(f"{seed}:{namespace}")
 
 
+def _rearrange(
+    corpus: ParallelCorpus, mappings: Sequence[Sequence[tuple[str, int]]]
+) -> tuple[ParallelCorpus, list[PermutationRecord]]:
+    """Rebuild ``corpus`` so that position i of document d holds the source
+    sentence at slot ``mappings[d][i]`` (an original (doc_id, index))."""
+    sources = {pd.doc_id: pd.source.sentences for pd in corpus}
+    documents = []
+    records = []
+    for pd, mapping in zip(corpus, mappings):
+        sentences = tuple(sources[doc_id][i] for doc_id, i in mapping)
+        shuffled = Document(pd.doc_id, sentences)
+        documents.append(ParallelDocument(shuffled, pd.target, aligned=pd.aligned))
+        records.append(PermutationRecord(pd.doc_id, tuple(mapping)))
+    return corpus.derive(documents), records
+
+
 def local_shuffle(
     corpus: ParallelCorpus, seed: int
 ) -> tuple[ParallelCorpus, list[PermutationRecord]]:
@@ -100,8 +112,7 @@ def local_shuffle(
     """
     if not corpus.documents:
         raise ValueError("cannot shuffle an empty corpus")
-    documents = []
-    records = []
+    mappings = []
     for ordinal, pd in enumerate(corpus):
         m = len(pd.source)
         perm = list(range(m))
@@ -110,12 +121,8 @@ def local_shuffle(
             rng.shuffle(perm)
             while perm == sorted(perm):
                 rng.shuffle(perm)
-        shuffled = Document(pd.doc_id, tuple(pd.source.sentences[j] for j in perm))
-        documents.append(ParallelDocument(shuffled, pd.target, aligned=pd.aligned))
-        records.append(
-            PermutationRecord(pd.doc_id, tuple((pd.doc_id, j) for j in perm))
-        )
-    return ParallelCorpus(tuple(documents), dict(corpus.metadata)), records
+        mappings.append([(pd.doc_id, j) for j in perm])
+    return _rearrange(corpus, mappings)
 
 
 def global_shuffle(
@@ -128,26 +135,11 @@ def global_shuffle(
     """
     if not corpus.documents:
         raise ValueError("cannot shuffle an empty corpus")
-    pool = [
-        (pd.doc_id, i, sentence)
-        for pd in corpus
-        for i, sentence in enumerate(pd.source.sentences)
-    ]
-    perm = list(range(len(pool)))
-    _substream(seed, "global").shuffle(perm)
-    documents = []
-    records = []
-    cursor = 0
-    for pd in corpus:
-        m = len(pd.source)
-        slots = perm[cursor : cursor + m]
-        cursor += m
-        sentences = tuple(pool[s][2] for s in slots)
-        mapping = tuple((pool[s][0], pool[s][1]) for s in slots)
-        shuffled = Document(pd.doc_id, sentences)
-        documents.append(ParallelDocument(shuffled, pd.target, aligned=pd.aligned))
-        records.append(PermutationRecord(pd.doc_id, mapping))
-    return ParallelCorpus(tuple(documents), dict(corpus.metadata)), records
+    pool = [(pd.doc_id, i) for pd in corpus for i in range(len(pd.source))]
+    # Shuffling the pool itself draws exactly what shuffling its indices would.
+    _substream(seed, "global").shuffle(pool)
+    slots = iter(pool)
+    return _rearrange(corpus, [list(islice(slots, len(pd.source))) for pd in corpus])
 
 
 def unshuffle(
@@ -158,7 +150,7 @@ def unshuffle(
         raise ValueError(
             f"record count {len(records)} != document count {len(corpus.documents)}"
         )
-    original: dict[str, list[str | None]] = {
+    inverse: dict[str, list[tuple[str, int] | None]] = {
         pd.doc_id: [None] * len(pd.source) for pd in corpus
     }
     for record, pd in zip(records, corpus):
@@ -173,23 +165,19 @@ def unshuffle(
                 f"{len(pd.source)} sentences"
             )
         for position, (orig_doc, orig_index) in enumerate(record.mapping):
-            if orig_doc not in original or not 0 <= orig_index < len(original[orig_doc]):
+            if orig_doc not in inverse or not 0 <= orig_index < len(inverse[orig_doc]):
                 raise ValueError(
                     f"record for {pd.doc_id!r} names unknown slot "
                     f"({orig_doc!r}, {orig_index})"
                 )
-            if original[orig_doc][orig_index] is not None:
+            if inverse[orig_doc][orig_index] is not None:
                 raise ValueError(
                     f"records are not a bijection: slot ({orig_doc!r}, {orig_index}) "
                     "assigned twice"
                 )
-            original[orig_doc][orig_index] = pd.source.sentences[position]
-    documents = []
-    for pd in corpus:
-        sentences = original[pd.doc_id]
-        restored = Document(pd.doc_id, tuple(sentences))
-        documents.append(ParallelDocument(restored, pd.target, aligned=pd.aligned))
-    return ParallelCorpus(tuple(documents), dict(corpus.metadata))
+            inverse[orig_doc][orig_index] = (pd.doc_id, position)
+    # Equal lengths and no slot assigned twice leave no slot unassigned.
+    return _rearrange(corpus, [inverse[pd.doc_id] for pd in corpus])[0]
 
 
 def contrastive_accuracy(
@@ -330,7 +318,11 @@ def write_permutation_records(
 
 def read_permutation_records(path: str | Path) -> list[PermutationRecord]:
     def parse(record: dict) -> PermutationRecord:
-        mapping = tuple((d, i) for d, i in record["mapping"])
-        return PermutationRecord(field_of(record, "doc_id", str), mapping)
+        doc_id = field_of(record, "doc_id", str)
+        mapping = field_of(record, "mapping", list)
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in mapping):
+            raise TypeError("'mapping' entries must be [doc_id, index] pairs")
+        pairs = tuple((field_of(p, 0, str), field_of(p, 1, int)) for p in mapping)
+        return PermutationRecord(doc_id, pairs)
 
     return read_jsonl(path, parse, "record")

@@ -18,7 +18,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Document, field_of, finite_of, read_jsonl, write_jsonl
 
@@ -245,8 +245,6 @@ def span_metric(
         if ref.doc_id not in by_id:
             raise ValueError(f"missing output for labeled document {ref.doc_id!r}")
         ref_tokens = tokenize(ref.reference.text, cfg)
-        if not ref_tokens:
-            raise ValueError(f"reference document {ref.doc_id!r} has no tokens")
         out_tokens = tokenize(by_id[ref.doc_id].text, cfg)
         alpha = len(out_tokens) / len(ref_tokens)
         for label in labels:
@@ -303,32 +301,6 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError(f"degenerate input: {exc}")
 
 
-def bucketed_bleu(
-    bucket_map: Mapping[int, tuple[Sequence[Document], Sequence[Document]]],
-    tok_cfg: TokenizerConfig | None = None,
-    max_n: int = 4,
-) -> dict[int, MetricReport]:
-    """Document-level BLEU per token-budget bucket.
-
-    Empty buckets are omitted from the result rather than reported as 0.
-    """
-    results: dict[int, MetricReport] = {}
-    for budget in sorted(bucket_map):
-        hyp, ref = bucket_map[budget]
-        if not ref:
-            continue
-        results[budget] = d_bleu(hyp, ref, tok_cfg, max_n)
-    return results
-
-
-def format_bucket_table(results: Mapping[int, MetricReport]) -> str:
-    """Plot-ready two-column table: token budget and d-BLEU."""
-    lines = ["budget\td-BLEU"]
-    for budget in sorted(results):
-        lines.append(f"{budget}\t{results[budget].value:.2f}")
-    return "\n".join(lines)
-
-
 def read_labeled_docs(
     references: Sequence[Document], labels_path: str | Path
 ) -> list[LabeledTestDoc]:
@@ -364,11 +336,12 @@ def write_reports(reports: Iterable[MetricReport], path: str | Path) -> None:
 
 def read_reports(path: str | Path) -> list[MetricReport]:
     def parse(record: dict) -> MetricReport:
-        return MetricReport(
-            record["name"],
-            finite_of(record, "value"),
-            record.get("numerator", 0),
-            record.get("denominator", 0),
+        name = field_of(record, "name", str)
+        value = finite_of(record, "value")
+        counts = (
+            field_of(record, k, int) if k in record else 0
+            for k in ("numerator", "denominator")
         )
+        return MetricReport(name, value, *counts)
 
     return read_jsonl(path, parse, "metric record")

@@ -12,9 +12,9 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .corpus import Document, ParallelCorpus, ParallelDocument
+from .corpus import ParallelCorpus, ParallelDocument
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,13 @@ def _part_spans(m: int, k: int) -> list[tuple[int, int]]:
     return spans
 
 
+def _aligned(pd: ParallelDocument) -> ParallelDocument:
+    """``pd``, which must be sentence-aligned."""
+    if not pd.aligned:
+        raise ValueError(f"document {pd.doc_id!r} is not sentence-aligned")
+    return pd
+
+
 def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Segment]:
     """Emit every resolution level's segments for one aligned document.
 
@@ -82,9 +89,7 @@ def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Se
     document must be aligned.
     """
     cfg = cfg or MRConfig()
-    if not pd.aligned:
-        raise ValueError(f"document {pd.doc_id!r} is not sentence-aligned")
-    m = len(pd.source)
+    m = len(_aligned(pd).source)
     segments = []
     for k in mr_levels(m, cfg):
         for part, (start, end) in enumerate(_part_spans(m, k)):
@@ -109,17 +114,13 @@ def build_mr_corpus(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> Para
     then part index.
     """
     cfg = cfg or MRConfig()
-    documents = []
-    for pd in corpus:
-        for seg in split_document(pd, cfg):
-            documents.append(
-                ParallelDocument(
-                    Document(seg.segment_id, (seg.source_text,)),
-                    Document(seg.segment_id, (seg.target_text,)),
-                    aligned=True,
-                )
-            )
-    return ParallelCorpus(tuple(documents), dict(corpus.metadata))
+    return corpus.derive(
+        ParallelDocument.of(
+            seg.segment_id, (seg.source_text,), (seg.target_text,), aligned=True
+        )
+        for pd in corpus
+        for seg in split_document(pd, cfg)
+    )
 
 
 def _source_tokens(doc: ParallelDocument) -> int:
@@ -137,9 +138,7 @@ def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
         raise ValueError("mr_ratio of an empty corpus is undefined")
     input_tokens = 0
     output_tokens = 0
-    for doc in corpus:
-        if not doc.aligned:
-            raise ValueError(f"document {doc.doc_id!r} is not sentence-aligned")
+    for doc in map(_aligned, corpus):
         tokens = _source_tokens(doc)
         input_tokens += tokens
         # Every level repeats each sentence exactly once.
@@ -159,24 +158,17 @@ def oversample(corpus: ParallelCorpus, factor: int) -> ParallelCorpus:
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    documents = []
-    for pd in corpus:
-        for replica in range(factor):
-            doc_id = f"{pd.doc_id}.r{replica}"
-            documents.append(
-                ParallelDocument(
-                    Document(doc_id, pd.source.sentences),
-                    Document(doc_id, pd.target.sentences),
-                    aligned=pd.aligned,
-                )
-            )
-    return ParallelCorpus(tuple(documents), dict(corpus.metadata))
+    return corpus.derive(
+        ParallelDocument.of(
+            f"{pd.doc_id}.r{r}", pd.source.sentences, pd.target.sentences, pd.aligned
+        )
+        for pd in corpus
+        for r in range(factor)
+    )
 
 
 def bucket_by_length(
-    corpus: ParallelCorpus,
-    token_budgets: Sequence[int],
-    tokenizer: Callable[[str], list[str]] = str.split,
+    corpus: ParallelCorpus, token_budgets: Sequence[int]
 ) -> dict[int, ParallelCorpus]:
     """Re-cut documents into paragraphs under each source-token budget.
 
@@ -195,10 +187,8 @@ def bucket_by_length(
     buckets: dict[int, ParallelCorpus] = {}
     for budget in budgets:
         documents = []
-        for pd in corpus:
-            if not pd.aligned:
-                raise ValueError(f"document {pd.doc_id!r} is not sentence-aligned")
-            counts = [len(tokenizer(s)) for s in pd.source.sentences]
+        for pd in map(_aligned, corpus):
+            counts = [len(s.split()) for s in pd.source.sentences]
             paragraphs: list[tuple[int, int]] = []
             start = 0
             running = 0
@@ -210,15 +200,13 @@ def bucket_by_length(
                 running += count
             paragraphs.append((start, len(counts)))
             for j, (a, b) in enumerate(paragraphs):
-                doc_id = f"{pd.doc_id}.b{budget}.p{j}"
                 documents.append(
-                    ParallelDocument(
-                        Document(doc_id, pd.source.sentences[a:b]),
-                        Document(doc_id, pd.target.sentences[a:b]),
+                    ParallelDocument.of(
+                        f"{pd.doc_id}.b{budget}.p{j}",
+                        pd.source.sentences[a:b],
+                        pd.target.sentences[a:b],
                         aligned=True,
                     )
                 )
-        metadata = dict(corpus.metadata)
-        metadata["token_budget"] = str(budget)
-        buckets[budget] = ParallelCorpus(tuple(documents), metadata)
+        buckets[budget] = corpus.derive(documents, token_budget=str(budget))
     return buckets

@@ -74,12 +74,15 @@ class CleanReport:
     """Removal log produced by the cleaning stages."""
 
     removed_duplicates: list[str] = field(default_factory=list)
+    removed_unaligned: list[str] = field(default_factory=list)
     removed_misaligned: dict[str, list[int]] = field(default_factory=dict)
 
     def records(self) -> list[dict[str, object]]:
         rows: list[dict[str, object]] = []
         for doc_id in self.removed_duplicates:
             rows.append({"stage": "deduplicate", "doc_id": doc_id})
+        for doc_id in self.removed_unaligned:
+            rows.append({"stage": "segment", "doc_id": doc_id})
         for doc_id, pairs in self.removed_misaligned.items():
             rows.append(
                 {"stage": "alignment-filter", "doc_id": doc_id, "pair_indices": pairs}
@@ -108,7 +111,7 @@ def deduplicate(corpus: ParallelCorpus) -> tuple[ParallelCorpus, list[str]]:
         else:
             seen.add(key)
             kept.append(doc)
-    return ParallelCorpus(tuple(kept), dict(corpus.metadata)), removed
+    return corpus.derive(kept), removed
 
 
 def _is_guarded(text: str, terminal_index: int, guards: Sequence[str]) -> bool:
@@ -227,7 +230,7 @@ def filter_by_alignment(
             removed[doc.doc_id] = offending
         else:
             kept.append(doc)
-    return ParallelCorpus(tuple(kept), dict(corpus.metadata)), removed
+    return corpus.derive(kept), removed
 
 
 def baseline_alignment_scores(
@@ -249,9 +252,6 @@ def baseline_alignment_scores(
         for i, (src, tgt) in enumerate(zip(doc.source.sentences, doc.target.sentences)):
             src_tokens = src.lower().split()
             tgt_tokens = set(tgt.lower().split())
-            if not src_tokens:
-                scores.append(AlignmentScore(doc.doc_id, i, 0.0))
-                continue
             covered = sum(
                 1 for tok in src_tokens if translations.get(tok, set()) & tgt_tokens
             )
@@ -282,12 +282,6 @@ def write_alignment_scores(scores: Iterable[AlignmentScore], path: str | Path) -
     write_jsonl(path, map(vars, scores))
 
 
-def _resegment(doc: ParallelDocument, cfg: SegmenterConfig) -> ParallelDocument:
-    src = Document(doc.doc_id, tuple(segment_sentences(doc.source.sentences, cfg)))
-    tgt = Document(doc.doc_id, tuple(segment_sentences(doc.target.sentences, cfg)))
-    return ParallelDocument(src, tgt)
-
-
 def clean_corpus(
     corpus: ParallelCorpus,
     *,
@@ -303,7 +297,9 @@ def clean_corpus(
     Order: deduplicate, re-segment sentences, repair terminal
     punctuation, filter by alignment score. Re-segmentation treats each
     existing sentence as a paragraph and may change sentence counts, in
-    which case the alignment flag is re-derived from the new counts.
+    which case the alignment flag is re-derived from the new counts; a
+    document that was aligned before re-segmentation and is not after is
+    dropped (``removed_unaligned``).
     Alignment scores (a sequence, or a callable applied to the corpus as
     it stands after the earlier stages) must cover that corpus exactly.
     """
@@ -312,20 +308,26 @@ def clean_corpus(
     if dedup:
         corpus, report.removed_duplicates = deduplicate(corpus)
     if segment:
-        corpus = ParallelCorpus(
-            tuple(_resegment(doc, cfg) for doc in corpus), dict(corpus.metadata)
-        )
+        kept = []
+        for doc in corpus:
+            resegmented = ParallelDocument.of(
+                doc.doc_id,
+                segment_sentences(doc.source.sentences, cfg),
+                segment_sentences(doc.target.sentences, cfg),
+            )
+            if doc.aligned and not resegmented.aligned:
+                report.removed_unaligned.append(doc.doc_id)
+            else:
+                kept.append(resegmented)
+        corpus = corpus.derive(kept)
     if punct_filler is not None:
-        corpus = ParallelCorpus(
-            tuple(
-                ParallelDocument(
-                    ensure_terminal_punctuation(doc.source, cfg, punct_filler),
-                    ensure_terminal_punctuation(doc.target, cfg, punct_filler),
-                    aligned=doc.aligned,
-                )
-                for doc in corpus
-            ),
-            dict(corpus.metadata),
+        corpus = corpus.derive(
+            ParallelDocument(
+                ensure_terminal_punctuation(doc.source, cfg, punct_filler),
+                ensure_terminal_punctuation(doc.target, cfg, punct_filler),
+                aligned=doc.aligned,
+            )
+            for doc in corpus
         )
     if scores is not None:
         resolved = scores(corpus) if callable(scores) else scores

@@ -90,6 +90,23 @@ class TestClean:
         assert {row["doc_id"] for row in rows} == {"d1", "d2"}
         assert (tmp_path / "clean.jsonl.manifest.json").exists()
 
+    def test_segment_drops_unaligned_documents_before_mr_split(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            '{"doc_id":"d","src":["A b. C d."],"tgt":["X y Z w."]}\n'
+            '{"doc_id":"e","src":["E f. G h."],"tgt":["Y z. W v."]}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "clean.jsonl"
+        report = tmp_path / "removed.jsonl"
+        assert run("clean", "--in", corpus, "--out", out, "--segment", "--report", report) == 0
+        assert "kept 1 of 2 documents (0 duplicate, 1 unaligned, 0 misaligned)" in (
+            capsys.readouterr().out
+        )
+        assert json.loads(report.read_text()) == {"stage": "segment", "doc_id": "d"}
+        assert run("mr-split", "--in", out, "--out", tmp_path / "mr.jsonl") == 0
+        assert len(read_records(tmp_path / "mr.jsonl")) == 3
+
 
 class TestMrSplit:
     def test_eight_sentence_fixture_gives_fifteen_pairs(self, tmp_path):
@@ -302,6 +319,24 @@ MALFORMED = {
     "pearson inf": (
         {"x.txt": "1\n2\n3\n", "y.txt": "1\n2\ninf\n"},
         ["pearson", "--x", "x.txt", "--y", "y.txt"], "y.txt", "line 3",
+    ),
+    "record metadata is a list": (
+        {"in.jsonl": '{"metadata":[["langs","zh-en"]]}\n' + RECORD},
+        ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"],
+        "in.jsonl", "malformed record on line 1",
+    ),
+    "record metadata value is a number": (
+        {"in.jsonl": '{"metadata":{"n":1}}\n' + RECORD},
+        ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"],
+        "in.jsonl", "malformed record on line 1",
+    ),
+    "metric record name is a number": (
+        {"m.jsonl": '{"name":"TC","value":50.0}\n{"name":5,"value":1.0}\n'},
+        ["report", "m.jsonl"], "m.jsonl", "malformed metric record on line 2",
+    ),
+    "metric record numerator is a float": (
+        {"m.jsonl": '{"name":"TC","value":50.0,"numerator":1.5,"denominator":3}\n'},
+        ["report", "m.jsonl"], "m.jsonl", "malformed metric record on line 1",
     ),
     "doc-text duplicate doc_id": (
         {"hyp.txt": "a.\n\nb.\n", "ref.txt": "# doc_id: x\na.\n\n# doc_id: x\nb.\n"},

@@ -4,14 +4,24 @@ import random
 import pytest
 
 from docmt import (
+    AlignmentScore,
     Document,
     ParallelCorpus,
     ParallelDocument,
+    bucket_by_length,
+    build_mr_corpus,
+    clean_corpus,
+    deduplicate,
+    filter_by_alignment,
+    global_shuffle,
+    local_shuffle,
+    oversample,
     read_doc_text,
     read_docs,
     read_records,
     write_doc_text,
     write_docs,
+    unshuffle,
     write_records,
 )
 from docmt.corpus import write_jsonl
@@ -246,3 +256,30 @@ class TestAtomicWrites:
             write_jsonl(path, rows())
         assert path.read_text(encoding="utf-8") == '{"n": 1}\n'
         assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+METADATA = {"langs": "zh-en", "origin": "news"}
+TRANSFORMS = {
+    "deduplicate": lambda c: deduplicate(c)[0],
+    "filter_by_alignment": lambda c: filter_by_alignment(
+        c, [AlignmentScore(d.doc_id, i, 1.0) for d in c for i in range(d.n_pairs)]
+    )[0],
+    "clean_corpus segment": lambda c: clean_corpus(c, segment=True)[0],
+    "clean_corpus fix-punct": lambda c: clean_corpus(c, punct_filler=".")[0],
+    "build_mr_corpus": build_mr_corpus,
+    "oversample": lambda c: oversample(c, 2),
+    "bucket_by_length": lambda c: bucket_by_length(c, [4])[4],
+    "local_shuffle": lambda c: local_shuffle(c, 1)[0],
+    "global_shuffle": lambda c: global_shuffle(c, 1)[0],
+    "unshuffle": lambda c: unshuffle(*local_shuffle(c, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSFORMS))
+def test_transforms_carry_a_copy_of_the_metadata(name):
+    corpus = ParallelCorpus(make_corpus([3, 2]).documents, dict(METADATA))
+    result = TRANSFORMS[name](corpus)
+    expected = dict(METADATA, token_budget="4") if name == "bucket_by_length" else METADATA
+    assert result.metadata == expected
+    result.metadata["added"] = "x"
+    assert corpus.metadata == METADATA

@@ -146,6 +146,16 @@ class TestUnshuffle:
         write_permutation_records(records, tmp_path / "perm.jsonl")
         assert read_permutation_records(tmp_path / "perm.jsonl") == records
 
+    @pytest.mark.parametrize(
+        "entry", ['["d000","1"]', '["d000",0.9]', '["d000",true]', '{"d000":1}']
+    )
+    def test_record_file_mapping_entries_are_checked(self, tmp_path, entry):
+        (tmp_path / "perm.jsonl").write_text(
+            '{"doc_id":"d000","mapping":[["d000",0],' + entry + "]}\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="malformed record on line 1"):
+            read_permutation_records(tmp_path / "perm.jsonl")
+
 
 def instance(iid, positive, negatives, phenomenon="deixis"):
     candidates = [positive] + list(negatives)

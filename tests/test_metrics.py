@@ -9,7 +9,6 @@ from docmt import (
     LabeledTestDoc,
     SpanConfig,
     TokenizerConfig,
-    bucketed_bleu,
     corpus_bleu,
     d_bleu,
     pearson,
@@ -18,7 +17,7 @@ from docmt import (
     tcp,
     tokenize,
 )
-from docmt.metrics import format_bucket_table, read_labeled_docs
+from docmt.metrics import read_labeled_docs
 from helpers import VOCAB, naive_bleu
 
 
@@ -283,34 +282,6 @@ class TestPearson:
             pearson([1, 2], [1, 2, 3])
         with pytest.raises(ValueError):
             pearson([1], [2])
-
-
-class TestBucketedBleu:
-    def docs(self, texts, prefix="d"):
-        return [Document(f"{prefix}{i}", (t,)) for i, t in enumerate(texts)]
-
-    def test_identical_buckets_score_100(self):
-        ref = self.docs(["the cat sat.", "a dog ran."])
-        results = bucketed_bleu({64: (ref, ref), 128: (ref, ref)})
-        assert set(results) == {64, 128}
-        assert all(r.value == 100.0 for r in results.values())
-
-    def test_single_bucket_reduces_to_d_bleu(self):
-        hyp = self.docs(["the cat sat on a mat."])
-        ref = self.docs(["the cat sat on the mat."])
-        results = bucketed_bleu({512: (hyp, ref)})
-        assert results[512].value == pytest.approx(d_bleu(hyp, ref).value, abs=1e-12)
-
-    def test_empty_bucket_is_absent_not_zero(self):
-        ref = self.docs(["the cat sat."])
-        results = bucketed_bleu({64: ([], []), 128: (ref, ref)})
-        assert 64 not in results
-        assert 128 in results
-
-    def test_table_rendering(self):
-        ref = self.docs(["the cat sat."])
-        table = format_bucket_table(bucketed_bleu({64: (ref, ref)}))
-        assert table.splitlines() == ["budget\td-BLEU", "64\t100.00"]
 
 
 class TestLabelFile:

@@ -267,6 +267,27 @@ class TestCleanPipeline:
         assert cleaned[0].target.sentences == ("X y.", "Z w!")
         assert cleaned[0].aligned
 
+    def test_segment_stage_drops_documents_it_unaligns(self):
+        corpus = ParallelCorpus(
+            (
+                pair("d0", ("p q.",), ("r s.",)),
+                pair("d1", ("P  Q.",), ("t u.",)),
+                pair("d2", ("A b. C d.",), ("X y Z w.",)),
+                pair("d3", ("e f.",), ("g h.",)),
+                pair("d4", ("E f.", "G h."), ("Y z W v.",)),
+            )
+        )
+        scores = [AlignmentScore("d0", 0, 0.9), AlignmentScore("d3", 0, 0.1)]
+        cleaned, report = clean_corpus(corpus, dedup=True, segment=True, scores=scores)
+        # d4 was unaligned on input, so it passes through.
+        assert [d.doc_id for d in cleaned] == ["d0", "d4"]
+        assert report.removed_unaligned == ["d2"]
+        assert report.records() == [
+            {"stage": "deduplicate", "doc_id": "d1"},
+            {"stage": "segment", "doc_id": "d2"},
+            {"stage": "alignment-filter", "doc_id": "d3", "pair_indices": [0]},
+        ]
+
     def test_report_records_shape(self):
         corpus = ParallelCorpus((pair("d0", ("x",)), pair("d1", ("x",))))
         _, report = clean_corpus(corpus, dedup=True)
