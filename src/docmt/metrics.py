@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Document, field_of, finite_of, read_jsonl, write_jsonl
+from .corpus import (
+    Document,
+    _ordinal_id,
+    field_of,
+    finite_of,
+    read_jsonl,
+    write_jsonl,
+)
 
 CATEGORIES = ("TENSE", "CONJ", "PRON")
 _CATEGORY_METRIC = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}
@@ -103,6 +110,11 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
         return raw
     tokens: list[str] = []
     for tok in raw:
+        # No alphanumeric character is in a P* category, so a token with
+        # alphanumeric edges has no punctuation to detach.
+        if tok[0].isalnum() and tok[-1].isalnum():
+            tokens.append(tok)
+            continue
         trailing: list[str] = []
         while tok and _is_punct(tok[0]):
             tokens.append(tok[0])
@@ -117,7 +129,50 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _bleu_stats(
+    pairs: Iterable[tuple[Sequence[str], Sequence[str]]], max_n: int
+) -> tuple[list[int], list[int], int, int]:
+    """BLEU's sufficient statistics summed over (hypothesis, reference)
+    token pairs, consumed one pair at a time: clipped n-gram matches and
+    hypothesis n-gram totals per order 1..max_n, then the hypothesis and
+    reference lengths."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    correct = [0] * max_n
+    total = [0] * max_n
+    hyp_len = 0
+    ref_len = 0
+    units = 0
+    for hyp, ref in pairs:
+        units += 1
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, min(max_n, len(hyp)) + 1):
+            hyp_counts = _ngram_counts(hyp, n)
+            ref_counts = _ngram_counts(ref, n)
+            total[n - 1] += len(hyp) - n + 1
+            correct[n - 1] += sum(
+                min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
+            )
+    if not units:
+        raise ValueError("cannot score an empty corpus")
+    return correct, total, hyp_len, ref_len
+
+
+def _bleu_report(
+    name: str, correct: list[int], total: list[int], hyp_len: int, ref_len: int
+) -> MetricReport:
+    """BLEU from pooled statistics; orders with no hypothesis n-grams drop
+    out of the geometric mean."""
+    orders = [(c, t) for c, t in zip(correct, total) if t > 0]
+    if not orders or any(c == 0 for c, _ in orders):
+        return MetricReport(name, 0.0)
+    log_precision = sum(math.log(c / t) for c, t in orders) / len(orders)
+    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return MetricReport(name, 100.0 * bp * math.exp(log_precision))
 
 
 def corpus_bleu(
@@ -133,37 +188,30 @@ def corpus_bleu(
     all are vacuous and drop out of the geometric mean, so identical
     corpora score exactly 100 even below max_n tokens.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference length mismatch: "
             f"{len(hypotheses)} vs {len(references)}"
         )
-    if not hypotheses:
-        raise ValueError("cannot score an empty corpus")
-    correct = [0] * max_n
-    total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_grams = _ngram_counts(hyp, n)
-            if not hyp_grams:
-                continue
-            ref_grams = _ngram_counts(ref, n)
-            total[n - 1] += sum(hyp_grams.values())
-            correct[n - 1] += sum(
-                min(count, ref_grams[gram]) for gram, count in hyp_grams.items()
+    return _bleu_report("BLEU", *_bleu_stats(zip(hypotheses, references), max_n))
+
+
+def _check_pairing(
+    hypotheses: Sequence[Document], references: Sequence[Document]
+) -> None:
+    """Documents pair by position; a pair whose ids differ is a conflict
+    unless one side carries its block's ordinal default id."""
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"document count mismatch: {len(hypotheses)} hypothesis vs "
+            f"{len(references)} reference"
+        )
+    for i, (hyp, ref) in enumerate(zip(hypotheses, references)):
+        if hyp.doc_id != ref.doc_id and _ordinal_id(i) not in (hyp.doc_id, ref.doc_id):
+            raise ValueError(
+                f"document {i}: hypothesis doc_id {hyp.doc_id!r} conflicts with "
+                f"reference doc_id {ref.doc_id!r}"
             )
-    orders = [(c, t) for c, t in zip(correct, total) if t > 0]
-    if not orders or any(c == 0 for c, _ in orders):
-        return MetricReport("BLEU", 0.0)
-    log_precision = sum(math.log(c / t) for c, t in orders) / len(orders)
-    bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return MetricReport("BLEU", 100.0 * bp * math.exp(log_precision))
 
 
 def s_bleu(
@@ -178,23 +226,19 @@ def s_bleu(
     pair; the first structural mismatch is reported by document index.
     """
     cfg = tok_cfg or TokenizerConfig()
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"document count mismatch: {len(hypotheses)} hypothesis vs "
-            f"{len(references)} reference"
-        )
-    hyp_units = []
-    ref_units = []
+    _check_pairing(hypotheses, references)
     for i, (hyp, ref) in enumerate(zip(hypotheses, references)):
         if len(hyp) != len(ref):
             raise ValueError(
                 f"sentence count mismatch in document {i} (id {ref.doc_id!r}): "
                 f"{len(hyp)} hypothesis vs {len(ref)} reference"
             )
-        hyp_units.extend(tokenize(s, cfg) for s in hyp.sentences)
-        ref_units.extend(tokenize(s, cfg) for s in ref.sentences)
-    report = corpus_bleu(hyp_units, ref_units, max_n)
-    return MetricReport("s-BLEU", report.value)
+    units = (
+        (tokenize(h, cfg), tokenize(r, cfg))
+        for hyp, ref in zip(hypotheses, references)
+        for h, r in zip(hyp.sentences, ref.sentences)
+    )
+    return _bleu_report("s-BLEU", *_bleu_stats(units, max_n))
 
 
 def d_bleu(
@@ -205,15 +249,12 @@ def d_bleu(
 ) -> MetricReport:
     """Corpus BLEU with each whole flattened document as one unit."""
     cfg = tok_cfg or TokenizerConfig()
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"document count mismatch: {len(hypotheses)} hypothesis vs "
-            f"{len(references)} reference"
-        )
-    hyp_units = [tokenize(doc.text, cfg) for doc in hypotheses]
-    ref_units = [tokenize(doc.text, cfg) for doc in references]
-    report = corpus_bleu(hyp_units, ref_units, max_n)
-    return MetricReport("d-BLEU", report.value)
+    _check_pairing(hypotheses, references)
+    units = (
+        (tokenize(hyp.text, cfg), tokenize(ref.text, cfg))
+        for hyp, ref in zip(hypotheses, references)
+    )
+    return _bleu_report("d-BLEU", *_bleu_stats(units, max_n))
 
 
 def span_metric(
@@ -266,7 +307,7 @@ def span_metric(
                 len(out_tokens) - 1,
                 math.ceil(alpha * label.position + span_cfg.radius_d),
             )
-            if any(out_tokens[i] == word for i in range(lo, hi + 1)):
+            if word in out_tokens[lo : hi + 1]:
                 hits += 1
     if total == 0:
         raise ValueError(f"no labels of category {category!r} in the test set")

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
 from typing import Sequence
 
-from docmt import Document, ParallelCorpus, ParallelDocument
+from docmt import Document, ParallelCorpus, ParallelDocument, TokenizerConfig
 
 VOCAB = "the a of and to in cat dog house tree river stone bird cloud ran sat".split()
 
@@ -40,6 +41,29 @@ def random_corpus(
 ) -> ParallelCorpus:
     sizes = [rng.randint(1, max_sentences) for _ in range(rng.randint(1, max_docs))]
     return make_corpus(sizes, rng)
+
+
+def naive_tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
+    """Reference tokenizer: every token's edge characters are checked one
+    by one with ``unicodedata.category``, with no fast path."""
+    if cfg.lowercase:
+        text = text.lower()
+    raw = text.split()
+    if not cfg.split_punctuation:
+        return raw
+    tokens: list[str] = []
+    for tok in raw:
+        trailing: list[str] = []
+        while tok and unicodedata.category(tok[0]).startswith("P"):
+            tokens.append(tok[0])
+            tok = tok[1:]
+        while tok and unicodedata.category(tok[-1]).startswith("P"):
+            trailing.append(tok[-1])
+            tok = tok[:-1]
+        if tok:
+            tokens.append(tok)
+        tokens.extend(reversed(trailing))
+    return tokens
 
 
 def naive_bleu(

@@ -158,6 +158,17 @@ class TestMetricsCommands:
         assert run("bleu", "--hyp", hyp, "--ref", ref, "--level", "sent") == 1
         assert "document 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["sent", "doc"])
+    def test_bleu_rejects_conflicting_doc_ids(self, tmp_path, capsys, level):
+        ref = tmp_path / "ref.txt"
+        hyp = tmp_path / "hyp.txt"
+        ref.write_text("# doc_id: a\nthe cat sat.\n\n# doc_id: b\na dog ran.\n", encoding="utf-8")
+        hyp.write_text("# doc_id: b\na dog ran.\n\n# doc_id: a\nthe cat sat.\n", encoding="utf-8")
+        assert run("bleu", "--hyp", hyp, "--ref", ref, "--level", level) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "document 0: hypothesis doc_id 'b' conflicts with reference doc_id 'a'" in captured.err
+
     def test_tcp_command(self, tmp_path, capsys):
         ref = tmp_path / "ref.txt"
         ref.write_text("he went home and slept.\n", encoding="utf-8")

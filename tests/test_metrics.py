@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 
@@ -18,7 +19,7 @@ from docmt import (
     tokenize,
 )
 from docmt.metrics import read_labeled_docs
-from helpers import VOCAB, naive_bleu
+from helpers import VOCAB, naive_bleu, naive_tokenize
 
 
 class TestTokenizer:
@@ -47,6 +48,55 @@ class TestTokenizer:
 
     def test_interior_punctuation_stays(self):
         assert tokenize("don't stop-go") == ["don't", "stop-go"]
+
+
+# Characters by Unicode class, for the tokenizer equivalence test: letters
+# (ASCII, Latin-1, Greek, Cyrillic, a lowercasing that adds a combining
+# mark), digits of three kinds, CJK, every P* category, S* symbols and Mn
+# combining marks.
+TOKEN_CHARS = {
+    "letter": "aZéßΩжİ",
+    "digit": "07٣²",
+    "cjk": "漢字の",
+    "Pc": "_‿",
+    "Pd": "-—",
+    "Ps": "(「",
+    "Pe": ")」",
+    "Pi": "«“",
+    "Pf": "»”",
+    "Po": ".!¿、",
+    "symbol": "+≤$€^´©☃",
+    "mark": "\u0301\u0308",
+}
+PUNCT_CHARS = "".join(v for k, v in TOKEN_CHARS.items() if k.startswith("P"))
+
+
+def random_text(rng: random.Random) -> str:
+    pools = list(TOKEN_CHARS.values())
+    tokens = []
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.15:
+            body = rng.choices(PUNCT_CHARS, k=rng.randint(1, 3))
+        else:
+            body = [rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 6))]
+        tokens.append("".join(body))
+    return "".join(tok + rng.choice((" ", "  ", "\t", "\n")) for tok in tokens)
+
+
+class TestTokenizerEquivalence:
+    def test_classes_cover_every_punctuation_category(self):
+        categories = {unicodedata.category(c) for c in "".join(TOKEN_CHARS.values())}
+        assert {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po"} <= categories
+        assert {"Sm", "Sc", "Sk", "So", "Mn", "Nd", "No", "Lo"} <= categories
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("split_punctuation", [True, False])
+    def test_matches_reference_tokenizer(self, lowercase, split_punctuation):
+        cfg = TokenizerConfig(lowercase=lowercase, split_punctuation=split_punctuation)
+        rng = random.Random(41)
+        for _ in range(3000):
+            text = random_text(rng)
+            assert tokenize(text, cfg) == naive_tokenize(text, cfg), repr(text)
 
 
 class TestCorpusBleu:
@@ -143,6 +193,69 @@ class TestDocumentBleu:
     def test_document_count_mismatch(self):
         with pytest.raises(ValueError, match="count mismatch"):
             d_bleu(self.docs([("a.",)]), self.docs([("a.",), ("b.",)]))
+
+    def test_conflicting_doc_ids_are_rejected(self):
+        a = Document("a", ("the cat sat.",))
+        b = Document("b", ("a dog ran.",))
+        message = "document 0: hypothesis doc_id 'b' conflicts with reference doc_id 'a'"
+        for level in (s_bleu, d_bleu):
+            with pytest.raises(ValueError, match=message):
+                level([b, a], [a, b])
+
+    def test_ordinal_default_id_pairs_with_any_id(self):
+        sentences = [("the cat sat.",), ("a dog ran.",)]
+        headed = [Document(i, s) for i, s in zip(("a", "b"), sentences)]
+        plain = [Document(f"{i:06d}", s) for i, s in enumerate(sentences)]
+        for level in (s_bleu, d_bleu):
+            assert level(plain, headed).value == 100.0
+            assert level(headed, plain).value == 100.0
+
+
+STREAM_WORDS = VOCAB[:6] + ["cat.", "(dog", "the,"]
+
+
+def random_docs(rng, sizes):
+    return [
+        Document(
+            f"d{i}",
+            tuple(
+                " ".join(rng.choices(STREAM_WORDS, k=rng.randint(1, 6)))
+                for _ in range(m)
+            ),
+        )
+        for i, m in enumerate(sizes)
+    ]
+
+
+class TestStreamedBleu:
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
+    def test_levels_match_brute_force_oracle(self, max_n):
+        rng = random.Random(70 + max_n)
+        cfg = TokenizerConfig()
+        for _ in range(80):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            hyp = random_docs(rng, sizes)
+            ref = random_docs(rng, sizes)
+            sent_hyps = [naive_tokenize(s, cfg) for d in hyp for s in d.sentences]
+            sent_refs = [naive_tokenize(s, cfg) for d in ref for s in d.sentences]
+            assert s_bleu(hyp, ref, cfg, max_n).value == pytest.approx(
+                naive_bleu(sent_hyps, sent_refs, max_n), abs=1e-9
+            )
+            doc_hyps = [naive_tokenize(d.text, cfg) for d in hyp]
+            doc_refs = [naive_tokenize(d.text, cfg) for d in ref]
+            assert d_bleu(hyp, ref, cfg, max_n).value == pytest.approx(
+                naive_bleu(doc_hyps, doc_refs, max_n), abs=1e-9
+            )
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
+    def test_errors_survive_streaming(self, max_n):
+        with pytest.raises(ValueError, match="length mismatch"):
+            corpus_bleu([["a"]], [["a"], ["b"]], max_n)
+        for score in (corpus_bleu, s_bleu, d_bleu):
+            with pytest.raises(ValueError, match="empty corpus"):
+                score([], [], max_n=max_n)
+            with pytest.raises(ValueError, match="max_n must be >= 1"):
+                score([], [], max_n=max_n - 5)
 
 
 def spaced(words):
