@@ -46,12 +46,9 @@ from .mrsplit import (
     mr_ratio,
     oversample,
     split_document,
-    suggested_oversample_factor,
 )
 from .pipeline import (
     AlignmentScore,
-    SegmenterConfig,
-    baseline_alignment_scores,
     clean_corpus,
     deduplicate,
     ensure_terminal_punctuation,

@@ -196,19 +196,18 @@ def _cmd_tcp(args: argparse.Namespace) -> None:
 def _cmd_pearson(args: argparse.Namespace) -> None:
     def read_column(path: str) -> list[float]:
         values = []
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = math.nan  # reported below, as nan and inf are
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: not a finite number on line {lineno}: {raw!r}"
-                    )
-                values.append(value)
+        for lineno, raw in corpus_io.read_lines(path, "number"):
+            if not raw.strip():
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                value = math.nan  # reported below, as nan and inf are
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: not a finite number on line {lineno}: {raw!r}"
+                )
+            values.append(value)
         return values
 
     value = metrics.pearson(read_column(args.x), read_column(args.y))

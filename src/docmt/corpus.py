@@ -49,6 +49,30 @@ def _ordinal_id(index: int) -> str:
     return f"{index:06d}"
 
 
+def paired_doc_ids(
+    firsts: Sequence[Document], seconds: Sequence[Document], first: str, second: str
+) -> list[str]:
+    """The doc_id of each pair of two document lists paired by position.
+
+    Two ids pair when they are equal, or when one is its block's ordinal
+    default and the other then names the pair; anything else is an error.
+    """
+    if len(firsts) != len(seconds):
+        raise ValueError(
+            f"document count mismatch: {len(firsts)} {first} vs "
+            f"{len(seconds)} {second}"
+        )
+    ids = []
+    for i, (a, b) in enumerate(zip(firsts, seconds)):
+        if a.doc_id != b.doc_id and _ordinal_id(i) not in (a.doc_id, b.doc_id):
+            raise ValueError(
+                f"document {i}: {first} doc_id {a.doc_id!r} conflicts with "
+                f"{second} doc_id {b.doc_id!r}"
+            )
+        ids.append(b.doc_id if a.doc_id == _ordinal_id(i) else a.doc_id)
+    return ids
+
+
 @dataclass(frozen=True)
 class Document:
     """An ordered run of sentences with a stable id."""
@@ -157,10 +181,6 @@ class ParallelCorpus:
     def __getitem__(self, index: int) -> ParallelDocument:
         return self.documents[index]
 
-    @property
-    def n_sentence_pairs(self) -> int:
-        return sum(doc.n_pairs for doc in self.documents)
-
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines).
@@ -172,7 +192,11 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+        handle = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the file the caller asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -193,17 +217,39 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> list[T
     ``"{path}: malformed {what} on line {n}: {why}"``.
     """
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rows.append(parse(json.loads(raw)))
-            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
-                raise ValueError(
-                    f"{path}: malformed {what} on line {lineno}: {exc}"
-                ) from exc
+    for lineno, raw in read_lines(path, what):
+        if not raw.strip():
+            continue
+        try:
+            rows.append(parse(json.loads(raw)))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            raise ValueError(
+                f"{path}: malformed {what} on line {lineno}: {exc}"
+            ) from exc
     return rows
+
+
+def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file.
+
+    Invalid UTF-8 raises ``ValueError``, ``"{path}: malformed {what} on
+    line {n}: {why}"``. A text-mode read decodes in blocks, so its own
+    error names neither the line nor a position in it; the file is read
+    again one line at a time to find both.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(
+                        f"{path}: malformed {what} on line {lineno}: {exc}"
+                    ) from None
+        raise
 
 
 def field_of(record: Any, key: str, kind: type) -> Any:
@@ -238,7 +284,6 @@ def read_docs(path: str | Path) -> list[Document]:
 
     A doc_id given to two blocks is an error naming both block ordinals.
     """
-    text = Path(path).read_text(encoding="utf-8")
     docs: list[Document] = []
     ordinals: dict[str, int] = {}
     lines: list[str] = []
@@ -258,7 +303,8 @@ def read_docs(path: str | Path) -> list[Document]:
         lines = []
         header = None
 
-    for raw in text.split("\n"):
+    for _, raw in read_lines(path, "doc-text"):
+        raw = raw.rstrip("\n")
         if not raw.strip():
             flush()
             continue
@@ -299,8 +345,8 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     """Read a parallel doc-text file pair into an aligned corpus.
 
     Errors out (naming the first offending document index) when the two
-    files disagree in block count or in per-block sentence count; partial
-    alignment is never silently accepted.
+    files disagree in block count, doc_id (``paired_doc_ids``) or per-block
+    sentence count; partial alignment is never silently accepted.
     """
     src_docs = read_docs(src_path)
     tgt_docs = read_docs(tgt_path)
@@ -309,22 +355,21 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
             f"document count mismatch: {src_path} has {len(src_docs)} blocks, "
             f"{tgt_path} has {len(tgt_docs)}"
         )
+    ids = paired_doc_ids(src_docs, tgt_docs, "source", "target")
     documents = []
-    for i, (src, tgt) in enumerate(zip(src_docs, tgt_docs)):
-        if tgt.doc_id not in (src.doc_id, _ordinal_id(i)):
-            raise ValueError(
-                f"document {i}: source doc_id {src.doc_id!r} conflicts with "
-                f"target doc_id {tgt.doc_id!r}"
-            )
+    for i, (doc_id, src, tgt) in enumerate(zip(ids, src_docs, tgt_docs)):
         if len(src) != len(tgt):
             raise ValueError(
-                f"sentence count mismatch in document {i} (id {src.doc_id!r}): "
+                f"sentence count mismatch in document {i} (id {doc_id!r}): "
                 f"{len(src)} source vs {len(tgt)} target"
             )
         documents.append(
-            ParallelDocument.of(src.doc_id, src.sentences, tgt.sentences, aligned=True)
+            ParallelDocument.of(doc_id, src.sentences, tgt.sentences, aligned=True)
         )
-    return ParallelCorpus(tuple(documents))
+    try:
+        return ParallelCorpus(tuple(documents))
+    except ValueError as exc:  # a target id that names a pair can repeat a source id
+        raise ValueError(f"{src_path}, {tgt_path}: {exc}") from None
 
 
 def write_doc_text(

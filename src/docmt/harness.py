@@ -306,10 +306,6 @@ def read_candidate_scores(path: str | Path) -> list[CandidateScore]:
     return read_jsonl(path, parse, "score")
 
 
-def write_candidate_scores(scores: Iterable[CandidateScore], path: str | Path) -> None:
-    write_jsonl(path, map(vars, scores))
-
-
 def write_permutation_records(
     records: Iterable[PermutationRecord], path: str | Path
 ) -> None:

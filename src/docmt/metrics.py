@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 from .corpus import (
     Document,
-    _ordinal_id,
     field_of,
     finite_of,
+    paired_doc_ids,
     read_jsonl,
     write_jsonl,
 )
@@ -196,24 +196,6 @@ def corpus_bleu(
     return _bleu_report("BLEU", *_bleu_stats(zip(hypotheses, references), max_n))
 
 
-def _check_pairing(
-    hypotheses: Sequence[Document], references: Sequence[Document]
-) -> None:
-    """Documents pair by position; a pair whose ids differ is a conflict
-    unless one side carries its block's ordinal default id."""
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"document count mismatch: {len(hypotheses)} hypothesis vs "
-            f"{len(references)} reference"
-        )
-    for i, (hyp, ref) in enumerate(zip(hypotheses, references)):
-        if hyp.doc_id != ref.doc_id and _ordinal_id(i) not in (hyp.doc_id, ref.doc_id):
-            raise ValueError(
-                f"document {i}: hypothesis doc_id {hyp.doc_id!r} conflicts with "
-                f"reference doc_id {ref.doc_id!r}"
-            )
-
-
 def s_bleu(
     hypotheses: Sequence[Document],
     references: Sequence[Document],
@@ -226,7 +208,7 @@ def s_bleu(
     pair; the first structural mismatch is reported by document index.
     """
     cfg = tok_cfg or TokenizerConfig()
-    _check_pairing(hypotheses, references)
+    paired_doc_ids(hypotheses, references, "hypothesis", "reference")
     for i, (hyp, ref) in enumerate(zip(hypotheses, references)):
         if len(hyp) != len(ref):
             raise ValueError(
@@ -249,7 +231,7 @@ def d_bleu(
 ) -> MetricReport:
     """Corpus BLEU with each whole flattened document as one unit."""
     cfg = tok_cfg or TokenizerConfig()
-    _check_pairing(hypotheses, references)
+    paired_doc_ids(hypotheses, references, "hypothesis", "reference")
     units = (
         (tokenize(hyp.text, cfg), tokenize(ref.text, cfg))
         for hyp, ref in zip(hypotheses, references)

@@ -4,9 +4,8 @@ A document of M sentences is re-emitted at every power-of-two
 granularity: level k splits it into k contiguous parts of near-equal
 size, for k = 1, 2, 4, ... up to M (plus a final k = M sentence level
 when M is not itself a power of two). An 8-sentence document therefore
-yields 15 segments (1 + 2 + 4 + 8). Also provides the oversampling
-balancer and token-budgeted re-paragraphing for length-bucketed
-evaluation.
+yields 15 segments (1 + 2 + 4 + 8). Also provides oversampling and
+token-budgeted re-paragraphing for length-bucketed evaluation.
 """
 
 from __future__ import annotations
@@ -144,11 +143,6 @@ def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
         # Every level repeats each sentence exactly once.
         output_tokens += len(mr_levels(len(doc.source), cfg)) * tokens
     return output_tokens / input_tokens
-
-
-def suggested_oversample_factor(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> int:
-    """Replication factor that balances a plain corpus against its MR version."""
-    return max(1, round(mr_ratio(corpus, cfg)))
 
 
 def oversample(corpus: ParallelCorpus, factor: int) -> ParallelCorpus:

@@ -7,10 +7,9 @@ punctuation, filter by alignment); each is also usable on its own.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import (
     Document,
@@ -19,7 +18,6 @@ from .corpus import (
     field_of,
     finite_of,
     read_jsonl,
-    write_jsonl,
 )
 
 DEFAULT_TERMINALS = frozenset({".", "!", "?", "。", "！", "？", "…"})
@@ -29,26 +27,6 @@ DEFAULT_GUARDS = (
     "Dr.", "Mr.", "Mrs.", "Ms.", "Prof.", "St.", "Jr.", "Sr.",
     "vs.", "etc.", "e.g.", "i.e.", "cf.", "Fig.", "No.", "al.",
 )
-
-
-@dataclass(frozen=True)
-class SegmenterConfig:
-    """Rule set for the sentence segmenter and punctuation repair."""
-
-    terminal_punctuation: frozenset[str] = DEFAULT_TERMINALS
-    abbreviation_guards: tuple[str, ...] = DEFAULT_GUARDS
-    quote_closers: frozenset[str] = DEFAULT_QUOTE_CLOSERS
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terminal_punctuation", frozenset(self.terminal_punctuation)
-        )
-        object.__setattr__(
-            self, "abbreviation_guards", tuple(self.abbreviation_guards)
-        )
-        object.__setattr__(self, "quote_closers", frozenset(self.quote_closers))
-        if not self.terminal_punctuation:
-            raise ValueError("terminal_punctuation must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -114,9 +92,9 @@ def deduplicate(corpus: ParallelCorpus) -> tuple[ParallelCorpus, list[str]]:
     return corpus.derive(kept), removed
 
 
-def _is_guarded(text: str, terminal_index: int, guards: Sequence[str]) -> bool:
+def _is_guarded(text: str, terminal_index: int) -> bool:
     head = text[: terminal_index + 1]
-    for guard in guards:
+    for guard in DEFAULT_GUARDS:
         if head.endswith(guard):
             start = len(head) - len(guard)
             if start == 0 or head[start - 1].isspace():
@@ -124,18 +102,18 @@ def _is_guarded(text: str, terminal_index: int, guards: Sequence[str]) -> bool:
     return False
 
 
-def _split_paragraph(text: str, cfg: SegmenterConfig) -> list[str]:
+def _split_paragraph(text: str) -> list[str]:
     sentences: list[str] = []
     start = 0
     i = 0
     n = len(text)
     while i < n:
-        if text[i] in cfg.terminal_punctuation:
+        if text[i] in DEFAULT_TERMINALS:
             j = i + 1
-            while j < n and text[j] in cfg.quote_closers:
+            while j < n and text[j] in DEFAULT_QUOTE_CLOSERS:
                 j += 1
             at_boundary = j >= n or text[j].isspace()
-            if at_boundary and not _is_guarded(text, i, cfg.abbreviation_guards):
+            if at_boundary and not _is_guarded(text, i):
                 piece = text[start:j].strip()
                 if piece:
                     sentences.append(piece)
@@ -149,9 +127,7 @@ def _split_paragraph(text: str, cfg: SegmenterConfig) -> list[str]:
     return sentences
 
 
-def segment_sentences(
-    paragraphs: Iterable[str], cfg: SegmenterConfig | None = None
-) -> list[str]:
+def segment_sentences(paragraphs: Iterable[str]) -> list[str]:
     """Split paragraphs into sentences at unguarded terminal punctuation.
 
     A boundary is a terminal character, plus any trailing quote closers,
@@ -160,25 +136,20 @@ def segment_sentences(
     suppress the split. No character outside boundary whitespace is
     added or dropped.
     """
-    cfg = cfg or SegmenterConfig()
     sentences: list[str] = []
     for paragraph in paragraphs:
-        sentences.extend(_split_paragraph(paragraph, cfg))
+        sentences.extend(_split_paragraph(paragraph))
     return sentences
 
 
-def ensure_terminal_punctuation(
-    doc: Document, cfg: SegmenterConfig | None = None, filler: str = "."
-) -> Document:
+def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
     """Append ``filler`` to sentences that do not already end terminally.
 
-    ``filler`` must be a configured terminal character so the operation
-    is idempotent.
+    ``filler`` must be a terminal character so the operation is idempotent.
     """
-    cfg = cfg or SegmenterConfig()
-    if filler not in cfg.terminal_punctuation:
+    if filler not in DEFAULT_TERMINALS:
         raise ValueError(f"filler {filler!r} is not a configured terminal character")
-    terminal = cfg.terminal_punctuation | cfg.quote_closers
+    terminal = DEFAULT_TERMINALS | DEFAULT_QUOTE_CLOSERS
     fixed = tuple(s if s[-1] in terminal else s + filler for s in doc.sentences)
     return Document(doc.doc_id, fixed)
 
@@ -233,32 +204,6 @@ def filter_by_alignment(
     return corpus.derive(kept), removed
 
 
-def baseline_alignment_scores(
-    corpus: ParallelCorpus, lexicon: Iterable[tuple[str, str]]
-) -> list[AlignmentScore]:
-    """Score each aligned pair by lexicon coverage of its source tokens.
-
-    A source token counts as covered when any of its lexicon translations
-    occurs in the target sentence (all tokens lowercased, whitespace
-    tokenization). Stand-in for an external word aligner.
-    """
-    translations: dict[str, set[str]] = defaultdict(set)
-    for src_word, tgt_word in lexicon:
-        translations[src_word.lower()].add(tgt_word.lower())
-    scores = []
-    for doc in corpus:
-        if not doc.aligned:
-            continue
-        for i, (src, tgt) in enumerate(zip(doc.source.sentences, doc.target.sentences)):
-            src_tokens = src.lower().split()
-            tgt_tokens = set(tgt.lower().split())
-            covered = sum(
-                1 for tok in src_tokens if translations.get(tok, set()) & tgt_tokens
-            )
-            scores.append(AlignmentScore(doc.doc_id, i, covered / len(src_tokens)))
-    return scores
-
-
 def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
     """Read a JSON-lines alignment-score file; enforces unique pairs."""
     seen: set[tuple[str, int]] = set()
@@ -278,19 +223,14 @@ def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
     return read_jsonl(path, parse, "score")
 
 
-def write_alignment_scores(scores: Iterable[AlignmentScore], path: str | Path) -> None:
-    write_jsonl(path, map(vars, scores))
-
-
 def clean_corpus(
     corpus: ParallelCorpus,
     *,
     dedup: bool = False,
     segment: bool = False,
     punct_filler: str | None = None,
-    scores: Sequence[AlignmentScore] | Callable[[ParallelCorpus], list[AlignmentScore]] | None = None,
+    scores: Sequence[AlignmentScore] | None = None,
     threshold: float = 0.40,
-    segmenter_cfg: SegmenterConfig | None = None,
 ) -> tuple[ParallelCorpus, CleanReport]:
     """Run the enabled cleaning stages in their fixed order.
 
@@ -300,10 +240,9 @@ def clean_corpus(
     which case the alignment flag is re-derived from the new counts; a
     document that was aligned before re-segmentation and is not after is
     dropped (``removed_unaligned``).
-    Alignment scores (a sequence, or a callable applied to the corpus as
-    it stands after the earlier stages) must cover that corpus exactly.
+    Alignment scores must cover the corpus as it stands after the
+    earlier stages exactly.
     """
-    cfg = segmenter_cfg or SegmenterConfig()
     report = CleanReport()
     if dedup:
         corpus, report.removed_duplicates = deduplicate(corpus)
@@ -312,8 +251,8 @@ def clean_corpus(
         for doc in corpus:
             resegmented = ParallelDocument.of(
                 doc.doc_id,
-                segment_sentences(doc.source.sentences, cfg),
-                segment_sentences(doc.target.sentences, cfg),
+                segment_sentences(doc.source.sentences),
+                segment_sentences(doc.target.sentences),
             )
             if doc.aligned and not resegmented.aligned:
                 report.removed_unaligned.append(doc.doc_id)
@@ -323,15 +262,12 @@ def clean_corpus(
     if punct_filler is not None:
         corpus = corpus.derive(
             ParallelDocument(
-                ensure_terminal_punctuation(doc.source, cfg, punct_filler),
-                ensure_terminal_punctuation(doc.target, cfg, punct_filler),
+                ensure_terminal_punctuation(doc.source, punct_filler),
+                ensure_terminal_punctuation(doc.target, punct_filler),
                 aligned=doc.aligned,
             )
             for doc in corpus
         )
     if scores is not None:
-        resolved = scores(corpus) if callable(scores) else scores
-        corpus, report.removed_misaligned = filter_by_alignment(
-            corpus, resolved, threshold
-        )
+        corpus, report.removed_misaligned = filter_by_alignment(corpus, scores, threshold)
     return corpus, report

@@ -37,6 +37,13 @@ class TestDispatch:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_output_directory_names_the_target(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "m.jsonl"
+        assert run("mr-split", "--in", corpus_file, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{out}'" in err
+        assert ".tmp" not in err
+
 
 class TestConvert:
     def test_round_trip_through_both_formats(self, tmp_path, corpus_file):
@@ -58,6 +65,18 @@ class TestConvert:
 
     def test_incomplete_flags_are_validation_error(self, tmp_path):
         assert run("convert", "--to", "records", "--out", tmp_path / "x") == 1
+
+    @pytest.mark.parametrize("headed", ["src", "tgt"])
+    def test_a_header_pairs_with_the_ordinal_default_on_either_side(self, tmp_path, headed):
+        plain, head = "a.\n\nb.\n", "# doc_id: x\nc.\n\nd.\n"
+        (tmp_path / "s.txt").write_text(head if headed == "src" else plain, encoding="utf-8")
+        (tmp_path / "t.txt").write_text(head if headed == "tgt" else plain, encoding="utf-8")
+        out = tmp_path / "r.jsonl"
+        assert run(
+            "convert", "--to", "records", "--src", tmp_path / "s.txt",
+            "--tgt", tmp_path / "t.txt", "--out", out,
+        ) == 0
+        assert [d.doc_id for d in read_records(out)] == ["x", "000001"]
 
 
 class TestClean:
@@ -289,6 +308,17 @@ SCORE = '{"instance_id":"i0","candidate_index":0,"score":1.0}\n'
 TCP_REF = "he went home and slept.\n"
 LABEL = '{"doc_id":"000000","word":"he","position":0,"category":"PRON"}\n'
 
+
+def bad_utf8(lines, lineno):
+    """``lines`` encoded as UTF-8, with byte 0xff put at the start of line
+    ``lineno``. The callers put that line past the first 8 KiB, where a
+    text-mode read decodes in a later block than the first."""
+    data = [line.encode("utf-8") for line in lines]
+    assert sum(map(len, data[: lineno - 1])) > 8192
+    data[lineno - 1] = b"\xff" + data[lineno - 1]
+    return b"".join(data)
+
+
 # case -> (files to create, argv, file the diagnostic names, where in it)
 MALFORMED = {
     "record src is a string": (
@@ -353,6 +383,27 @@ MALFORMED = {
         {"hyp.txt": "a.\n\nb.\n", "ref.txt": "# doc_id: x\na.\n\n# doc_id: x\nb.\n"},
         ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"], "ref.txt", "blocks 0 and 1",
     ),
+    "doc-text pair names collide": (
+        {"s.txt": "a.\n\n# doc_id: x\nb.\n", "t.txt": "# doc_id: x\nc.\n\nd.\n"},
+        ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"],
+        "s.txt, t.txt", "duplicate doc_id 'x'",
+    ),
+    "record line is not UTF-8": (
+        {"in.jsonl": bad_utf8([RECORD.replace("d0", f"d{i}") for i in range(400)], 300)},
+        ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"], "in.jsonl",
+        "malformed record on line 300: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "doc-text line is not UTF-8": (
+        {"hyp.txt": bad_utf8(["hello world.\n"] * 1000, 900),
+         "ref.txt": "hello world.\n" * 1000},
+        ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"], "hyp.txt",
+        "malformed doc-text on line 900: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "pearson line is not UTF-8": (
+        {"x.txt": bad_utf8([f"{i}\n" for i in range(3000)], 2500), "y.txt": "1\n2\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt",
+        "malformed number on line 2500: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
 }
 
 
@@ -360,8 +411,11 @@ MALFORMED = {
 def test_malformed_input_is_one_line_diagnostic(case, tmp_path, monkeypatch, capsys):
     files, argv, named, where = MALFORMED[case]
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content, encoding="utf-8")
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: ")

@@ -66,10 +66,6 @@ class TestDocumentModel:
         with pytest.raises(ValueError, match="duplicate"):
             ParallelCorpus((doc, dup))
 
-    def test_sentence_pair_count_sums_over_documents(self):
-        corpus = make_corpus([3, 5, 1])
-        assert corpus.n_sentence_pairs == 9
-
 
 class TestDocTextFormat:
     def test_reads_matching_blocks(self, tmp_path):
@@ -139,7 +135,8 @@ class TestDocTextFormat:
     def test_conflicting_headers_rejected(self, tmp_path):
         write(tmp_path / "src", "# doc_id: a\nhello\n")
         write(tmp_path / "tgt", "# doc_id: b\nbonjour\n")
-        with pytest.raises(ValueError, match="conflicts"):
+        message = "document 0: source doc_id 'a' conflicts with target doc_id 'b'"
+        with pytest.raises(ValueError, match=message):
             read_doc_text(tmp_path / "src", tmp_path / "tgt")
 
     def test_duplicate_doc_id_names_both_blocks(self, tmp_path):

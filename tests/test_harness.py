@@ -15,12 +15,12 @@ from docmt import (
     reference_scorer,
     unshuffle,
 )
+from docmt.corpus import write_jsonl
 from docmt.harness import (
     PermutationRecord,
     read_candidate_scores,
     read_instances,
     read_permutation_records,
-    write_candidate_scores,
     write_permutation_records,
 )
 from helpers import make_corpus, random_corpus
@@ -314,5 +314,5 @@ class TestHarnessFiles:
 
     def test_score_file_round_trip(self, tmp_path):
         scores = scores_for("i0", [0.25, -1.5])
-        write_candidate_scores(scores, tmp_path / "scores.jsonl")
+        write_jsonl(tmp_path / "scores.jsonl", map(vars, scores))
         assert read_candidate_scores(tmp_path / "scores.jsonl") == scores

@@ -14,7 +14,6 @@ from docmt import (
     mr_ratio,
     oversample,
     split_document,
-    suggested_oversample_factor,
 )
 from helpers import make_corpus, make_doc_pair, random_corpus
 
@@ -161,10 +160,6 @@ class TestRatio:
             assert ratio >= 1.0
             all_single = all(len(d.source) == 1 for d in corpus)
             assert (ratio == 1.0) == all_single
-
-    def test_suggested_factor_rounds_ratio(self):
-        assert suggested_oversample_factor(make_corpus([8, 8])) == 4
-        assert suggested_oversample_factor(make_corpus([1])) == 1
 
 
 class TestOversample:
