@@ -41,10 +41,10 @@ class RunManifest:
 
 
 def _sha256(path: str | Path) -> str:
-    """SHA-256 of a file, read in fixed-size blocks to bound memory."""
+    """SHA-256 of a file, read in 64 KiB blocks to bound memory."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
+        for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -64,16 +64,19 @@ def _config(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _manifest(
-    args: argparse.Namespace, inputs: Sequence[str], outputs: Sequence[str]
+    args: argparse.Namespace, inputs: Sequence[str], outputs: dict[str, str]
 ) -> None:
+    """Write the run's manifest beside its first output. ``outputs`` maps
+    each output path to the SHA-256 its writer returned; inputs are
+    hashed from disk."""
     manifest = RunManifest(
         command=args.command,
         config=_config(args),
         seed=getattr(args, "seed", None),
         input_digests={p: _sha256(p) for p in inputs},
-        output_digests={p: _sha256(p) for p in outputs},
+        output_digests=outputs,
     )
-    manifest.write(f"{outputs[0]}.manifest.json")
+    manifest.write(f"{next(iter(outputs))}.manifest.json")
 
 
 def _cmd_convert(args: argparse.Namespace) -> None:
@@ -81,77 +84,81 @@ def _cmd_convert(args: argparse.Namespace) -> None:
         if not (args.src and args.tgt and args.out):
             raise ValueError("convert --to records needs --src, --tgt, and --out")
         corpus = corpus_io.read_doc_text(args.src, args.tgt)
-        corpus_io.write_records(corpus, args.out)
-        _manifest(args, [args.src, args.tgt], [args.out])
+        digest = corpus_io.write_records(corpus, args.out)
+        _manifest(args, [args.src, args.tgt], {args.out: digest})
     else:
         if not (args.input and args.src_out and args.tgt_out):
             raise ValueError(
                 "convert --to doc-text needs --in, --src-out, and --tgt-out"
             )
         corpus = corpus_io.read_records(args.input)
-        corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
-        _manifest(args, [args.input], [args.src_out, args.tgt_out])
+        digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
+        _manifest(args, [args.input], dict(zip([args.src_out, args.tgt_out], digests)))
 
 
 def _cmd_clean(args: argparse.Namespace) -> None:
-    corpus = corpus_io.read_records(args.input)
+    metadata, documents = corpus_io.read_record_stream(args.input)
     scores = (
         pipeline.read_alignment_scores(args.align_scores)
         if args.align_scores
         else None
     )
-    cleaned, report = pipeline.clean_corpus(
-        corpus,
+    report = pipeline.CleanReport()
+    cleaned = pipeline.clean_records(
+        documents,
+        report,
         dedup=args.dedup,
         segment=args.segment,
         punct_filler=args.fix_punct,
         scores=scores,
         threshold=args.align_threshold,
     )
-    corpus_io.write_records(cleaned, args.out)
-    outputs = [args.out]
+    kept, digest = corpus_io.write_record_stream(args.out, metadata, cleaned)
+    outputs = {args.out: digest}
     if args.report:
-        corpus_io.write_jsonl(args.report, report.records())
-        outputs.append(args.report)
+        outputs[args.report] = corpus_io.write_jsonl(args.report, report.records())
     inputs = [args.input] + ([args.align_scores] if args.align_scores else [])
     _manifest(args, inputs, outputs)
+    removed = [
+        len(report.removed_duplicates),
+        len(report.removed_unaligned),
+        len(report.removed_misaligned),
+    ]
     print(
-        f"kept {len(cleaned)} of {len(corpus)} documents "
-        f"({len(report.removed_duplicates)} duplicate, "
-        f"{len(report.removed_unaligned)} unaligned, "
-        f"{len(report.removed_misaligned)} misaligned)"
+        f"kept {kept} of {kept + sum(removed)} documents "
+        f"({removed[0]} duplicate, {removed[1]} unaligned, {removed[2]} misaligned)"
     )
 
 
 def _cmd_mr_split(args: argparse.Namespace) -> None:
-    corpus = corpus_io.read_records(args.input)
+    metadata, documents = corpus_io.read_record_stream(args.input)
     cfg = mrsplit.MRConfig(
         include_singletons=not args.no_singletons, joiner=args.joiner
     )
-    built = mrsplit.build_mr_corpus(corpus, cfg)
-    corpus_io.write_records(built, args.out)
-    _manifest(args, [args.input], [args.out])
-    ratio = mrsplit.mr_ratio(corpus, cfg) if len(corpus) else float("nan")
-    print(f"wrote {len(built)} segment pairs (token ratio {ratio:.2f})")
+    tally = mrsplit.MRTally()
+    segments = mrsplit.mr_records(documents, cfg, tally)
+    written, digest = corpus_io.write_record_stream(args.out, metadata, segments)
+    _manifest(args, [args.input], {args.out: digest})
+    ratio = tally.ratio if written else float("nan")
+    print(f"wrote {written} segment pairs (token ratio {ratio:.2f})")
 
 
 def _cmd_oversample(args: argparse.Namespace) -> None:
-    corpus = corpus_io.read_records(args.input)
-    replicated = mrsplit.oversample(corpus, args.factor)
-    corpus_io.write_records(replicated, args.out)
-    _manifest(args, [args.input], [args.out])
-    print(f"wrote {len(replicated)} documents")
+    metadata, documents = corpus_io.read_record_stream(args.input)
+    replicas = mrsplit.oversample_records(documents, args.factor)
+    written, digest = corpus_io.write_record_stream(args.out, metadata, replicas)
+    _manifest(args, [args.input], {args.out: digest})
+    print(f"wrote {written} documents")
 
 
 def _cmd_bucket(args: argparse.Namespace) -> None:
     corpus = corpus_io.read_records(args.input)
     budgets = [int(b) for b in args.budgets.split(",") if b]
     buckets = mrsplit.bucket_by_length(corpus, budgets)
-    outputs = []
+    outputs = {}
     for budget, bucket in buckets.items():
         out = f"{args.out_prefix}.b{budget}.jsonl"
-        corpus_io.write_records(bucket, out)
-        outputs.append(out)
+        outputs[out] = corpus_io.write_records(bucket, out)
     _manifest(args, [args.input], outputs)
     print(f"wrote {len(outputs)} buckets")
 
@@ -166,8 +173,8 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
         report = metrics.d_bleu(hyp, ref, cfg, args.max_n)
     print(f"{report.name} = {report.value:.2f}")
     if args.out:
-        metrics.write_reports([report], args.out)
-        _manifest(args, [args.hyp, args.ref], [args.out])
+        digest = metrics.write_reports([report], args.out)
+        _manifest(args, [args.hyp, args.ref], {args.out: digest})
 
 
 def _cmd_tcp(args: argparse.Namespace) -> None:
@@ -187,10 +194,10 @@ def _cmd_tcp(args: argparse.Namespace) -> None:
         )
     print(f"TCP = {overall:.1f}")
     if args.out:
-        metrics.write_reports(
+        digest = metrics.write_reports(
             reports + [metrics.MetricReport("TCP", overall)], args.out
         )
-        _manifest(args, [args.hyp, args.ref, args.labels], [args.out])
+        _manifest(args, [args.hyp, args.ref, args.labels], {args.out: digest})
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
@@ -220,10 +227,10 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
         shuffled, records = harness.local_shuffle(corpus, args.seed)
     else:
         shuffled, records = harness.global_shuffle(corpus, args.seed)
-    corpus_io.write_records(shuffled, args.out)
+    outputs = {args.out: corpus_io.write_records(shuffled, args.out)}
     args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
-    harness.write_permutation_records(records, args.perm_out)
-    _manifest(args, [args.input], [args.out, args.perm_out])
+    outputs[args.perm_out] = harness.write_permutation_records(records, args.perm_out)
+    _manifest(args, [args.input], outputs)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")
 
 
@@ -240,10 +247,10 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
     overall = results[harness.OVERALL]
     print(f"overall = {overall.value:.1f} ({overall.numerator}/{overall.denominator})")
     if args.out:
-        metrics.write_reports(
+        digest = metrics.write_reports(
             [results[k] for k in sorted(results)], args.out
         )
-        _manifest(args, [args.instances, args.scores], [args.out])
+        _manifest(args, [args.instances, args.scores], {args.out: digest})
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
@@ -272,8 +279,8 @@ def _cmd_report(args: argparse.Namespace) -> None:
     table = "\n".join(lines)
     print(table)
     if args.out:
-        corpus_io.write_text(args.out, [table + "\n"])
-        _manifest(args, list(args.files), [args.out])
+        digest = corpus_io.write_text(args.out, [table + "\n"])
+        _manifest(args, list(args.files), {args.out: digest})
 
 
 def build_parser() -> argparse.ArgumentParser:

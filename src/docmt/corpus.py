@@ -25,20 +25,26 @@ Both formats round-trip exactly: ``read(write(c)) == c``. Doc-text
 carries aligned, metadata-free corpora (which is all it can ever
 produce); records carries every corpus.
 
-Every JSON-lines file of the toolkit goes through ``read_jsonl`` and
-``write_jsonl``; every output file is written atomically (a temp file in
-the same directory, then ``os.replace``).
+Every JSON-lines file of the toolkit is read through ``read_jsonl``,
+one line at a time. Records files stream: ``read_record_stream`` yields
+checked documents one by one and ``write_record_stream`` writes
+``Record`` tuples through the one line encoder, ``encode_record``;
+``read_records``/``write_records`` wrap them for whole corpora. Every
+output file is written atomically (a temp file in the same directory,
+then ``os.replace``) and hashed as it is written.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import math
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -145,9 +151,25 @@ class ParallelDocument:
         return self.source.doc_id
 
     @property
+    def record(self) -> Record:
+        """This pair as a ``Record``; ``ParallelDocument.of(*record)`` inverts it."""
+        return Record(self.doc_id, self.source.sentences, self.target.sentences, self.aligned)
+
+    @property
     def n_pairs(self) -> int:
         """Number of aligned sentence pairs (0 for unaligned documents)."""
         return len(self.source) if self.aligned else 0
+
+
+class Record(NamedTuple):
+    """One document of the records format as it streams from reader to
+    writer. Stages build records from sentences that were checked when
+    they were read, so a record is never checked again."""
+
+    doc_id: str
+    src: tuple[str, ...]
+    tgt: tuple[str, ...]
+    aligned: bool
 
 
 @dataclass(frozen=True)
@@ -182,64 +204,84 @@ class ParallelCorpus:
         return self.documents[index]
 
 
-def write_text(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines).
+def write_text(path: str | Path, chunks: Iterable[str]) -> str:
+    """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines);
+    returns the SHA-256 hex digest of the bytes written.
 
     The chunks go to a temp file beside ``path``, which replaces ``path``
     only once every chunk is written, so a failure part-way leaves the
-    previous content (or no file) and no temp file behind.
+    previous content (or no file) and no temp file behind. An error in
+    opening or replacing names ``path``, never the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        handle = open(tmp, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:  # name the file the caller asked for, not the temp file
+        handle = open(tmp, "wb")
+    except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    digest = hashlib.sha256()
     try:
         with handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                handle.write(data)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
-def write_jsonl(path: str | Path, rows: Iterable[object]) -> None:
-    """Write one JSON object per line, atomically."""
-    write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+def write_jsonl(path: str | Path, rows: Iterable[object]) -> str:
+    """Write one JSON object per line, atomically; returns the SHA-256."""
+    return write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> list[T]:
-    """Parse each non-blank line of a JSON-lines file with ``parse``.
+def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> Iterator[T]:
+    """Parse each non-blank line of a JSON-lines file with ``parse``, one
+    line at a time, as the iterator reaches it.
 
     A line that is not JSON, or that ``parse`` rejects with ``KeyError``,
     ``TypeError`` or ``ValueError``, raises ``ValueError`` with the message
     ``"{path}: malformed {what} on line {n}: {why}"``.
     """
-    rows = []
     for lineno, raw in read_lines(path, what):
         if not raw.strip():
             continue
         try:
-            rows.append(parse(json.loads(raw)))
+            row = parse(json.loads(raw))
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
             raise ValueError(
                 f"{path}: malformed {what} on line {lineno}: {exc}"
             ) from exc
-    return rows
+        yield row
 
 
 def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each line of a UTF-8 text file.
 
-    Invalid UTF-8 raises ``ValueError``, ``"{path}: malformed {what} on
-    line {n}: {why}"``. A text-mode read decodes in blocks, so its own
-    error names neither the line nor a position in it; the file is read
-    again one line at a time to find both.
+    Lines end at ``\n`` only; a ``\r\n`` ending reads as ``\n``, and any
+    other ``\r`` raises ``ValueError``, as does invalid UTF-8:
+    ``"{path}: malformed {what} on line {n}: {why}"``. A text-mode read
+    decodes in blocks, so its own decoding error names neither the line
+    nor a position in it; the file is read again one line at a time to
+    find both.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            yield from enumerate(handle, start=1)
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if "\r" in line:
+                    if not line.endswith("\r\n") or "\r" in line[:-2]:
+                        raise ValueError(
+                            f"{path}: malformed {what} on line {lineno}: "
+                            "carriage return not followed by a line feed"
+                        )
+                    line = line[:-2] + "\n"
+                yield lineno, line
     except UnicodeDecodeError:
         with open(path, "rb") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -317,8 +359,8 @@ def read_docs(path: str | Path) -> list[Document]:
     return docs
 
 
-def write_docs(docs: Sequence[Document], path: str | Path) -> None:
-    """Write one side of the doc-text format.
+def write_docs(docs: Sequence[Document], path: str | Path) -> str:
+    """Write one side of the doc-text format; returns the file's SHA-256.
 
     A ``# doc_id:`` header is emitted only for ids that differ from the
     block-ordinal default, keeping default corpora header-free.
@@ -338,7 +380,7 @@ def write_docs(docs: Sequence[Document], path: str | Path) -> None:
     content = "\n\n".join(blocks)
     if blocks:
         content += "\n"
-    write_text(path, [content])
+    return write_text(path, [content])
 
 
 def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
@@ -374,14 +416,25 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
 
 def write_doc_text(
     corpus: ParallelCorpus, src_path: str | Path, tgt_path: str | Path
-) -> None:
-    """Write a corpus as a parallel doc-text file pair."""
-    write_docs([doc.source for doc in corpus], src_path)
-    write_docs([doc.target for doc in corpus], tgt_path)
+) -> tuple[str, str]:
+    """Write a corpus as a parallel doc-text file pair; returns the two
+    files' SHA-256 digests."""
+    return (
+        write_docs([doc.source for doc in corpus], src_path),
+        write_docs([doc.target for doc in corpus], tgt_path),
+    )
 
 
-def read_records(path: str | Path) -> ParallelCorpus:
-    """Read the JSON-lines records format; malformed lines report line numbers."""
+def read_record_stream(
+    path: str | Path,
+) -> tuple[dict[str, str], Iterator[ParallelDocument]]:
+    """Open a records file: its metadata, and its documents one at a time.
+
+    The first line is read here; every later line is read and checked
+    when the iterator reaches it, so only the ids seen so far are held.
+    A repeated doc_id raises ``ValueError``, ``"{path}: duplicate doc_id
+    'x' in corpus"``, at the line that repeats it.
+    """
     metadata: dict[str, str] = {}
     first = True
 
@@ -401,27 +454,63 @@ def read_records(path: str | Path) -> ParallelCorpus:
             doc_id, strings_of(record, "src"), strings_of(record, "tgt"), aligned
         )
 
-    documents = [doc for doc in read_jsonl(path, parse, "record") if doc is not None]
-    try:
-        return ParallelCorpus(tuple(documents), metadata)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}")
+    rows = read_jsonl(path, parse, "record")
+    head = next(rows, None)  # None: a metadata line, or an empty file
+
+    def documents() -> Iterator[ParallelDocument]:
+        seen: set[str] = set()
+        for doc in itertools.chain([] if head is None else [head], rows):
+            if doc.doc_id in seen:
+                raise ValueError(f"{path}: duplicate doc_id {doc.doc_id!r} in corpus")
+            seen.add(doc.doc_id)
+            yield doc
+
+    return metadata, documents()
 
 
-def write_records(corpus: ParallelCorpus, path: str | Path) -> None:
-    """Write the JSON-lines records format (UTF-8, one document per line)."""
+def read_records(path: str | Path) -> ParallelCorpus:
+    """Read the JSON-lines records format; malformed lines report line numbers."""
+    metadata, documents = read_record_stream(path)
+    return ParallelCorpus(tuple(documents), metadata)
 
-    def rows() -> Iterator[dict[str, object]]:
-        if corpus.metadata:
-            yield {"metadata": corpus.metadata}
-        for doc in corpus:
-            record: dict[str, object] = {
-                "doc_id": doc.doc_id,
-                "src": list(doc.source.sentences),
-                "tgt": list(doc.target.sentences),
-            }
-            if doc.aligned != (len(doc.source) == len(doc.target)):
-                record["aligned"] = doc.aligned
-            yield record
 
-    write_jsonl(path, rows())
+_quote = json.encoder.encode_basestring  # the escaper of json.dumps(ensure_ascii=False)
+
+
+def encode_record(record: Record) -> str:
+    """One line of the records format: exactly ``json.dumps(row,
+    ensure_ascii=False) + "\n"`` of the row ``{"doc_id", "src", "tgt"}``,
+    plus ``"aligned"`` when the flag differs from the equal-counts default."""
+    doc_id, src, tgt, aligned = record
+    line = (
+        f'{{"doc_id": {_quote(doc_id)}, "src": [{", ".join(map(_quote, src))}], '
+        f'"tgt": [{", ".join(map(_quote, tgt))}]'
+    )
+    if aligned != (len(src) == len(tgt)):
+        line += ', "aligned": true' if aligned else ', "aligned": false'
+    return line + "}\n"
+
+
+def write_record_stream(
+    path: str | Path, metadata: dict[str, str], records: Iterable[Record]
+) -> tuple[int, str]:
+    """Write the records format from ``records``, taken one at a time,
+    atomically; returns the number of records and the file's SHA-256."""
+    count = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal count
+        if metadata:
+            yield json.dumps({"metadata": metadata}, ensure_ascii=False) + "\n"
+        for record in records:
+            count += 1
+            yield encode_record(record)
+
+    digest = write_text(path, lines())
+    return count, digest
+
+
+def write_records(corpus: ParallelCorpus, path: str | Path) -> str:
+    """Write the JSON-lines records format (UTF-8, one document per line);
+    returns the file's SHA-256."""
+    return write_record_stream(path, corpus.metadata, (doc.record for doc in corpus))[1]

@@ -292,7 +292,7 @@ def read_instances(path: str | Path) -> list[ContrastiveInstance]:
             field_of(record, "phenomenon", str),
         )
 
-    return read_jsonl(path, parse, "instance")
+    return list(read_jsonl(path, parse, "instance"))
 
 
 def read_candidate_scores(path: str | Path) -> list[CandidateScore]:
@@ -303,13 +303,13 @@ def read_candidate_scores(path: str | Path) -> list[CandidateScore]:
             finite_of(record, "score"),
         )
 
-    return read_jsonl(path, parse, "score")
+    return list(read_jsonl(path, parse, "score"))
 
 
 def write_permutation_records(
     records: Iterable[PermutationRecord], path: str | Path
-) -> None:
-    write_jsonl(path, map(vars, records))
+) -> str:
+    return write_jsonl(path, map(vars, records))
 
 
 def read_permutation_records(path: str | Path) -> list[PermutationRecord]:
@@ -321,4 +321,4 @@ def read_permutation_records(path: str | Path) -> list[PermutationRecord]:
         pairs = tuple((field_of(p, 0, str), field_of(p, 1, int)) for p in mapping)
         return PermutationRecord(doc_id, pairs)
 
-    return read_jsonl(path, parse, "record")
+    return list(read_jsonl(path, parse, "record"))

@@ -353,8 +353,8 @@ def read_labeled_docs(
     ]
 
 
-def write_reports(reports: Iterable[MetricReport], path: str | Path) -> None:
-    write_jsonl(path, map(vars, reports))
+def write_reports(reports: Iterable[MetricReport], path: str | Path) -> str:
+    return write_jsonl(path, map(vars, reports))
 
 
 def read_reports(path: str | Path) -> list[MetricReport]:
@@ -367,4 +367,4 @@ def read_reports(path: str | Path) -> list[MetricReport]:
         )
         return MetricReport(name, value, *counts)
 
-    return read_jsonl(path, parse, "metric record")
+    return list(read_jsonl(path, parse, "metric record"))

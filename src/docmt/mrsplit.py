@@ -6,14 +6,17 @@ size, for k = 1, 2, 4, ... up to M (plus a final k = M sentence level
 when M is not itself a power of two). An 8-sentence document therefore
 yields 15 segments (1 + 2 + 4 + 8). Also provides oversampling and
 token-budgeted re-paragraphing for length-bucketed evaluation.
+
+``mr_records`` and ``oversample_records`` take documents one at a time
+and yield output records; the corpus-level functions wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import ParallelCorpus, ParallelDocument
+from .corpus import ParallelCorpus, ParallelDocument, Record
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,42 @@ def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Se
     return segments
 
 
+@dataclass
+class MRTally:
+    """Source tokens into and out of an MR pass; joiners are not counted."""
+
+    input_tokens: int = 0
+    output_tokens: int = 0
+
+    def add(self, pd: ParallelDocument, cfg: MRConfig) -> None:
+        tokens = sum(len(sentence.split()) for sentence in pd.source.sentences)
+        self.input_tokens += tokens
+        # Every level repeats each sentence exactly once.
+        self.output_tokens += len(mr_levels(len(pd.source), cfg)) * tokens
+
+    @property
+    def ratio(self) -> float:
+        return self.output_tokens / self.input_tokens
+
+
+def mr_records(
+    documents: Iterable[ParallelDocument], cfg: MRConfig, tally: MRTally
+) -> Iterator[Record]:
+    """Each document's segments as one-sentence aligned records, one
+    document at a time, in input order, then ascending level, then part
+    index; each document's source tokens are added to ``tally``.
+
+    A segment's id is ``<doc_id>.k<K>.p<P>``. Its two trailing digit runs
+    parse back uniquely, so distinct document ids give distinct segment
+    ids and no set of output ids is needed.
+    """
+    for pd in documents:
+        segments = split_document(pd, cfg)
+        tally.add(pd, cfg)
+        for seg in segments:
+            yield Record(seg.segment_id, (seg.source_text,), (seg.target_text,), True)
+
+
 def build_mr_corpus(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> ParallelCorpus:
     """Flatten every document's segments into a new training corpus.
 
@@ -112,18 +151,8 @@ def build_mr_corpus(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> Para
     the joined run; order is input document order, then ascending level,
     then part index.
     """
-    cfg = cfg or MRConfig()
-    return corpus.derive(
-        ParallelDocument.of(
-            seg.segment_id, (seg.source_text,), (seg.target_text,), aligned=True
-        )
-        for pd in corpus
-        for seg in split_document(pd, cfg)
-    )
-
-
-def _source_tokens(doc: ParallelDocument) -> int:
-    return sum(len(sentence.split()) for sentence in doc.source.sentences)
+    records = mr_records(corpus, cfg or MRConfig(), MRTally())
+    return corpus.derive(ParallelDocument.of(*r) for r in records)
 
 
 def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
@@ -135,14 +164,25 @@ def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
     cfg = cfg or MRConfig()
     if not corpus.documents:
         raise ValueError("mr_ratio of an empty corpus is undefined")
-    input_tokens = 0
-    output_tokens = 0
+    tally = MRTally()
     for doc in map(_aligned, corpus):
-        tokens = _source_tokens(doc)
-        input_tokens += tokens
-        # Every level repeats each sentence exactly once.
-        output_tokens += len(mr_levels(len(doc.source), cfg)) * tokens
-    return output_tokens / input_tokens
+        tally.add(doc, cfg)
+    return tally.ratio
+
+
+def oversample_records(
+    documents: Iterable[ParallelDocument], factor: int
+) -> Iterator[Record]:
+    """Each document ``factor`` times as records with ids
+    ``<doc_id>.r<R>``, replicas adjacent, in input order. The trailing
+    digit run parses back uniquely, so distinct ids stay distinct."""
+    if factor < 1:
+        raise ValueError(f"factor must be >= 1, got {factor}")
+    return (
+        Record(f"{pd.doc_id}.r{r}", pd.source.sentences, pd.target.sentences, pd.aligned)
+        for pd in documents
+        for r in range(factor)
+    )
 
 
 def oversample(corpus: ParallelCorpus, factor: int) -> ParallelCorpus:
@@ -150,15 +190,8 @@ def oversample(corpus: ParallelCorpus, factor: int) -> ParallelCorpus:
 
     All replicas of a document are adjacent, in input document order.
     """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    return corpus.derive(
-        ParallelDocument.of(
-            f"{pd.doc_id}.r{r}", pd.source.sentences, pd.target.sentences, pd.aligned
-        )
-        for pd in corpus
-        for r in range(factor)
-    )
+    records = oversample_records(corpus, factor)
+    return corpus.derive(ParallelDocument.of(*r) for r in records)
 
 
 def bucket_by_length(

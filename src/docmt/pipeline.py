@@ -3,18 +3,21 @@ terminal-punctuation repair, and alignment-score filtration.
 
 The stages compose in a fixed order (deduplicate, segment, fix
 punctuation, filter by alignment); each is also usable on its own.
+``clean_records`` runs them over a stream of documents, one document at
+a time; the corpus-level functions wrap it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import (
     Document,
     ParallelCorpus,
     ParallelDocument,
+    Record,
     field_of,
     finite_of,
     read_jsonl,
@@ -27,6 +30,7 @@ DEFAULT_GUARDS = (
     "Dr.", "Mr.", "Mrs.", "Ms.", "Prof.", "St.", "Jr.", "Sr.",
     "vs.", "etc.", "e.g.", "i.e.", "cf.", "Fig.", "No.", "al.",
 )
+_ENDINGS = DEFAULT_TERMINALS | DEFAULT_QUOTE_CLOSERS
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,20 @@ class CleanReport:
         return rows
 
 
-def _fingerprint(doc: ParallelDocument) -> str:
+def _fingerprint(sentences: Sequence[str]) -> str:
     # Lowercase and collapse whitespace runs; punctuation stays significant.
-    return " ".join(" ".join(doc.source.sentences).lower().split())
+    return " ".join(" ".join(sentences).lower().split())
+
+
+def _deduplicated(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
+    seen: set[str] = set()
+    for record in records:
+        key = _fingerprint(record.src)
+        if key in seen:
+            removed.append(record.doc_id)
+        else:
+            seen.add(key)
+            yield record
 
 
 def deduplicate(corpus: ParallelCorpus) -> tuple[ParallelCorpus, list[str]]:
@@ -79,17 +94,9 @@ def deduplicate(corpus: ParallelCorpus) -> tuple[ParallelCorpus, list[str]]:
     Keeps the first occurrence in input order. Returns the filtered
     corpus and the removed doc_ids.
     """
-    seen: set[str] = set()
-    kept = []
-    removed = []
-    for doc in corpus:
-        key = _fingerprint(doc)
-        if key in seen:
-            removed.append(doc.doc_id)
-        else:
-            seen.add(key)
-            kept.append(doc)
-    return corpus.derive(kept), removed
+    removed: list[str] = []
+    kept = _deduplicated((doc.record for doc in corpus), removed)
+    return corpus.derive(ParallelDocument.of(*r) for r in kept), removed
 
 
 def _is_guarded(text: str, terminal_index: int) -> bool:
@@ -142,16 +149,76 @@ def segment_sentences(paragraphs: Iterable[str]) -> list[str]:
     return sentences
 
 
+def _resegmented(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
+    for record in records:
+        src = tuple(segment_sentences(record.src))
+        tgt = tuple(segment_sentences(record.tgt))
+        if record.aligned and len(src) != len(tgt):
+            removed.append(record.doc_id)
+        else:
+            yield Record(record.doc_id, src, tgt, len(src) == len(tgt))
+
+
+def _punctuated(sentences: tuple[str, ...], filler: str) -> tuple[str, ...]:
+    if filler not in DEFAULT_TERMINALS:
+        raise ValueError(f"filler {filler!r} is not a configured terminal character")
+    return tuple(s if s[-1] in _ENDINGS else s + filler for s in sentences)
+
+
 def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
     """Append ``filler`` to sentences that do not already end terminally.
 
     ``filler`` must be a terminal character so the operation is idempotent.
     """
-    if filler not in DEFAULT_TERMINALS:
-        raise ValueError(f"filler {filler!r} is not a configured terminal character")
-    terminal = DEFAULT_TERMINALS | DEFAULT_QUOTE_CLOSERS
-    fixed = tuple(s if s[-1] in terminal else s + filler for s in doc.sentences)
-    return Document(doc.doc_id, fixed)
+    return Document(doc.doc_id, _punctuated(doc.sentences, filler))
+
+
+def _alignment_filtered(
+    records: Iterable[Record],
+    scores: Iterable[AlignmentScore],
+    threshold: float,
+    removed: dict[str, list[int]],
+) -> Iterator[Record]:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold out of [0, 1]: {threshold}")
+    table: dict[tuple[str, int], float] = {}
+    for score in scores:
+        key = (score.doc_id, score.pair_index)
+        if key in table:
+            raise ValueError(
+                f"duplicate score for document {score.doc_id!r}, "
+                f"pair {score.pair_index}"
+            )
+        table[key] = score.score
+    # A score no document claims is reported before a missing score, and
+    # is known only after the last document, so a missing score stops
+    # the output but is raised only then.
+    pair_counts: dict[str, int] = {}
+    missing: str | None = None
+    for record in records:
+        n_pairs = len(record.src) if record.aligned else 0
+        pair_counts[record.doc_id] = n_pairs
+        doc_scores = [table.pop((record.doc_id, i), None) for i in range(n_pairs)]
+        if None in doc_scores:
+            missing = missing or (
+                f"missing score for document {record.doc_id!r}, "
+                f"pair {doc_scores.index(None)}"
+            )
+        elif missing is None:
+            offending = [i for i, score in enumerate(doc_scores) if score < threshold]
+            if offending:
+                removed[record.doc_id] = offending
+            else:
+                yield record
+    for doc_id, index in table:
+        if doc_id not in pair_counts:
+            raise ValueError(f"score for unknown document {doc_id!r}")
+        raise ValueError(
+            f"score for unknown pair {index} of document {doc_id!r} "
+            f"({pair_counts[doc_id]} pairs)"
+        )
+    if missing is not None:
+        raise ValueError(missing)
 
 
 def filter_by_alignment(
@@ -167,41 +234,9 @@ def filter_by_alignment(
     preserved, documents untouched) and a map of removed doc_id to the
     offending pair indices.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold out of [0, 1]: {threshold}")
-    pair_counts = {doc.doc_id: doc.n_pairs for doc in corpus}
-    table: dict[tuple[str, int], float] = {}
-    for score in scores:
-        key = (score.doc_id, score.pair_index)
-        if score.doc_id not in pair_counts:
-            raise ValueError(f"score for unknown document {score.doc_id!r}")
-        if score.pair_index >= pair_counts[score.doc_id]:
-            raise ValueError(
-                f"score for unknown pair {score.pair_index} of document "
-                f"{score.doc_id!r} ({pair_counts[score.doc_id]} pairs)"
-            )
-        if key in table:
-            raise ValueError(
-                f"duplicate score for document {score.doc_id!r}, "
-                f"pair {score.pair_index}"
-            )
-        table[key] = score.score
-    kept = []
     removed: dict[str, list[int]] = {}
-    for doc in corpus:
-        offending = []
-        for i in range(doc.n_pairs):
-            if (doc.doc_id, i) not in table:
-                raise ValueError(
-                    f"missing score for document {doc.doc_id!r}, pair {i}"
-                )
-            if table[(doc.doc_id, i)] < threshold:
-                offending.append(i)
-        if offending:
-            removed[doc.doc_id] = offending
-        else:
-            kept.append(doc)
-    return corpus.derive(kept), removed
+    kept = _alignment_filtered((doc.record for doc in corpus), scores, threshold, removed)
+    return corpus.derive(ParallelDocument.of(*r) for r in kept), removed
 
 
 def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
@@ -220,7 +255,51 @@ def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
         seen.add(key)
         return score
 
-    return read_jsonl(path, parse, "score")
+    return list(read_jsonl(path, parse, "score"))
+
+
+def clean_records(
+    documents: Iterable[ParallelDocument],
+    report: CleanReport,
+    *,
+    dedup: bool = False,
+    segment: bool = False,
+    punct_filler: str | None = None,
+    scores: Sequence[AlignmentScore] | None = None,
+    threshold: float = 0.40,
+) -> Iterator[Record]:
+    """The enabled cleaning stages over ``documents``, one document at a
+    time; each removal is logged in ``report`` as it happens.
+
+    Order: deduplicate, re-segment sentences, repair terminal
+    punctuation, filter by alignment score. Re-segmentation treats each
+    existing sentence as a paragraph and may change sentence counts, in
+    which case the alignment flag is re-derived from the new counts; a
+    document that was aligned before re-segmentation and is not after is
+    dropped (``removed_unaligned``).
+    Alignment scores must cover the documents as they stand after the
+    earlier stages exactly.
+    """
+    records: Iterator[Record] = (doc.record for doc in documents)
+    if dedup:
+        records = _deduplicated(records, report.removed_duplicates)
+    if segment:
+        records = _resegmented(records, report.removed_unaligned)
+    if punct_filler is not None:
+        records = (
+            Record(
+                r.doc_id,
+                _punctuated(r.src, punct_filler),
+                _punctuated(r.tgt, punct_filler),
+                r.aligned,
+            )
+            for r in records
+        )
+    if scores is not None:
+        records = _alignment_filtered(
+            records, scores, threshold, report.removed_misaligned
+        )
+    return records
 
 
 def clean_corpus(
@@ -232,42 +311,17 @@ def clean_corpus(
     scores: Sequence[AlignmentScore] | None = None,
     threshold: float = 0.40,
 ) -> tuple[ParallelCorpus, CleanReport]:
-    """Run the enabled cleaning stages in their fixed order.
-
-    Order: deduplicate, re-segment sentences, repair terminal
-    punctuation, filter by alignment score. Re-segmentation treats each
-    existing sentence as a paragraph and may change sentence counts, in
-    which case the alignment flag is re-derived from the new counts; a
-    document that was aligned before re-segmentation and is not after is
-    dropped (``removed_unaligned``).
-    Alignment scores must cover the corpus as it stands after the
-    earlier stages exactly.
-    """
+    """Run the enabled cleaning stages in their fixed order over a whole
+    corpus (see ``clean_records``); returns the cleaned corpus and the
+    removal report."""
     report = CleanReport()
-    if dedup:
-        corpus, report.removed_duplicates = deduplicate(corpus)
-    if segment:
-        kept = []
-        for doc in corpus:
-            resegmented = ParallelDocument.of(
-                doc.doc_id,
-                segment_sentences(doc.source.sentences),
-                segment_sentences(doc.target.sentences),
-            )
-            if doc.aligned and not resegmented.aligned:
-                report.removed_unaligned.append(doc.doc_id)
-            else:
-                kept.append(resegmented)
-        corpus = corpus.derive(kept)
-    if punct_filler is not None:
-        corpus = corpus.derive(
-            ParallelDocument(
-                ensure_terminal_punctuation(doc.source, punct_filler),
-                ensure_terminal_punctuation(doc.target, punct_filler),
-                aligned=doc.aligned,
-            )
-            for doc in corpus
-        )
-    if scores is not None:
-        corpus, report.removed_misaligned = filter_by_alignment(corpus, scores, threshold)
-    return corpus, report
+    records = clean_records(
+        corpus,
+        report,
+        dedup=dedup,
+        segment=segment,
+        punct_filler=punct_filler,
+        scores=scores,
+        threshold=threshold,
+    )
+    return corpus.derive(ParallelDocument.of(*r) for r in records), report

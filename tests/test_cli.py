@@ -44,6 +44,15 @@ class TestDispatch:
         assert f"No such file or directory: '{out}'" in err
         assert ".tmp" not in err
 
+    def test_replace_failure_names_the_target(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert run("mr-split", "--in", corpus_file, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "outdir"]
+        assert list(out.iterdir()) == []
+
 
 class TestConvert:
     def test_round_trip_through_both_formats(self, tmp_path, corpus_file):
@@ -403,6 +412,16 @@ MALFORMED = {
         {"x.txt": bad_utf8([f"{i}\n" for i in range(3000)], 2500), "y.txt": "1\n2\n"},
         ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt",
         "malformed number on line 2500: 'utf-8' codec can't decode byte 0xff in position 0",
+    ),
+    "doc-text line holds a bare CR": (
+        {"s.txt": "a.\r\nx\rb.\n", "t.txt": "c.\nd.\n"},
+        ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"],
+        "s.txt", "malformed doc-text on line 2: carriage return",
+    ),
+    "number line holds a bare CR": (
+        {"x.txt": "0\n1\r2\n", "y.txt": "1\n2\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt",
+        "malformed number on line 2: carriage return",
     ),
 }
 

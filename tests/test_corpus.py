@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -24,7 +25,7 @@ from docmt import (
     unshuffle,
     write_records,
 )
-from docmt.corpus import write_jsonl
+from docmt.corpus import Record, encode_record, write_jsonl
 from helpers import make_corpus, random_corpus
 
 
@@ -229,6 +230,75 @@ class TestRecordsFormat:
         write_records(corpus, tmp_path / "r")
         assert "metadata" not in (tmp_path / "r").read_text(encoding="utf-8")
         assert read_records(tmp_path / "r") == corpus
+
+
+    def test_repeated_doc_id_is_reported_before_a_later_malformed_line(self, tmp_path):
+        write(
+            tmp_path / "r",
+            '{"doc_id":"d0","src":["a"],"tgt":["b"]}\n'
+            '{"doc_id":"d0","src":["c"],"tgt":["d"]}\n'
+            "not json\n",
+        )
+        with pytest.raises(ValueError, match="^.*r: duplicate doc_id 'd0' in corpus$"):
+            read_records(tmp_path / "r")
+
+
+class TestLineEndings:
+    def test_crlf_reads_as_lf(self, tmp_path):
+        records = '{"doc_id":"d0","src":["a"],"tgt":["b"]}\n{"doc_id":"d1","src":["c"],"tgt":["d"]}\n'
+        write(tmp_path / "lf", records)
+        write(tmp_path / "crlf", records.replace("\n", "\r\n"))
+        assert read_records(tmp_path / "crlf") == read_records(tmp_path / "lf")
+        write(tmp_path / "s", "a.\r\nb.\r\n\r\n# doc_id: x\r\nc.\r\n")
+        assert [(d.doc_id, d.sentences) for d in read_docs(tmp_path / "s")] == [
+            ("000000", ("a.", "b.")), ("x", ("c.",))
+        ]
+
+    @pytest.mark.parametrize("text", ["a.\rb.\n", "a.\r", "a.\r\r\n", "a.\n\rb.\n"])
+    def test_any_other_carriage_return_is_malformed(self, tmp_path, text):
+        write(tmp_path / "s", text)
+        line = text.count("\n", 0, text.index("\r")) + 1
+        with pytest.raises(ValueError, match=f"malformed doc-text on line {line}: carriage"):
+            read_docs(tmp_path / "s")
+
+
+def random_text(rng: random.Random) -> str:
+    """A short string mixing the characters JSON escapes or special-cases
+    (C0 controls, quote, backslash, DEL, U+2028/U+2029, BOM) with letters
+    and code points from the whole range up to U+10FFFF."""
+    special = [chr(c) for c in range(0x20)] + ['"', "\\", "\x7f", "\u2028", "\u2029", "\ufeff"]
+    plain = ["a", " ", "é", "中", "/", "😀"]
+    chars = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.4:
+            chars.append(rng.choice(special))
+        elif kind < 0.7:
+            chars.append(rng.choice(plain))
+        else:
+            chars.append(chr(rng.randint(0x80, 0x10FFFF)))
+    return "".join(chars)
+
+
+class TestRecordEncoder:
+    def test_matches_json_dumps_on_random_records(self):
+        rng = random.Random(20241018)
+        for _ in range(20_000):
+            src = [random_text(rng) for _ in range(rng.randint(0, 3))]
+            tgt = [random_text(rng) for _ in range(rng.randint(0, 3))]
+            record = Record(random_text(rng), tuple(src), tuple(tgt), rng.random() < 0.5)
+            row = {"doc_id": record.doc_id, "src": src, "tgt": tgt}
+            if record.aligned != (len(src) == len(tgt)):
+                row["aligned"] = record.aligned
+            assert encode_record(record) == json.dumps(row, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_explicit_aligned_flag_and_empty_sides(self, aligned):
+        record = Record("d", (), ("x",), aligned)
+        expected = {"doc_id": "d", "src": [], "tgt": ["x"]}
+        if aligned:
+            expected["aligned"] = True
+        assert json.loads(encode_record(record)) == expected
 
 
 class TestFormatInterop:

@@ -15,6 +15,7 @@ from docmt import (
     oversample,
     split_document,
 )
+from docmt.mrsplit import MRTally, mr_records, oversample_records
 from helpers import make_corpus, make_doc_pair, random_corpus
 
 
@@ -191,6 +192,38 @@ class TestOversample:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError):
             oversample(make_corpus([1]), 0)
+
+
+class TestOutputIds:
+    """No set of output ids is held while streaming; unique input ids must
+    give unique output ids by construction."""
+
+    ADVERSARIAL = ["a", "a.k1.p0", "a.k1", "a.r0", "a.k1.p0.r0", "a.r0.k1.p0",
+                   "a.k2.p1", "a.p0", "a.k", "a.r", "a.k1.p", "a.k1.p0.k1.p0"]
+
+    def corpus(self, ids, rng):
+        return ParallelCorpus(
+            tuple(make_doc_pair(i, rng.randint(1, 9), rng) for i in ids)
+        )
+
+    def assert_unique_outputs(self, corpus):
+        for cfg in (MRConfig(), MRConfig(include_singletons=False)):
+            ids = [r.doc_id for r in mr_records(corpus, cfg, MRTally())]
+            assert len(ids) == len(set(ids))
+        for factor in (1, 3, 11):
+            ids = [r.doc_id for r in oversample_records(corpus, factor)]
+            assert len(ids) == len(set(ids)) == factor * len(corpus)
+
+    def test_adversarial_ids(self):
+        self.assert_unique_outputs(self.corpus(self.ADVERSARIAL, random.Random(5)))
+
+    def test_random_ids_built_from_suffix_pieces(self):
+        rng = random.Random(17)
+        pieces = ["a", ".k1", ".k2", ".k11", ".p0", ".p1", ".p10", ".r0", ".r1", "1", "0", "."]
+        for _ in range(50):
+            ids = {"".join(rng.choice(pieces) for _ in range(rng.randint(1, 5)))
+                   for _ in range(rng.randint(1, 40))}
+            self.assert_unique_outputs(self.corpus(sorted(ids), rng))
 
 
 class TestBuckets:

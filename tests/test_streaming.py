@@ -1,0 +1,70 @@
+"""The build commands (clean, mr-split, oversample) stream from reader to
+writer: they fail cleanly part-way through a file, and their memory does
+not grow with the corpus."""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import pytest
+
+from docmt.cli import dispatch
+
+
+def write_corpus(path, n_docs, n_sentences=1, width=0):
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n_docs):
+            src = [f"source {i} {j} {'w' * width}." for j in range(n_sentences)]
+            tgt = [f"target {i} {j} {'v' * width}." for j in range(n_sentences)]
+            handle.write(json.dumps({"doc_id": f"d{i}", "src": src, "tgt": tgt}) + "\n")
+
+
+BUILD_STEPS = {
+    "clean": ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--dedup", "--segment",
+              "--fix-punct", ".", "--report", "removed.jsonl"],
+    "mr-split": ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"],
+    "oversample": ["oversample", "--in", "in.jsonl", "--out", "out.jsonl", "--factor", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(BUILD_STEPS))
+def test_malformed_line_after_many_documents_leaves_nothing(
+    command, tmp_path, monkeypatch, capsys
+):
+    # 1,000 documents come first, so output has been flushed to the temp
+    # file by the time the reader reaches the bad line.
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "in.jsonl", 1000, n_sentences=3)
+    with open(tmp_path / "in.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"doc_id": "bad", "src": "a.", "tgt": ["b."]}\n')
+        handle.write('{"doc_id": "after", "src": ["a."], "tgt": ["b."]}\n')
+    assert dispatch(BUILD_STEPS[command]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: in.jsonl: malformed record on line 1001: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
+
+
+def traced_peak(argv):
+    """Peak bytes traced by ``tracemalloc`` while ``argv`` runs in-process."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", ["mr-split", "oversample"])
+def test_peak_memory_does_not_grow_with_the_corpus(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "in.jsonl", 3, n_sentences=32, width=40)
+    assert dispatch(BUILD_STEPS[command]) == 0  # first-call allocations are not the corpus's
+    peaks = []
+    for n_docs in (25, 100):
+        write_corpus(tmp_path / "in.jsonl", n_docs, n_sentences=32, width=40)
+        peaks.append(traced_peak(BUILD_STEPS[command]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
