@@ -79,6 +79,19 @@ def _manifest(
     manifest.write(f"{next(iter(outputs))}.manifest.json")
 
 
+def _distinct_outputs(outputs: dict[str, str | None]) -> None:
+    """Raise when two of the set ``{flag: path}`` outputs, or one of them
+    and the manifest beside the first, are one file."""
+    manifest = f"{next(iter(outputs.values()))}.manifest.json"
+    flags: dict[Path, str] = {}
+    for flag, path in {**outputs, "the manifest": manifest}.items():
+        if path is not None:
+            resolved = Path(path).resolve()
+            if resolved in flags:
+                raise ValueError(f"{path}: {flags[resolved]} and {flag} name the same file")
+            flags[resolved] = flag
+
+
 def _cmd_convert(args: argparse.Namespace) -> None:
     if args.to == "records":
         if not (args.src and args.tgt and args.out):
@@ -91,12 +104,14 @@ def _cmd_convert(args: argparse.Namespace) -> None:
             raise ValueError(
                 "convert --to doc-text needs --in, --src-out, and --tgt-out"
             )
+        _distinct_outputs({"--src-out": args.src_out, "--tgt-out": args.tgt_out})
         corpus = corpus_io.read_records(args.input)
         digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
         _manifest(args, [args.input], dict(zip([args.src_out, args.tgt_out], digests)))
 
 
 def _cmd_clean(args: argparse.Namespace) -> None:
+    _distinct_outputs({"--out": args.out, "--report": args.report})
     metadata, documents = corpus_io.read_record_stream(args.input)
     scores = (
         pipeline.read_alignment_scores(args.align_scores)
@@ -222,13 +237,14 @@ def _cmd_pearson(args: argparse.Namespace) -> None:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> None:
+    args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
+    _distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
     corpus = corpus_io.read_records(args.input)
     if args.mode == "local":
         shuffled, records = harness.local_shuffle(corpus, args.seed)
     else:
         shuffled, records = harness.global_shuffle(corpus, args.seed)
     outputs = {args.out: corpus_io.write_records(shuffled, args.out)}
-    args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
     outputs[args.perm_out] = harness.write_permutation_records(records, args.perm_out)
     _manifest(args, [args.input], outputs)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")

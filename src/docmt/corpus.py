@@ -5,11 +5,11 @@ Doc-text format (a pair of plain-text files, one per language side):
 * UTF-8, one sentence per line, no blank lines inside a document.
 * Exactly one blank line between consecutive documents; the file ends
   with a newline after the last sentence, no trailing blank block.
-* A document block may begin with a header line ``# doc_id: <id>``
-  giving an explicit id. Without a header, the id is the zero-padded
-  ordinal of the block ("000000", "000001", ...). Headers are written
-  back only for ids that differ from the ordinal default, so plain
-  corpora stay plain text.
+* The first line of a document block, and no other, may be a header
+  ``# doc_id: <id>`` giving an explicit id; a sentence must follow it.
+  Without a header, the id is the zero-padded ordinal of the block
+  ("000000", "000001", ...). Headers are written back only for ids that
+  differ from the ordinal default, so plain corpora stay plain text.
 * Source and target files must contain the same number of blocks, and
   paired blocks must have the same number of lines.
 
@@ -172,6 +172,13 @@ class Record(NamedTuple):
     aligned: bool
 
 
+def require_aligned(pd: ParallelDocument) -> ParallelDocument:
+    """``pd``, which must be sentence-aligned."""
+    if not pd.aligned:
+        raise ValueError(f"document {pd.doc_id!r} is not sentence-aligned")
+    return pd
+
+
 @dataclass(frozen=True)
 class ParallelCorpus:
     """An ordered collection of parallel documents with unique ids."""
@@ -266,32 +273,26 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
 
     Lines end at ``\n`` only; a ``\r\n`` ending reads as ``\n``, and any
     other ``\r`` raises ``ValueError``, as does invalid UTF-8:
-    ``"{path}: malformed {what} on line {n}: {why}"``. A text-mode read
-    decodes in blocks, so its own decoding error names neither the line
-    nor a position in it; the file is read again one line at a time to
-    find both.
+    ``"{path}: malformed {what} on line {n}: {why}"``. Each line is
+    decoded on its own, so a decoding error's position is a byte offset
+    inside that line.
     """
-    try:
-        with open(path, encoding="utf-8", newline="\n") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if "\r" in line:
-                    if not line.endswith("\r\n") or "\r" in line[:-2]:
-                        raise ValueError(
-                            f"{path}: malformed {what} on line {lineno}: "
-                            "carriage return not followed by a line feed"
-                        )
-                    line = line[:-2] + "\n"
-                yield lineno, line
-    except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}: malformed {what} on line {lineno}: {exc}"
+                ) from None
+            if "\r" in line:
+                if not line.endswith("\r\n") or "\r" in line[:-2]:
                     raise ValueError(
-                        f"{path}: malformed {what} on line {lineno}: {exc}"
-                    ) from None
-        raise
+                        f"{path}: malformed {what} on line {lineno}: "
+                        "carriage return not followed by a line feed"
+                    )
+                line = line[:-2] + "\n"
+            yield lineno, line
 
 
 def field_of(record: Any, key: str, kind: type) -> Any:
@@ -324,38 +325,36 @@ def strings_of(record: Any, key: str) -> tuple[str, ...]:
 def read_docs(path: str | Path) -> list[Document]:
     """Read one side of the doc-text format into a list of documents.
 
-    A doc_id given to two blocks is an error naming both block ordinals.
+    A block is a run of non-blank lines, and its first line is its header
+    when it reads ``# doc_id: <id>``. A block of only a header is an
+    error, as is a doc_id given to two blocks (naming both ordinals).
     """
     docs: list[Document] = []
     ordinals: dict[str, int] = {}
-    lines: list[str] = []
-    header: str | None = None
-
-    def flush() -> None:
-        nonlocal lines, header
-        if lines:
-            doc_id = header if header is not None else _ordinal_id(len(docs))
-            if doc_id in ordinals:
-                raise ValueError(
-                    f"{path}: duplicate doc_id {doc_id!r} in blocks "
-                    f"{ordinals[doc_id]} and {len(docs)}"
-                )
-            ordinals[doc_id] = len(docs)
-            docs.append(Document(doc_id, tuple(lines)))
-        lines = []
-        header = None
-
-    for _, raw in read_lines(path, "doc-text"):
-        raw = raw.rstrip("\n")
-        if not raw.strip():
-            flush()
+    lines = read_lines(path, "doc-text")
+    for blank, block in itertools.groupby(lines, key=lambda line: line[1].isspace()):
+        if blank:
             continue
-        match = _HEADER_RE.match(raw)
-        if match and not lines:
-            header = match.group(1)
+        (lineno, first), *rest = block
+        sentences = [raw.rstrip("\n") for _, raw in rest]
+        header = _HEADER_RE.match(first)
+        if header is None:
+            doc_id = _ordinal_id(len(docs))
+            sentences.insert(0, first.rstrip("\n"))
+        elif sentences:
+            doc_id = header.group(1)
         else:
-            lines.append(raw)
-    flush()
+            raise ValueError(
+                f"{path}: malformed doc-text on line {lineno}: "
+                f"doc_id {header.group(1)!r} has no sentences"
+            )
+        if doc_id in ordinals:
+            raise ValueError(
+                f"{path}: duplicate doc_id {doc_id!r} in blocks "
+                f"{ordinals[doc_id]} and {len(docs)}"
+            )
+        ordinals[doc_id] = len(docs)
+        docs.append(Document(doc_id, tuple(sentences)))
     return docs
 
 
@@ -418,10 +417,12 @@ def write_doc_text(
     corpus: ParallelCorpus, src_path: str | Path, tgt_path: str | Path
 ) -> tuple[str, str]:
     """Write a corpus as a parallel doc-text file pair; returns the two
-    files' SHA-256 digests."""
+    files' SHA-256 digests. Every document must be sentence-aligned;
+    nothing is written otherwise."""
+    documents = [require_aligned(doc) for doc in corpus]
     return (
-        write_docs([doc.source for doc in corpus], src_path),
-        write_docs([doc.target for doc in corpus], tgt_path),
+        write_docs([doc.source for doc in documents], src_path),
+        write_docs([doc.target for doc in documents], tgt_path),
     )
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import (
     Document,
@@ -29,7 +29,7 @@ from .corpus import (
     strings_of,
     write_jsonl,
 )
-from .metrics import MetricReport, TokenizerConfig, tokenize
+from .metrics import MetricReport, tokenize
 
 OVERALL = "overall"
 
@@ -248,16 +248,14 @@ class BigramModel:
     unigrams: dict[str, int]
     bigrams: dict[tuple[str, str], int]
     vocab_size: int
-    tok_cfg: TokenizerConfig = TokenizerConfig()
 
     @classmethod
-    def fit(cls, text: str, tok_cfg: TokenizerConfig | None = None) -> "BigramModel":
-        cfg = tok_cfg or TokenizerConfig()
-        tokens = tokenize(text, cfg)
+    def fit(cls, text: str) -> "BigramModel":
+        tokens = tokenize(text)
         unigrams: Counter = Counter(tokens)
         bigrams: Counter = Counter(zip(tokens, tokens[1:]))
         # One extra vocabulary slot reserves smoothing mass for unseen words.
-        return cls(dict(unigrams), dict(bigrams), len(unigrams) + 1, cfg)
+        return cls(dict(unigrams), dict(bigrams), len(unigrams) + 1)
 
     def log_prob(self, prev: str, cur: str) -> float:
         numerator = self.bigrams.get((prev, cur), 0) + 1
@@ -266,7 +264,7 @@ class BigramModel:
 
     def score(self, text: str) -> float:
         """Total log-probability of the candidate's internal transitions."""
-        tokens = tokenize(text, self.tok_cfg)
+        tokens = tokenize(text)
         if not tokens:
             raise ValueError("cannot score an empty candidate")
         return sum(self.log_prob(a, b) for a, b in zip(tokens, tokens[1:]))
@@ -295,7 +293,7 @@ def read_instances(path: str | Path) -> list[ContrastiveInstance]:
     return list(read_jsonl(path, parse, "instance"))
 
 
-def read_candidate_scores(path: str | Path) -> list[CandidateScore]:
+def read_candidate_scores(path: str | Path) -> Iterator[CandidateScore]:
     def parse(record: dict) -> CandidateScore:
         return CandidateScore(
             field_of(record, "instance_id", str),
@@ -303,7 +301,7 @@ def read_candidate_scores(path: str | Path) -> list[CandidateScore]:
             finite_of(record, "score"),
         )
 
-    return list(read_jsonl(path, parse, "score"))
+    return read_jsonl(path, parse, "score")
 
 
 def write_permutation_records(

@@ -38,7 +38,6 @@ class TokenizerConfig:
     """Shared tokenization regime for all metrics."""
 
     lowercase: bool = True
-    split_punctuation: bool = True
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,13 @@ def _is_punct(char: str) -> bool:
 
 
 def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
-    """Whitespace tokenization with optional lowercasing and detachment of
-    leading/trailing punctuation characters into their own tokens."""
+    """Whitespace tokenization with optional lowercasing; leading and
+    trailing punctuation characters are detached into their own tokens."""
     cfg = cfg or TokenizerConfig()
     if cfg.lowercase:
         text = text.lower()
-    raw = text.split()
-    if not cfg.split_punctuation:
-        return raw
     tokens: list[str] = []
-    for tok in raw:
+    for tok in text.split():
         # No alphanumeric character is in a P* category, so a token with
         # alphanumeric edges has no punctuation to detach.
         if tok[0].isalnum() and tok[-1].isalnum():
@@ -244,7 +240,6 @@ def span_metric(
     refs: Sequence[LabeledTestDoc],
     category: str,
     span_cfg: SpanConfig | None = None,
-    tok_cfg: TokenizerConfig | None = None,
 ) -> MetricReport:
     """Appearance rate of labeled words inside their scaled token windows.
 
@@ -257,7 +252,6 @@ def span_metric(
     if category not in CATEGORIES:
         raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
     span_cfg = span_cfg or SpanConfig()
-    cfg = tok_cfg or TokenizerConfig()
     by_id = {doc.doc_id: doc for doc in outputs}
     hits = 0
     total = 0
@@ -267,11 +261,11 @@ def span_metric(
             continue
         if ref.doc_id not in by_id:
             raise ValueError(f"missing output for labeled document {ref.doc_id!r}")
-        ref_tokens = tokenize(ref.reference.text, cfg)
-        out_tokens = tokenize(by_id[ref.doc_id].text, cfg)
+        ref_tokens = tokenize(ref.reference.text)
+        out_tokens = tokenize(by_id[ref.doc_id].text)
         alpha = len(out_tokens) / len(ref_tokens)
         for label in labels:
-            word = label.word.lower() if cfg.lowercase else label.word
+            word = label.word.lower()
             if label.position >= len(ref_tokens):
                 raise ValueError(
                     f"label position {label.position} out of range for document "

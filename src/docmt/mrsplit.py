@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import ParallelCorpus, ParallelDocument, Record
+from .corpus import ParallelCorpus, ParallelDocument, Record, require_aligned
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,6 @@ def _part_spans(m: int, k: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _aligned(pd: ParallelDocument) -> ParallelDocument:
-    """``pd``, which must be sentence-aligned."""
-    if not pd.aligned:
-        raise ValueError(f"document {pd.doc_id!r} is not sentence-aligned")
-    return pd
-
-
 def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Segment]:
     """Emit every resolution level's segments for one aligned document.
 
@@ -91,7 +84,7 @@ def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Se
     document must be aligned.
     """
     cfg = cfg or MRConfig()
-    m = len(_aligned(pd).source)
+    m = len(require_aligned(pd).source)
     segments = []
     for k in mr_levels(m, cfg):
         for part, (start, end) in enumerate(_part_spans(m, k)):
@@ -165,7 +158,7 @@ def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
     if not corpus.documents:
         raise ValueError("mr_ratio of an empty corpus is undefined")
     tally = MRTally()
-    for doc in map(_aligned, corpus):
+    for doc in map(require_aligned, corpus):
         tally.add(doc, cfg)
     return tally.ratio
 
@@ -214,7 +207,7 @@ def bucket_by_length(
     buckets: dict[int, ParallelCorpus] = {}
     for budget in budgets:
         documents = []
-        for pd in map(_aligned, corpus):
+        for pd in map(require_aligned, corpus):
             counts = [len(s.split()) for s in pd.source.sentences]
             paragraphs: list[tuple[int, int]] = []
             start = 0

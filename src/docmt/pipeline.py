@@ -9,6 +9,7 @@ a time; the corpus-level functions wrap it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +32,11 @@ DEFAULT_GUARDS = (
     "vs.", "etc.", "e.g.", "i.e.", "cf.", "Fig.", "No.", "al.",
 )
 _ENDINGS = DEFAULT_TERMINALS | DEFAULT_QUOTE_CLOSERS
+_BOUNDARY_RE = re.compile(
+    f"[{re.escape(''.join(sorted(DEFAULT_TERMINALS)))}]"
+    f"[{re.escape(''.join(sorted(DEFAULT_QUOTE_CLOSERS)))}]*"
+    r"(?=\s|\Z)"
+)
 
 
 @dataclass(frozen=True)
@@ -112,22 +118,10 @@ def _is_guarded(text: str, terminal_index: int) -> bool:
 def _split_paragraph(text: str) -> list[str]:
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in DEFAULT_TERMINALS:
-            j = i + 1
-            while j < n and text[j] in DEFAULT_QUOTE_CLOSERS:
-                j += 1
-            at_boundary = j >= n or text[j].isspace()
-            if at_boundary and not _is_guarded(text, i):
-                piece = text[start:j].strip()
-                if piece:
-                    sentences.append(piece)
-                start = j
-                i = j
-                continue
-        i += 1
+    for boundary in _BOUNDARY_RE.finditer(text):
+        if not _is_guarded(text, boundary.start()):
+            sentences.append(text[start : boundary.end()].strip())
+            start = boundary.end()
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
@@ -143,10 +137,7 @@ def segment_sentences(paragraphs: Iterable[str]) -> list[str]:
     suppress the split. No character outside boundary whitespace is
     added or dropped.
     """
-    sentences: list[str] = []
-    for paragraph in paragraphs:
-        sentences.extend(_split_paragraph(paragraph))
-    return sentences
+    return [s for paragraph in paragraphs for s in _split_paragraph(paragraph)]
 
 
 def _resegmented(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
@@ -239,8 +230,8 @@ def filter_by_alignment(
     return corpus.derive(ParallelDocument.of(*r) for r in kept), removed
 
 
-def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
-    """Read a JSON-lines alignment-score file; enforces unique pairs."""
+def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
+    """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
     seen: set[tuple[str, int]] = set()
 
     def parse(record: dict) -> AlignmentScore:
@@ -255,7 +246,7 @@ def read_alignment_scores(path: str | Path) -> list[AlignmentScore]:
         seen.add(key)
         return score
 
-    return list(read_jsonl(path, parse, "score"))
+    return read_jsonl(path, parse, "score")
 
 
 def clean_records(
@@ -265,7 +256,7 @@ def clean_records(
     dedup: bool = False,
     segment: bool = False,
     punct_filler: str | None = None,
-    scores: Sequence[AlignmentScore] | None = None,
+    scores: Iterable[AlignmentScore] | None = None,
     threshold: float = 0.40,
 ) -> Iterator[Record]:
     """The enabled cleaning stages over ``documents``, one document at a

@@ -8,6 +8,7 @@ import unicodedata
 from typing import Sequence
 
 from docmt import Document, ParallelCorpus, ParallelDocument, TokenizerConfig
+from docmt.pipeline import DEFAULT_GUARDS, DEFAULT_QUOTE_CLOSERS, DEFAULT_TERMINALS
 
 VOCAB = "the a of and to in cat dog house tree river stone bird cloud ran sat".split()
 
@@ -48,11 +49,8 @@ def naive_tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
     by one with ``unicodedata.category``, with no fast path."""
     if cfg.lowercase:
         text = text.lower()
-    raw = text.split()
-    if not cfg.split_punctuation:
-        return raw
     tokens: list[str] = []
-    for tok in raw:
+    for tok in text.split():
         trailing: list[str] = []
         while tok and unicodedata.category(tok[0]).startswith("P"):
             tokens.append(tok[0])
@@ -64,6 +62,44 @@ def naive_tokenize(text: str, cfg: TokenizerConfig) -> list[str]:
             tokens.append(tok)
         tokens.extend(reversed(trailing))
     return tokens
+
+
+def _naive_is_guarded(text: str, terminal_index: int) -> bool:
+    head = text[: terminal_index + 1]
+    for guard in DEFAULT_GUARDS:
+        if head.endswith(guard):
+            start = len(head) - len(guard)
+            if start == 0 or head[start - 1].isspace():
+                return True
+    return False
+
+
+def naive_split_paragraph(text: str) -> list[str]:
+    """Reference segmenter: walks the text one character at a time, with
+    no pattern; ``segment_sentences`` must split every paragraph as this
+    does."""
+    sentences: list[str] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in DEFAULT_TERMINALS:
+            j = i + 1
+            while j < n and text[j] in DEFAULT_QUOTE_CLOSERS:
+                j += 1
+            at_boundary = j >= n or text[j].isspace()
+            if at_boundary and not _naive_is_guarded(text, i):
+                piece = text[start:j].strip()
+                if piece:
+                    sentences.append(piece)
+                start = j
+                i = j
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
 
 
 def naive_bleu(

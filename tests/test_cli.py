@@ -87,6 +87,36 @@ class TestConvert:
         ) == 0
         assert [d.doc_id for d in read_records(out)] == ["x", "000001"]
 
+    def test_a_header_like_sentence_round_trips(self, tmp_path):
+        records = tmp_path / "r.jsonl"
+        records.write_text(
+            '{"doc_id": "x", "src": ["# doc_id: y", "foo."], "tgt": ["a.", "b."]}\n',
+            encoding="utf-8",
+        )
+        assert run(
+            "convert", "--to", "doc-text", "--in", records,
+            "--src-out", tmp_path / "s.txt", "--tgt-out", tmp_path / "t.txt",
+        ) == 0
+        assert run(
+            "convert", "--to", "records", "--src", tmp_path / "s.txt",
+            "--tgt", tmp_path / "t.txt", "--out", tmp_path / "back.jsonl",
+        ) == 0
+        assert read_records(tmp_path / "back.jsonl") == read_records(records)
+
+    @pytest.mark.parametrize("record", [
+        '{"doc_id": "x", "src": ["a.", "b."], "tgt": ["c."]}',
+        '{"doc_id": "x", "src": ["a."], "tgt": ["c."], "aligned": false}',
+    ], ids=["unequal counts", "flagged unaligned"])
+    def test_doc_text_rejects_unaligned_documents(self, tmp_path, capsys, record):
+        records = tmp_path / "r.jsonl"
+        records.write_text(RECORD + record + "\n", encoding="utf-8")
+        assert run(
+            "convert", "--to", "doc-text", "--in", records,
+            "--src-out", tmp_path / "s.txt", "--tgt-out", tmp_path / "t.txt",
+        ) == 1
+        assert capsys.readouterr().err == "error: document 'x' is not sentence-aligned\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
 
 class TestClean:
     def test_flags_and_report(self, tmp_path):
@@ -418,6 +448,11 @@ MALFORMED = {
         ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"],
         "s.txt", "malformed doc-text on line 2: carriage return",
     ),
+    "doc-text block is only a header": (
+        {"s.txt": "# doc_id: a\n\nfoo.\n", "t.txt": "bar.\n"},
+        ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"],
+        "s.txt", "malformed doc-text on line 1: doc_id 'a' has no sentences",
+    ),
     "number line holds a bare CR": (
         {"x.txt": "0\n1\r2\n", "y.txt": "1\n2\n"},
         ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt",
@@ -440,6 +475,40 @@ def test_malformed_input_is_one_line_diagnostic(case, tmp_path, monkeypatch, cap
     assert err.startswith(f"error: {named}: ")
     assert where in err
     assert err.count("\n") == 1
+
+
+# case -> (argv with two outputs naming one file, that file's line on stderr)
+OUTPUT_CLASHES = {
+    "convert": (
+        ["convert", "--to", "doc-text", "--in", "corpus.jsonl",
+         "--src-out", "same.txt", "--tgt-out", "./same.txt"],
+        "error: ./same.txt: --src-out and --tgt-out name the same file\n",
+    ),
+    "clean": (
+        ["clean", "--in", "corpus.jsonl", "--out", "same.jsonl", "--report", "same.jsonl"],
+        "error: same.jsonl: --out and --report name the same file\n",
+    ),
+    "shuffle": (
+        ["shuffle", "--in", "corpus.jsonl", "--out", "same.jsonl", "--mode", "local",
+         "--seed", "1", "--perm-out", "same.jsonl"],
+        "error: same.jsonl: --out and --perm-out name the same file\n",
+    ),
+    "clean report is the manifest": (
+        ["clean", "--in", "corpus.jsonl", "--out", "c.jsonl",
+         "--report", "c.jsonl.manifest.json"],
+        "error: c.jsonl.manifest.json: --report and the manifest name the same file\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_CLASHES))
+def test_two_outputs_naming_one_file_write_nothing(case, tmp_path, monkeypatch, capsys):
+    argv, err = OUTPUT_CLASHES[case]
+    monkeypatch.chdir(tmp_path)
+    write_records(make_corpus([8, 3]), tmp_path / "corpus.jsonl")
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == err
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
 @pytest.fixture

@@ -133,6 +133,12 @@ class TestDocTextFormat:
         with pytest.raises(ValueError, match="header"):
             write_docs(docs, tmp_path / "src")
 
+    def test_only_the_first_line_of_a_block_is_a_header(self, tmp_path):
+        docs = [Document("x", ("# doc_id: y", "foo."))]
+        write_docs(docs, tmp_path / "s")
+        assert (tmp_path / "s").read_text(encoding="utf-8") == "# doc_id: x\n# doc_id: y\nfoo.\n"
+        assert read_docs(tmp_path / "s") == docs
+
     def test_conflicting_headers_rejected(self, tmp_path):
         write(tmp_path / "src", "# doc_id: a\nhello\n")
         write(tmp_path / "tgt", "# doc_id: b\nbonjour\n")

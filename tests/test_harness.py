@@ -315,4 +315,4 @@ class TestHarnessFiles:
     def test_score_file_round_trip(self, tmp_path):
         scores = scores_for("i0", [0.25, -1.5])
         write_jsonl(tmp_path / "scores.jsonl", map(vars, scores))
-        assert read_candidate_scores(tmp_path / "scores.jsonl") == scores
+        assert list(read_candidate_scores(tmp_path / "scores.jsonl")) == scores

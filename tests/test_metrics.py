@@ -36,10 +36,6 @@ class TestTokenizer:
         cfg = TokenizerConfig(lowercase=False)
         assert tokenize("Hello, World.", cfg) == ["Hello", ",", "World", "."]
 
-    def test_no_punctuation_split_mode(self):
-        cfg = TokenizerConfig(split_punctuation=False)
-        assert tokenize("Hello, world.", cfg) == ["hello,", "world."]
-
     def test_pure_punctuation_token(self):
         assert tokenize("wait !!!") == ["wait", "!", "!", "!"]
 
@@ -90,9 +86,8 @@ class TestTokenizerEquivalence:
         assert {"Sm", "Sc", "Sk", "So", "Mn", "Nd", "No", "Lo"} <= categories
 
     @pytest.mark.parametrize("lowercase", [True, False])
-    @pytest.mark.parametrize("split_punctuation", [True, False])
-    def test_matches_reference_tokenizer(self, lowercase, split_punctuation):
-        cfg = TokenizerConfig(lowercase=lowercase, split_punctuation=split_punctuation)
+    def test_matches_reference_tokenizer(self, lowercase):
+        cfg = TokenizerConfig(lowercase=lowercase)
         rng = random.Random(41)
         for _ in range(3000):
             text = random_text(rng)

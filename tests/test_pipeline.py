@@ -15,8 +15,13 @@ from docmt import (
     segment_sentences,
 )
 from docmt.corpus import write_jsonl
-from docmt.pipeline import read_alignment_scores
-from helpers import make_corpus, random_corpus
+from docmt.pipeline import (
+    DEFAULT_GUARDS,
+    DEFAULT_QUOTE_CLOSERS,
+    DEFAULT_TERMINALS,
+    read_alignment_scores,
+)
+from helpers import make_corpus, naive_split_paragraph, random_corpus
 
 
 def pair(doc_id, src, tgt=None):
@@ -103,6 +108,43 @@ class TestSegmenter:
             assert Counter("".join(out).replace(" ", "")) == Counter(
                 paragraph.replace(" ", "")
             )
+
+
+# Pieces of the texts compared with the reference segmenter: every
+# terminal, closer and guard, each guard without its final ".", the
+# whitespace whose class decides a boundary or a guard (ASCII, the C0
+# separators U+001C-U+001F, no-break, line separator, ideographic), and
+# letters.
+SEGMENTER_PIECES = (
+    sorted(DEFAULT_TERMINALS)
+    + sorted(DEFAULT_QUOTE_CLOSERS)
+    + list(DEFAULT_GUARDS)
+    + [guard[:-1] for guard in DEFAULT_GUARDS]
+    + [" ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028", "\u3000"]
+    + ["a", "Bc"]
+)
+
+
+class TestSegmenterOracle:
+    def test_matches_reference_segmenter(self):
+        rng = random.Random(17)
+        for _ in range(100_000):
+            text = "".join(rng.choices(SEGMENTER_PIECES, k=rng.randint(0, 12)))
+            assert segment_sentences([text]) == naive_split_paragraph(text), repr(text)
+
+    def test_every_code_point_after_a_terminal(self):
+        # The code point after a "." decides whether the "." ends a sentence.
+        for first in range(0, 0x110000, 64):
+            text = " ".join(f"a.{chr(c)}b" for c in range(first, first + 64))
+            assert segment_sentences([text]) == naive_split_paragraph(text), hex(first)
+
+    def test_every_code_point_before_a_guard(self):
+        # The code point before "Dr." decides whether it is a guard. Every
+        # whitespace code point lies below U+10000, so the texts stop there.
+        assert not any(chr(c).isspace() for c in range(0x10000, 0x110000))
+        for first in range(0, 0x10000, 64):
+            text = " ".join(f"a.{chr(c)}Dr." for c in range(first, first + 64))
+            assert segment_sentences([text]) == naive_split_paragraph(text), hex(first)
 
 
 class TestEnsureTerminalPunctuation:
@@ -214,7 +256,7 @@ class TestBaselineScores:
     def test_score_file_round_trip(self, tmp_path):
         scores = [AlignmentScore("d0", 0, 0.25), AlignmentScore("d1", 3, 1.0)]
         write_jsonl(tmp_path / "s.jsonl", map(vars, scores))
-        assert read_alignment_scores(tmp_path / "s.jsonl") == scores
+        assert list(read_alignment_scores(tmp_path / "s.jsonl")) == scores
 
 
 class TestCleanPipeline:
