@@ -251,9 +251,14 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
 
 
 def _cmd_contrastive(args: argparse.Namespace) -> None:
-    instances = harness.read_instances(args.instances)
+    instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
-    results = harness.contrastive_accuracy(instances, scores)
+    try:
+        results = harness.contrastive_accuracy(instances, scores)
+    except harness.ScoreError as exc:
+        raise ValueError(f"{args.scores}: {exc}") from None
+    if not results:
+        raise ValueError(f"{args.instances}: no instances")
     for phenomenon in sorted(k for k in results if k != harness.OVERALL):
         report = results[phenomenon]
         print(

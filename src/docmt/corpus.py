@@ -358,8 +358,8 @@ def read_docs(path: str | Path) -> list[Document]:
     return docs
 
 
-def write_docs(docs: Sequence[Document], path: str | Path) -> str:
-    """Write one side of the doc-text format; returns the file's SHA-256.
+def _doc_text(docs: Sequence[Document]) -> str:
+    """One side of the doc-text format as one string.
 
     A ``# doc_id:`` header is emitted only for ids that differ from the
     block-ordinal default, keeping default corpora header-free.
@@ -379,7 +379,12 @@ def write_docs(docs: Sequence[Document], path: str | Path) -> str:
     content = "\n\n".join(blocks)
     if blocks:
         content += "\n"
-    return write_text(path, [content])
+    return content
+
+
+def write_docs(docs: Sequence[Document], path: str | Path) -> str:
+    """Write one side of the doc-text format; returns the file's SHA-256."""
+    return write_text(path, [_doc_text(docs)])
 
 
 def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
@@ -417,13 +422,13 @@ def write_doc_text(
     corpus: ParallelCorpus, src_path: str | Path, tgt_path: str | Path
 ) -> tuple[str, str]:
     """Write a corpus as a parallel doc-text file pair; returns the two
-    files' SHA-256 digests. Every document must be sentence-aligned;
-    nothing is written otherwise."""
+    files' SHA-256 digests. Every document must be sentence-aligned, and
+    both sides are checked before either file is written, so a fault
+    writes nothing."""
     documents = [require_aligned(doc) for doc in corpus]
-    return (
-        write_docs([doc.source for doc in documents], src_path),
-        write_docs([doc.target for doc in documents], tgt_path),
-    )
+    src = _doc_text([doc.source for doc in documents])
+    tgt = _doc_text([doc.target for doc in documents])
+    return write_text(src_path, [src]), write_text(tgt_path, [tgt])
 
 
 def read_record_stream(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -180,53 +181,62 @@ def unshuffle(
     return _rearrange(corpus, [inverse[pd.doc_id] for pd in corpus])[0]
 
 
+class ScoreError(ValueError):
+    """Candidate scores that do not fit the instances they are scored against."""
+
+
 def contrastive_accuracy(
-    instances: Sequence[ContrastiveInstance],
+    instances: Iterable[ContrastiveInstance],
     scores: Iterable[CandidateScore],
 ) -> dict[str, MetricReport]:
     """Fraction of instances whose positive candidate scores strictly highest.
 
     Ties with any negative count as incorrect. Returns one report per
     phenomenon plus an ``"overall"`` entry, on a 0-100 scale.
+
+    Both arguments are read once, one item at a time: of each instance
+    only its phenomenon, its positive index and one score slot per
+    candidate are kept, and instances are decided in input order once
+    every score is in. A score for an unknown instance or candidate, a
+    second score for a candidate, or a candidate left without one raises
+    ``ScoreError``.
     """
-    by_instance = {inst.instance_id: inst for inst in instances}
-    if len(by_instance) != len(instances):
-        raise ValueError("duplicate instance_id in instance list")
-    table: dict[tuple[str, int], float] = {}
+    table: dict[str, tuple[str, int, list[float | None]]] = {}
+    for inst in instances:
+        if inst.instance_id in table:
+            raise ValueError("duplicate instance_id in instance list")
+        slots: list[float | None] = [None] * len(inst.candidates)
+        # One string per phenomenon, not one per instance.
+        phenomenon = sys.intern(inst.phenomenon)
+        table[inst.instance_id] = (phenomenon, inst.positive_index, slots)
     for score in scores:
-        inst = by_instance.get(score.instance_id)
-        if inst is None:
-            raise ValueError(f"score for unknown instance {score.instance_id!r}")
-        if not 0 <= score.candidate_index < len(inst.candidates):
-            raise ValueError(
+        entry = table.get(score.instance_id)
+        if entry is None:
+            raise ScoreError(f"score for unknown instance {score.instance_id!r}")
+        slots = entry[2]
+        if not 0 <= score.candidate_index < len(slots):
+            raise ScoreError(
                 f"score for unknown candidate {score.candidate_index} of instance "
                 f"{score.instance_id!r}"
             )
-        key = (score.instance_id, score.candidate_index)
-        if key in table:
-            raise ValueError(f"duplicate score for {key}")
-        table[key] = score.score
+        if slots[score.candidate_index] is not None:
+            key = (score.instance_id, score.candidate_index)
+            raise ScoreError(f"duplicate score for {key}")
+        slots[score.candidate_index] = score.score
     correct: Counter = Counter()
     total: Counter = Counter()
-    for inst in instances:
-        candidate_scores = []
-        for i in range(len(inst.candidates)):
-            key = (inst.instance_id, i)
-            if key not in table:
-                raise ValueError(
-                    f"missing score for candidate {i} of instance "
-                    f"{inst.instance_id!r}"
-                )
-            candidate_scores.append(table[key])
-        positive = candidate_scores[inst.positive_index]
-        negatives = [
-            s for i, s in enumerate(candidate_scores) if i != inst.positive_index
-        ]
-        hit = all(positive > neg for neg in negatives)
-        total[inst.phenomenon] += 1
+    for instance_id, (phenomenon, positive_index, slots) in table.items():
+        if None in slots:
+            raise ScoreError(
+                f"missing score for candidate {slots.index(None)} of instance "
+                f"{instance_id!r}"
+            )
+        positive = slots[positive_index]
+        hit = all(positive > s for i, s in enumerate(slots) if i != positive_index)
+        total[phenomenon] += 1
         total[OVERALL] += 1
         if hit:
-            correct[inst.phenomenon] += 1
+            correct[phenomenon] += 1
             correct[OVERALL] += 1
     return {
         phenomenon: MetricReport(
@@ -280,17 +290,30 @@ def reference_scorer(
     ]
 
 
-def read_instances(path: str | Path) -> list[ContrastiveInstance]:
+def read_instance_stream(path: str | Path) -> Iterator[ContrastiveInstance]:
+    """The instances of a JSON-lines file, each read and checked when the
+    iterator reaches its line; an ``instance_id`` that an earlier line
+    gave is an error at the line that repeats it."""
+    seen: set[str] = set()
+
     def parse(record: dict) -> ContrastiveInstance:
-        return ContrastiveInstance(
+        instance = ContrastiveInstance(
             field_of(record, "instance_id", str),
             field_of(record, "source", str),
             strings_of(record, "candidates"),
             field_of(record, "positive_index", int),
             field_of(record, "phenomenon", str),
         )
+        if instance.instance_id in seen:
+            raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
+        seen.add(instance.instance_id)
+        return instance
 
-    return list(read_jsonl(path, parse, "instance"))
+    return read_jsonl(path, parse, "instance")
+
+
+def read_instances(path: str | Path) -> list[ContrastiveInstance]:
+    return list(read_instance_stream(path))
 
 
 def read_candidate_scores(path: str | Path) -> Iterator[CandidateScore]:

@@ -106,11 +106,15 @@ def deduplicate(corpus: ParallelCorpus) -> tuple[ParallelCorpus, list[str]]:
 
 
 def _is_guarded(text: str, terminal_index: int) -> bool:
-    head = text[: terminal_index + 1]
+    # Compares in place: copying the text up to each boundary would make
+    # segmenting one paragraph quadratic in its length.
+    end = terminal_index + 1
+    if not text.endswith(DEFAULT_GUARDS, 0, end):  # one call rules out most boundaries
+        return False
     for guard in DEFAULT_GUARDS:
-        if head.endswith(guard):
-            start = len(head) - len(guard)
-            if start == 0 or head[start - 1].isspace():
+        if text.endswith(guard, 0, end):
+            start = end - len(guard)
+            if start == 0 or text[start - 1].isspace():
                 return True
     return False
 

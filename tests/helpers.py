@@ -5,9 +5,19 @@ from __future__ import annotations
 import math
 import random
 import unicodedata
-from typing import Sequence
+from collections import Counter
+from typing import Iterable, Sequence
 
-from docmt import Document, ParallelCorpus, ParallelDocument, TokenizerConfig
+from docmt import (
+    CandidateScore,
+    ContrastiveInstance,
+    Document,
+    MetricReport,
+    ParallelCorpus,
+    ParallelDocument,
+    TokenizerConfig,
+)
+from docmt.harness import OVERALL
 from docmt.pipeline import DEFAULT_GUARDS, DEFAULT_QUOTE_CLOSERS, DEFAULT_TERMINALS
 
 VOCAB = "the a of and to in cat dog house tree river stone bird cloud ran sat".split()
@@ -143,3 +153,57 @@ def naive_bleu(
         precision *= (x / t) ** (1.0 / n_orders)
     bp = min(1.0, math.exp(1.0 - r / c))
     return 100.0 * bp * precision
+
+
+def naive_contrastive_accuracy(
+    instances: Sequence[ContrastiveInstance],
+    scores: Iterable[CandidateScore],
+) -> dict[str, MetricReport]:
+    """Reference contrastive accuracy: holds every instance whole and
+    every score in one ``(instance_id, candidate_index)`` table, then
+    decides each instance from its list of negatives."""
+    by_instance = {inst.instance_id: inst for inst in instances}
+    if len(by_instance) != len(instances):
+        raise ValueError("duplicate instance_id in instance list")
+    table: dict[tuple[str, int], float] = {}
+    for score in scores:
+        inst = by_instance.get(score.instance_id)
+        if inst is None:
+            raise ValueError(f"score for unknown instance {score.instance_id!r}")
+        if not 0 <= score.candidate_index < len(inst.candidates):
+            raise ValueError(
+                f"score for unknown candidate {score.candidate_index} of instance "
+                f"{score.instance_id!r}"
+            )
+        key = (score.instance_id, score.candidate_index)
+        if key in table:
+            raise ValueError(f"duplicate score for {key}")
+        table[key] = score.score
+    correct: Counter = Counter()
+    total: Counter = Counter()
+    for inst in instances:
+        candidate_scores = []
+        for i in range(len(inst.candidates)):
+            key = (inst.instance_id, i)
+            if key not in table:
+                raise ValueError(
+                    f"missing score for candidate {i} of instance "
+                    f"{inst.instance_id!r}"
+                )
+            candidate_scores.append(table[key])
+        positive = candidate_scores[inst.positive_index]
+        negatives = [
+            s for i, s in enumerate(candidate_scores) if i != inst.positive_index
+        ]
+        hit = all(positive > neg for neg in negatives)
+        total[inst.phenomenon] += 1
+        total[OVERALL] += 1
+        if hit:
+            correct[inst.phenomenon] += 1
+            correct[OVERALL] += 1
+    return {
+        phenomenon: MetricReport(
+            phenomenon, 100.0 * correct[phenomenon] / count, correct[phenomenon], count
+        )
+        for phenomenon, count in total.items()
+    }

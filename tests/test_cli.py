@@ -117,6 +117,19 @@ class TestConvert:
         assert capsys.readouterr().err == "error: document 'x' is not sentence-aligned\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
+    def test_doc_text_checks_both_sides_before_writing_either(self, tmp_path, capsys):
+        records = tmp_path / "r.jsonl"
+        records.write_text(
+            '{"doc_id": "000000", "src": ["a."], "tgt": ["# doc_id: z"]}\n',
+            encoding="utf-8",
+        )
+        assert run(
+            "convert", "--to", "doc-text", "--in", records,
+            "--src-out", tmp_path / "s.txt", "--tgt-out", tmp_path / "t.txt",
+        ) == 1
+        assert "collides with the doc_id header syntax" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
 
 class TestClean:
     def test_flags_and_report(self, tmp_path):
@@ -452,6 +465,37 @@ MALFORMED = {
         {"s.txt": "# doc_id: a\n\nfoo.\n", "t.txt": "bar.\n"},
         ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"],
         "s.txt", "malformed doc-text on line 1: doc_id 'a' has no sentences",
+    ),
+    "instance_id repeated before a malformed line": (
+        {"inst.jsonl": INSTANCES + INSTANCES + "{not json\n", "sc.jsonl": SCORE},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "inst.jsonl", "malformed instance on line 2: duplicate instance_id 'i0'",
+    ),
+    "instance file is empty": (
+        {"inst.jsonl": "", "sc.jsonl": ""},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "inst.jsonl", "no instances",
+    ),
+    "score for an unknown instance": (
+        {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE.replace("i0", "zz")},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "score for unknown instance 'zz'",
+    ),
+    "score for an unknown candidate": (
+        {"inst.jsonl": INSTANCES,
+         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":5,"score":0.0}\n'},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "score for unknown candidate 5 of instance 'i0'",
+    ),
+    "second score for a candidate": (
+        {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE + SCORE},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "duplicate score for ('i0', 0)",
+    ),
+    "candidate without a score": (
+        {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "missing score for candidate 1 of instance 'i0'",
     ),
     "number line holds a bare CR": (
         {"x.txt": "0\n1\r2\n", "y.txt": "1\n2\n"},

@@ -23,7 +23,7 @@ from docmt.harness import (
     read_permutation_records,
     write_permutation_records,
 )
-from helpers import make_corpus, random_corpus
+from helpers import make_corpus, naive_contrastive_accuracy, random_corpus
 
 
 class TestLocalShuffle:
@@ -247,6 +247,91 @@ class TestContrastiveAccuracy:
             ContrastiveInstance("i0", "src", ("same", "same"), 0, "deixis")
         with pytest.raises(ValueError, match="out of range"):
             ContrastiveInstance("i0", "src", ("a", "b"), 2, "deixis")
+
+
+PHENOMENA = ("deixis", "lex.c", "ell.infl", "ell.VP")
+FAULTS = ("duplicate instance_id", "unknown instance", "unknown candidate",
+          "duplicate score", "missing score")
+
+
+def random_instance_set(rng):
+    """1-8 instances of 2-5 candidates over a few phenomena, and one score
+    per candidate in shuffled order. Scores are drawn from five values,
+    so ties and losses are common."""
+    instances, scores = [], []
+    for k in range(rng.randint(1, 8)):
+        n = rng.randint(2, 5)
+        candidates = tuple(f"candidate {j}" for j in range(n))
+        instances.append(ContrastiveInstance(
+            f"i{k}", f"source {k}", candidates, rng.randrange(n), rng.choice(PHENOMENA)
+        ))
+        scores += scores_for(f"i{k}", [float(rng.randint(-2, 2)) for _ in range(n)])
+    rng.shuffle(scores)
+    return instances, scores
+
+
+def add_fault(rng, instances, scores):
+    fault = rng.choice(FAULTS)
+    inst = rng.choice(instances)
+    if fault == "duplicate instance_id":
+        twin = ContrastiveInstance(inst.instance_id, "other", ("x", "y"), 1, "deixis")
+        instances.insert(rng.randint(0, len(instances)), twin)
+        return
+    if fault == "unknown instance":
+        extra = CandidateScore("ghost", 0, 0.0)
+    elif fault == "unknown candidate":
+        index = rng.choice([-1, len(inst.candidates), len(inst.candidates) + 3])
+        extra = CandidateScore(inst.instance_id, index, 0.0)
+    elif fault == "duplicate score":
+        extra = rng.choice(scores)
+    else:
+        del scores[rng.randrange(len(scores))]
+        return
+    scores.insert(rng.randint(0, len(scores)), extra)
+
+
+def outcome(accuracy, instances, scores):
+    """The reports in order, or the message of the first error."""
+    try:
+        return list(accuracy(instances, scores).items())
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestContrastiveOracle:
+    """``contrastive_accuracy`` keeps only a compact table; it must decide
+    and fail as the reference that holds every instance whole does."""
+
+    def test_matches_reference_on_seeded_sets(self):
+        rng = random.Random(41)
+        verdicts = Counter()  # 1 a win, 0 a tie, -1 a loss
+        for _ in range(2_000):
+            instances, scores = random_instance_set(rng)
+            expected = outcome(naive_contrastive_accuracy, instances, scores)
+            assert outcome(contrastive_accuracy, iter(instances), iter(scores)) == expected
+            rows = {}
+            for score in scores:
+                rows.setdefault(score.instance_id, {})[score.candidate_index] = score.score
+            for inst in instances:
+                row = rows[inst.instance_id]
+                positive = row.pop(inst.positive_index)
+                best_negative = max(row.values())
+                verdicts[(positive > best_negative) - (positive < best_negative)] += 1
+        assert min(verdicts[v] for v in (1, 0, -1)) > 500, verdicts
+
+    def test_first_error_matches_reference(self):
+        rng = random.Random(43)
+        first = Counter()
+        for _ in range(2_000):
+            instances, scores = random_instance_set(rng)
+            for _ in range(rng.randint(1, 2)):
+                add_fault(rng, instances, scores)
+            expected = outcome(naive_contrastive_accuracy, instances, scores)
+            assert outcome(contrastive_accuracy, iter(instances), iter(scores)) == expected
+            if isinstance(expected, str):
+                first[next(fault for fault in FAULTS if fault in expected)] += 1
+        assert set(first) == set(FAULTS), first
+        assert min(first.values()) > 100, first
 
 
 class TestBigramModel:

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -108,6 +109,21 @@ class TestSegmenter:
             assert Counter("".join(out).replace(" ", "")) == Counter(
                 paragraph.replace(" ", "")
             )
+
+    def test_time_grows_linearly_with_one_paragraph(self):
+        # Copying the text up to each boundary made this quadratic: 8 times
+        # the text took about 30 times as long.
+        def best_of_3(n):
+            paragraph = "a b. " * n
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                segment_sentences([paragraph])
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        short, long = best_of_3(20_000), best_of_3(160_000)
+        assert long < 20 * short, (short, long)
 
 
 # Pieces of the texts compared with the reference segmenter: every

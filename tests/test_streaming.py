@@ -1,6 +1,7 @@
 """The build commands (clean, mr-split, oversample) stream from reader to
 writer: they fail cleanly part-way through a file, and their memory does
-not grow with the corpus."""
+not grow with the corpus. ``contrastive`` streams its instances: its
+memory does not grow with the candidate texts."""
 
 import contextlib
 import io
@@ -67,4 +68,35 @@ def test_peak_memory_does_not_grow_with_the_corpus(command, tmp_path, monkeypatc
     for n_docs in (25, 100):
         write_corpus(tmp_path / "in.jsonl", n_docs, n_sentences=32, width=40)
         peaks.append(traced_peak(BUILD_STEPS[command]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def write_contrastive(directory, n_instances, width):
+    """``n_instances`` instances of three candidates of about ``width``
+    characters each, and a score for every candidate."""
+    with open(directory / "inst.jsonl", "w", encoding="utf-8") as handle:
+        for i in range(n_instances):
+            candidates = [f"{j} {'c' * width}" for j in range(3)]
+            handle.write(json.dumps({
+                "instance_id": f"i{i}", "source": f"source {i}", "candidates": candidates,
+                "positive_index": i % 3, "phenomenon": ["deixis", "lex.c"][i % 2],
+            }) + "\n")
+    with open(directory / "sc.jsonl", "w", encoding="utf-8") as handle:
+        for i in range(n_instances):
+            for j in range(3):
+                row = {"instance_id": f"i{i}", "candidate_index": j, "score": float(j)}
+                handle.write(json.dumps(row) + "\n")
+
+
+def test_contrastive_peak_memory_does_not_grow_with_the_candidates(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl",
+            "--out", "acc.jsonl"]
+    write_contrastive(tmp_path, 20, 10)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0  # first-call allocations are not the instances'
+    peaks = []
+    for width in (10, 2000):
+        write_contrastive(tmp_path, 2000, width)
+        peaks.append(traced_peak(argv))
     assert peaks[1] < 1.5 * peaks[0], peaks
