@@ -113,11 +113,6 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 def _cmd_clean(args: argparse.Namespace) -> None:
     _distinct_outputs({"--out": args.out, "--report": args.report})
     metadata, documents = corpus_io.read_record_stream(args.input)
-    scores = (
-        pipeline.read_alignment_scores(args.align_scores)
-        if args.align_scores
-        else None
-    )
     report = pipeline.CleanReport()
     cleaned = pipeline.clean_records(
         documents,
@@ -125,10 +120,17 @@ def _cmd_clean(args: argparse.Namespace) -> None:
         dedup=args.dedup,
         segment=args.segment,
         punct_filler=args.fix_punct,
-        scores=scores,
+        scores=(
+            (lambda: pipeline.read_score_table(args.align_scores))
+            if args.align_scores
+            else None
+        ),
         threshold=args.align_threshold,
     )
-    kept, digest = corpus_io.write_record_stream(args.out, metadata, cleaned)
+    try:
+        kept, digest = corpus_io.write_record_stream(args.out, metadata, cleaned)
+    except corpus_io.ScoreError as exc:
+        raise ValueError(f"{args.align_scores}: {exc}") from None
     outputs = {args.out: digest}
     if args.report:
         outputs[args.report] = corpus_io.write_jsonl(args.report, report.records())
@@ -255,7 +257,7 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
     scores = harness.read_candidate_scores(args.scores)
     try:
         results = harness.contrastive_accuracy(instances, scores)
-    except harness.ScoreError as exc:
+    except corpus_io.ScoreError as exc:
         raise ValueError(f"{args.scores}: {exc}") from None
     if not results:
         raise ValueError(f"{args.instances}: no instances")

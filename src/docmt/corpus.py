@@ -49,6 +49,8 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Type
 T = TypeVar("T")
 
 _HEADER_RE = re.compile(r"^#\s*doc_id:\s*(\S+)\s*$")
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def _ordinal_id(index: int) -> str:
@@ -172,6 +174,11 @@ class Record(NamedTuple):
     aligned: bool
 
 
+class ScoreError(ValueError):
+    """Scores that do not fit what they score: a score for an unknown
+    item, a second score for one item, or an item left without a score."""
+
+
 def require_aligned(pd: ParallelDocument) -> ParallelDocument:
     """``pd``, which must be sentence-aligned."""
     if not pd.aligned:
@@ -252,15 +259,26 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> Iterat
     """Parse each non-blank line of a JSON-lines file with ``parse``, one
     line at a time, as the iterator reaches it.
 
-    A line that is not JSON, or that ``parse`` rejects with ``KeyError``,
-    ``TypeError`` or ``ValueError``, raises ``ValueError`` with the message
-    ``"{path}: malformed {what} on line {n}: {why}"``.
+    A line that is not JSON, that escapes a lone surrogate (``\\ud800``
+    with no low surrogate after it, or a low one with no high one before
+    it), or that ``parse`` rejects with ``KeyError``, ``TypeError`` or
+    ``ValueError``, raises ``ValueError`` with the message
+    ``"{path}: malformed {what} on line {n}: {why}"``. So every string
+    read is valid Unicode and encodes as UTF-8.
     """
     for lineno, raw in read_lines(path, what):
         if not raw.strip():
             continue
         try:
-            row = parse(json.loads(raw))
+            value = json.loads(raw)
+            # A surrogate left in a decoded string was escaped alone; a
+            # pair was joined into one code point. Only lines that hold a
+            # backslash (one memchr) and escape a surrogate are searched.
+            if "\\" in raw and _SURROGATE_ESCAPE_RE.search(raw):
+                lone = _SURROGATE_RE.search(json.dumps(value, ensure_ascii=False))
+                if lone:
+                    raise ValueError(f"lone surrogate \\u{ord(lone.group()):04x}")
+            row = parse(value)
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
             raise ValueError(
                 f"{path}: malformed {what} on line {lineno}: {exc}"
@@ -272,7 +290,8 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each line of a UTF-8 text file.
 
     Lines end at ``\n`` only; a ``\r\n`` ending reads as ``\n``, and any
-    other ``\r`` raises ``ValueError``, as does invalid UTF-8:
+    other ``\r`` raises ``ValueError``, as do invalid UTF-8 and a byte
+    order mark (U+FEFF) at the start of the file:
     ``"{path}: malformed {what} on line {n}: {why}"``. Each line is
     decoded on its own, so a decoding error's position is a byte offset
     inside that line.
@@ -285,6 +304,10 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
                 raise ValueError(
                     f"{path}: malformed {what} on line {lineno}: {exc}"
                 ) from None
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise ValueError(
+                    f"{path}: malformed {what} on line 1: byte order mark (U+FEFF)"
+                )
             if "\r" in line:
                 if not line.endswith("\r\n") or "\r" in line[:-2]:
                     raise ValueError(

@@ -24,6 +24,7 @@ from .corpus import (
     Document,
     ParallelCorpus,
     ParallelDocument,
+    ScoreError,
     field_of,
     finite_of,
     read_jsonl,
@@ -179,10 +180,6 @@ def unshuffle(
             inverse[orig_doc][orig_index] = (pd.doc_id, position)
     # Equal lengths and no slot assigned twice leave no slot unassigned.
     return _rearrange(corpus, [inverse[pd.doc_id] for pd in corpus])[0]
-
-
-class ScoreError(ValueError):
-    """Candidate scores that do not fit the instances they are scored against."""
 
 
 def contrastive_accuracy(

@@ -9,16 +9,18 @@ a time; the corpus-level functions wrap it.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import (
     Document,
     ParallelCorpus,
     ParallelDocument,
     Record,
+    ScoreError,
     field_of,
     finite_of,
     read_jsonl,
@@ -78,13 +80,19 @@ class CleanReport:
         return rows
 
 
-def _fingerprint(sentences: Sequence[str]) -> str:
-    # Lowercase and collapse whitespace runs; punctuation stays significant.
-    return " ".join(" ".join(sentences).lower().split())
+def _fingerprint(sentences: Sequence[str]) -> bytes:
+    """The 128-bit BLAKE2b digest of the source text, lowercased and with
+    whitespace runs collapsed; punctuation stays significant. Two texts
+    share a digest by chance with probability 2**-128, so n documents
+    hold any false duplicate with probability about n**2 / 2**129."""
+    text = " ".join(" ".join(sentences).lower().split())
+    # surrogatepass: a document built in code may hold a lone surrogate.
+    data = text.encode("utf-8", "surrogatepass")
+    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 def _deduplicated(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
-    seen: set[str] = set()
+    seen: set[bytes] = set()
     for record in records:
         key = _fingerprint(record.src)
         if key in seen:
@@ -168,32 +176,56 @@ def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
     return Document(doc.doc_id, _punctuated(doc.sentences, filler))
 
 
+# Alignment scores by document: doc_id -> pair_index -> score. One doc_id
+# string is held per document, not one per scored pair.
+ScoreTable = dict[str, dict[int, float]]
+
+
+def _entered(table: ScoreTable, score: AlignmentScore) -> bool:
+    """Put ``score`` in ``table``; False, with ``table`` left as it was,
+    when its pair has a score already."""
+    pairs = table.setdefault(score.doc_id, {})
+    if score.pair_index in pairs:
+        return False
+    pairs[score.pair_index] = score.score
+    return True
+
+
+def _score_table(scores: Iterable[AlignmentScore]) -> ScoreTable:
+    table: ScoreTable = {}
+    for score in scores:
+        if not _entered(table, score):
+            raise ScoreError(
+                f"duplicate score for document {score.doc_id!r}, "
+                f"pair {score.pair_index}"
+            )
+    return table
+
+
 def _alignment_filtered(
     records: Iterable[Record],
-    scores: Iterable[AlignmentScore],
+    scores: Callable[[], ScoreTable],
     threshold: float,
     removed: dict[str, list[int]],
 ) -> Iterator[Record]:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold out of [0, 1]: {threshold}")
-    table: dict[tuple[str, int], float] = {}
-    for score in scores:
-        key = (score.doc_id, score.pair_index)
-        if key in table:
-            raise ValueError(
-                f"duplicate score for document {score.doc_id!r}, "
-                f"pair {score.pair_index}"
-            )
-        table[key] = score.score
+    table = scores()
     # A score no document claims is reported before a missing score, and
     # is known only after the last document, so a missing score stops
-    # the output but is raised only then.
-    pair_counts: dict[str, int] = {}
+    # the output but is raised only then. A document leaves the table as
+    # it passes, unless some of its scores are unclaimed; those stay in
+    # place, and ``unclaimed`` keeps the document's pair count.
+    unclaimed: dict[str, int] = {}
     missing: str | None = None
     for record in records:
         n_pairs = len(record.src) if record.aligned else 0
-        pair_counts[record.doc_id] = n_pairs
-        doc_scores = [table.pop((record.doc_id, i), None) for i in range(n_pairs)]
+        pairs = table.get(record.doc_id, {})
+        doc_scores = [pairs.pop(i, None) for i in range(n_pairs)]
+        if pairs:
+            unclaimed[record.doc_id] = n_pairs
+        else:
+            table.pop(record.doc_id, None)
         if None in doc_scores:
             missing = missing or (
                 f"missing score for document {record.doc_id!r}, "
@@ -205,15 +237,17 @@ def _alignment_filtered(
                 removed[record.doc_id] = offending
             else:
                 yield record
-    for doc_id, index in table:
-        if doc_id not in pair_counts:
-            raise ValueError(f"score for unknown document {doc_id!r}")
-        raise ValueError(
-            f"score for unknown pair {index} of document {doc_id!r} "
-            f"({pair_counts[doc_id]} pairs)"
+    # The first document, in the order the scores first name them, that
+    # holds an unclaimed score is reported.
+    for doc_id, pairs in table.items():
+        if doc_id not in unclaimed:
+            raise ScoreError(f"score for unknown document {doc_id!r}")
+        raise ScoreError(
+            f"score for unknown pair {next(iter(pairs))} of document {doc_id!r} "
+            f"({unclaimed[doc_id]} pairs)"
         )
     if missing is not None:
-        raise ValueError(missing)
+        raise ScoreError(missing)
 
 
 def filter_by_alignment(
@@ -230,13 +264,16 @@ def filter_by_alignment(
     offending pair indices.
     """
     removed: dict[str, list[int]] = {}
-    kept = _alignment_filtered((doc.record for doc in corpus), scores, threshold, removed)
+    kept = _alignment_filtered(
+        (doc.record for doc in corpus), lambda: _score_table(scores), threshold, removed
+    )
     return corpus.derive(ParallelDocument.of(*r) for r in kept), removed
 
 
-def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
-    """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
-    seen: set[tuple[str, int]] = set()
+def _score_parser(table: ScoreTable) -> Callable[[dict], AlignmentScore]:
+    """A ``read_jsonl`` parser of alignment-score lines that enters each
+    score in ``table``, so a pair scored twice is reported at the line
+    that repeats it."""
 
     def parse(record: dict) -> AlignmentScore:
         score = AlignmentScore(
@@ -244,13 +281,25 @@ def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
             field_of(record, "pair_index", int),
             finite_of(record, "score"),
         )
-        key = (score.doc_id, score.pair_index)
-        if key in seen:
-            raise ValueError(f"duplicate score for {key}")
-        seen.add(key)
+        if not _entered(table, score):
+            raise ValueError(f"duplicate score for {(score.doc_id, score.pair_index)}")
         return score
 
-    return read_jsonl(path, parse, "score")
+    return parse
+
+
+def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
+    """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
+    return read_jsonl(path, _score_parser({}), "score")
+
+
+def read_score_table(path: str | Path) -> ScoreTable:
+    """A JSON-lines alignment-score file as one ``ScoreTable``, read one
+    line at a time; the table is the only copy of the scores held."""
+    table: ScoreTable = {}
+    for _ in read_jsonl(path, _score_parser(table), "score"):
+        pass
+    return table
 
 
 def clean_records(
@@ -260,7 +309,7 @@ def clean_records(
     dedup: bool = False,
     segment: bool = False,
     punct_filler: str | None = None,
-    scores: Iterable[AlignmentScore] | None = None,
+    scores: Callable[[], ScoreTable] | None = None,
     threshold: float = 0.40,
 ) -> Iterator[Record]:
     """The enabled cleaning stages over ``documents``, one document at a
@@ -272,8 +321,11 @@ def clean_records(
     which case the alignment flag is re-derived from the new counts; a
     document that was aligned before re-segmentation and is not after is
     dropped (``removed_unaligned``).
-    Alignment scores must cover the documents as they stand after the
-    earlier stages exactly.
+    ``scores`` returns the alignment scores (``read_score_table``); it is
+    called once, after ``threshold`` is checked, when the first record is
+    asked for. The scores must cover the documents as they stand after
+    the earlier stages exactly; a score that does not fit raises
+    ``ScoreError``.
     """
     records: Iterator[Record] = (doc.record for doc in documents)
     if dedup:
@@ -316,7 +368,7 @@ def clean_corpus(
         dedup=dedup,
         segment=segment,
         punct_filler=punct_filler,
-        scores=scores,
+        scores=None if scores is None else lambda: _score_table(scores),
         threshold=threshold,
     )
     return corpus.derive(ParallelDocument.of(*r) for r in records), report

@@ -6,9 +6,10 @@ import math
 import random
 import unicodedata
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from docmt import (
+    AlignmentScore,
     CandidateScore,
     ContrastiveInstance,
     Document,
@@ -17,6 +18,7 @@ from docmt import (
     ParallelDocument,
     TokenizerConfig,
 )
+from docmt.corpus import Record
 from docmt.harness import OVERALL
 from docmt.pipeline import DEFAULT_GUARDS, DEFAULT_QUOTE_CLOSERS, DEFAULT_TERMINALS
 
@@ -207,3 +209,66 @@ def naive_contrastive_accuracy(
         )
         for phenomenon, count in total.items()
     }
+
+
+def naive_deduplicated(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
+    """Reference dedup: keeps each document's whole normalized source text
+    (lowercased, whitespace runs collapsed) and compares the texts."""
+    seen: set[str] = set()
+    for record in records:
+        key = " ".join(" ".join(record.src).lower().split())
+        if key in seen:
+            removed.append(record.doc_id)
+        else:
+            seen.add(key)
+            yield record
+
+
+def naive_alignment_filtered(
+    records: Iterable[Record],
+    scores: Iterable[AlignmentScore],
+    threshold: float,
+    removed: dict[str, list[int]],
+) -> Iterator[Record]:
+    """Reference alignment filter: one ``(doc_id, pair_index)`` table of
+    every score, and the pair count of every document that passed."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold out of [0, 1]: {threshold}")
+    table: dict[tuple[str, int], float] = {}
+    for score in scores:
+        key = (score.doc_id, score.pair_index)
+        if key in table:
+            raise ValueError(
+                f"duplicate score for document {score.doc_id!r}, "
+                f"pair {score.pair_index}"
+            )
+        table[key] = score.score
+    # A score no document claims is reported before a missing score, and
+    # is known only after the last document, so a missing score stops
+    # the output but is raised only then.
+    pair_counts: dict[str, int] = {}
+    missing: str | None = None
+    for record in records:
+        n_pairs = len(record.src) if record.aligned else 0
+        pair_counts[record.doc_id] = n_pairs
+        doc_scores = [table.pop((record.doc_id, i), None) for i in range(n_pairs)]
+        if None in doc_scores:
+            missing = missing or (
+                f"missing score for document {record.doc_id!r}, "
+                f"pair {doc_scores.index(None)}"
+            )
+        elif missing is None:
+            offending = [i for i, score in enumerate(doc_scores) if score < threshold]
+            if offending:
+                removed[record.doc_id] = offending
+            else:
+                yield record
+    for doc_id, index in table:
+        if doc_id not in pair_counts:
+            raise ValueError(f"score for unknown document {doc_id!r}")
+        raise ValueError(
+            f"score for unknown pair {index} of document {doc_id!r} "
+            f"({pair_counts[doc_id]} pairs)"
+        )
+    if missing is not None:
+        raise ValueError(missing)

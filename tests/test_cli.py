@@ -357,6 +357,7 @@ INSTANCES = (
     '"positive_index":0,"phenomenon":"deixis"}\n'
 )
 SCORE = '{"instance_id":"i0","candidate_index":0,"score":1.0}\n'
+ALIGN = '{"doc_id":"d0","pair_index":0,"score":0.9}\n'
 TCP_REF = "he went home and slept.\n"
 LABEL = '{"doc_id":"000000","word":"he","position":0,"category":"PRON"}\n'
 
@@ -501,6 +502,62 @@ MALFORMED = {
         {"x.txt": "0\n1\r2\n", "y.txt": "1\n2\n"},
         ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt",
         "malformed number on line 2: carriage return",
+    ),
+    "doc-text starts with a byte order mark": (
+        {"hyp.txt": "\ufeff# doc_id: a\nHello.\n", "ref.txt": "# doc_id: a\nHello.\n"},
+        ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt", "--level", "doc"], "hyp.txt",
+        "malformed doc-text on line 1: byte order mark (U+FEFF)",
+    ),
+    "records start with a byte order mark": (
+        {"in.jsonl": "\ufeff" + RECORD},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl"], "in.jsonl",
+        "malformed record on line 1: byte order mark (U+FEFF)",
+    ),
+    "alignment scores start with a byte order mark": (
+        {"in.jsonl": RECORD, "s.jsonl": "\ufeff" + ALIGN},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "malformed score on line 1: byte order mark (U+FEFF)",
+    ),
+    "number column starts with a byte order mark": (
+        {"x.txt": "\ufeff1\n2\n3\n", "y.txt": "1\n2\n3\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"], "x.txt",
+        "malformed number on line 1: byte order mark (U+FEFF)",
+    ),
+    "record escapes a lone high surrogate": (
+        {"in.jsonl": RECORD + '{"doc_id":"d1","src":["a\\ud800."],"tgt":["b."]}\n'},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--dedup"], "in.jsonl",
+        "malformed record on line 2: lone surrogate \\ud800",
+    ),
+    "record escapes a high surrogate before a high one": (
+        {"in.jsonl": '{"doc_id":"d0","src":["\\uD83D\\uD83D."],"tgt":["b."]}\n'},
+        ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl", "--mode", "local",
+         "--seed", "1"], "in.jsonl", "malformed record on line 1: lone surrogate \\ud83d",
+    ),
+    "alignment score escapes a lone low surrogate": (
+        {"in.jsonl": RECORD,
+         "s.jsonl": ALIGN + '{"doc_id":"\\uDC00","pair_index":0,"score":0.9}\n'},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "malformed score on line 2: lone surrogate \\udc00",
+    ),
+    "clean score for an unknown document": (
+        {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN.replace("d0", "dX")},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "score for unknown document 'dX'",
+    ),
+    "clean score for an unknown pair": (
+        {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN.replace('"pair_index":0', '"pair_index":1')},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "score for unknown pair 1 of document 'd0' (1 pairs)",
+    ),
+    "clean pair without a score": (
+        {"in.jsonl": RECORD, "s.jsonl": ""},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "missing score for document 'd0', pair 0",
+    ),
+    "clean pair scored twice": (
+        {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "malformed score on line 2: duplicate score for ('d0', 0)",
     ),
 }
 

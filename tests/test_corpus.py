@@ -268,6 +268,20 @@ class TestLineEndings:
             read_docs(tmp_path / "s")
 
 
+class TestTextRule:
+    def test_escaped_surrogate_pairs_read_as_one_code_point(self, tmp_path):
+        write(tmp_path / "r",
+              '{"doc_id":"d0","src":["\\ud83d\\ude00."],"tgt":["\\uD83D\\uDE00."]}\n'
+              '{"doc_id":"d1","src":["\\\\ud800."],"tgt":["b."]}\n')
+        first, second = read_records(tmp_path / "r")
+        assert first.source.sentences == first.target.sentences == ("\U0001f600.",)
+        assert second.source.sentences == ("\\ud800.",)  # an escaped backslash, then text
+
+    def test_a_byte_order_mark_past_the_first_line_is_text(self, tmp_path):
+        write(tmp_path / "s", "a.\n\ufeffb.\n")
+        assert read_docs(tmp_path / "s")[0].sentences == ("a.", "\ufeffb.")
+
+
 def random_text(rng: random.Random) -> str:
     """A short string mixing the characters JSON escapes or special-cases
     (C0 controls, quote, backslash, DEL, U+2028/U+2029, BOM) with letters

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 import time
 from collections import Counter
@@ -15,14 +18,26 @@ from docmt import (
     filter_by_alignment,
     segment_sentences,
 )
-from docmt.corpus import write_jsonl
+from docmt.cli import dispatch
+from docmt.corpus import encode_record, write_jsonl, write_records
 from docmt.pipeline import (
     DEFAULT_GUARDS,
     DEFAULT_QUOTE_CLOSERS,
     DEFAULT_TERMINALS,
+    CleanReport,
+    _score_table,
+    clean_records,
     read_alignment_scores,
+    read_score_table,
 )
-from helpers import make_corpus, naive_split_paragraph, random_corpus
+from helpers import (
+    VOCAB,
+    make_corpus,
+    naive_alignment_filtered,
+    naive_deduplicated,
+    naive_split_paragraph,
+    random_corpus,
+)
 
 
 def pair(doc_id, src, tgt=None):
@@ -325,3 +340,204 @@ class TestCleanPipeline:
         corpus = ParallelCorpus((pair("d0", ("x",)), pair("d1", ("x",))))
         _, report = clean_corpus(corpus, dedup=True)
         assert report.records() == [{"stage": "deduplicate", "doc_id": "d1"}]
+
+
+def near_duplicate(rng, src):
+    """``src`` changed in case, in whitespace runs, in where its sentences
+    break (all of which dedup normalizes away), or in punctuation (which
+    it does not)."""
+    words = " ".join(src).split()
+    kinds = rng.sample(["case", "space", "split", "punct"], rng.randint(1, 2))
+    if "case" in kinds:
+        words = [w.upper() if rng.random() < 0.4 else w.title() for w in words]
+    if "punct" in kinds:
+        i = rng.randrange(len(words))
+        words[i] = words[i].rstrip(".!?") + rng.choice([",", "!", "?", ";"])
+    cut = rng.randint(1, len(words)) if "split" in kinds else len(words)
+    parts = [words[:cut], words[cut:]] if cut < len(words) else [words]
+    gap = (lambda: rng.choice(["  ", "\t", " \u3000 "])) if "space" in kinds else (lambda: " ")
+    return tuple(gap().join(part) + (" " if "space" in kinds else "") for part in parts)
+
+
+def oracle_case(rng):
+    """Documents with near-duplicates, a score file written document by
+    document as an aligner writes it, a threshold, and some of these
+    faults: a pair scored twice, a score for an unknown document or an
+    unknown pair, a missing score, a threshold out of [0, 1]; returned
+    with the names of the faults put in."""
+    documents = []
+    for i in range(rng.randint(1, 8)):
+        if documents and rng.random() < 0.35:
+            src = near_duplicate(rng, rng.choice(documents).source.sentences)
+        else:
+            src = tuple(
+                " ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 4))) + "."
+                for _ in range(rng.randint(1, 4))
+            )
+        n_tgt = len(src) if rng.random() < 0.8 else rng.randint(1, 4)
+        tgt = tuple(f"t{i} {j}." for j in range(n_tgt))
+        documents.append(ParallelDocument.of(f"d{i}", src, tgt))
+    survivors = list(naive_deduplicated((d.record for d in documents), []))
+    groups = []
+    faults = []
+    for record in rng.sample(survivors, len(survivors)):
+        n_pairs = len(record.src) if record.aligned else 0
+        rows = [(record.doc_id, i, rng.choice([0.0, 0.2, 0.39, 0.4, 0.41, 0.8, 1.0]))
+                for i in rng.sample(range(n_pairs), n_pairs)]
+        groups.append(rows)
+    if rng.random() < 0.15:  # an unknown document: one dedup removed, or none at all
+        known = {r.doc_id for r in survivors}
+        doc_id = rng.choice([d.doc_id for d in documents if d.doc_id not in known] + ["zz"])
+        groups.insert(rng.randint(0, len(groups)),
+                      [(doc_id, i, 0.9) for i in range(rng.randint(1, 2))])
+        faults.append("unknown document")
+    if rng.random() < 0.15:  # an unknown pair, among its document's scores
+        record = rng.choice(survivors)
+        n_pairs = len(record.src) if record.aligned else 0
+        row = (record.doc_id, n_pairs + rng.randint(0, 2), 0.9)
+        group = next((g for g in groups if g and g[0][0] == record.doc_id), None)
+        if group is None:
+            groups.insert(rng.randint(0, len(groups)), [row])
+        else:
+            group.insert(rng.randint(0, len(group)), row)
+        faults.append("unknown pair")
+    if rng.random() < 0.2 and any(groups):  # a missing score
+        group = rng.choice([g for g in groups if g])
+        del group[rng.randrange(len(group))]
+        faults.append("missing")
+    rows = [row for group in groups for row in group]
+    if rng.random() < 0.15 and rows:  # a pair scored twice, the second time anywhere later
+        i = rng.randrange(len(rows))
+        rows.insert(rng.randint(i + 1, len(rows)), rows[i][:2] + (rng.random(),))
+        faults.append("duplicate")
+    threshold = rng.choice([0.0, 0.4, 0.4, 0.5, 1.0])
+    if rng.random() < 0.08:
+        threshold = rng.choice([-0.1, 1.5])
+        faults.append("threshold")
+    return documents, [AlignmentScore(*row) for row in rows], threshold, faults
+
+
+def drained(stream):
+    """The records ``stream`` yields, and the message it raises, if any."""
+    kept = []
+    try:
+        for record in stream:
+            kept.append(record)
+    except ValueError as exc:
+        return kept, str(exc)
+    return kept, None
+
+
+FAULTS = {
+    "threshold": "threshold out of",
+    "duplicate": "duplicate score",
+    "unknown document": "score for unknown document",
+    "unknown pair": "score for unknown pair",
+    "missing": "missing score",
+}
+
+
+class TestCompactCleanOracle:
+    """The digest dedup and the per-document score table against the
+    oracles that kept each normalized text and a key per scored pair.
+
+    Each document's scores are written together, as an aligner writes
+    them: where two documents hold unclaimed scores, the per-document
+    table reports the one whose scores come first, and the oracle the
+    first unclaimed line, so interleaved score files are left to
+    ``test_unclaimed_scores_are_reported_by_document``."""
+
+    def test_matches_oracles_on_seeded_cases(self):
+        rng = random.Random(11)
+        first = Counter()
+        for _ in range(2000):
+            documents, scores, threshold, faults = oracle_case(rng)
+            report = CleanReport()
+            got = drained(clean_records(
+                documents, report, dedup=True,
+                scores=lambda: _score_table(scores), threshold=threshold,
+            ))
+            expected_report = CleanReport()
+            expected = drained(naive_alignment_filtered(
+                naive_deduplicated(
+                    (d.record for d in documents), expected_report.removed_duplicates
+                ),
+                scores, threshold, expected_report.removed_misaligned,
+            ))
+            assert got == expected, (documents, scores, threshold)
+            assert report.records() == expected_report.records()
+            message = expected[1]
+            first[next((k for k, v in FAULTS.items() if message and message.startswith(v)),
+                       "none")] += 1
+            first["several faults"] += len(faults) > 1
+        assert all(first[fault] > 100 for fault in FAULTS), first
+        assert first["none"] > 100 and first["several faults"] > 100, first
+
+    def test_matches_oracles_through_the_cli(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(12)
+        for _ in range(200):
+            documents, scores, threshold, _ = oracle_case(rng)
+            for name in ("out.jsonl", "out.jsonl.manifest.json", "removed.jsonl"):
+                (tmp_path / name).unlink(missing_ok=True)
+            write_records(ParallelCorpus(tuple(documents)), "in.jsonl")
+            write_jsonl("s.jsonl", map(vars, scores))
+            report = CleanReport()
+            kept, message = drained(naive_alignment_filtered(
+                naive_deduplicated((d.record for d in documents), report.removed_duplicates),
+                scores, threshold, report.removed_misaligned,
+            ))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--dedup",
+                                 "--align-scores", "s.jsonl",
+                                 "--align-threshold", str(threshold),
+                                 "--report", "removed.jsonl"])
+            if message is None:
+                assert (code, err.getvalue()) == (0, "")
+                assert out.getvalue() == (
+                    f"kept {len(kept)} of {len(documents)} documents "
+                    f"({len(report.removed_duplicates)} duplicate, 0 unaligned, "
+                    f"{len(report.removed_misaligned)} misaligned)\n"
+                )
+                lines = (tmp_path / "out.jsonl").read_text(encoding="utf-8")
+                assert lines == "".join(map(encode_record, kept))
+                assert list(read_jsonl_rows(tmp_path / "removed.jsonl")) == report.records()
+                continue
+            if message.startswith("threshold"):
+                expected = f"error: {message}\n"
+            elif message.startswith("duplicate"):
+                keys = [(s.doc_id, s.pair_index) for s in scores]
+                line = next(i for i, key in enumerate(keys) if key in keys[:i]) + 1
+                expected = (f"error: s.jsonl: malformed score on line {line}: "
+                            f"duplicate score for {keys[line - 1]}\n")
+            else:
+                expected = f"error: s.jsonl: {message}\n"
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", expected)
+            assert not (tmp_path / "out.jsonl").exists()
+
+    def test_unclaimed_scores_are_reported_by_document(self):
+        # d0's scores come first, so its unclaimed pair is reported though
+        # the line scoring the unknown dX precedes that pair's line.
+        scores = [AlignmentScore("d0", 0, 0.9), AlignmentScore("dX", 0, 0.9),
+                  AlignmentScore("d0", 1, 0.9)]
+        with pytest.raises(ValueError, match=r"^score for unknown pair 1 of document "
+                                             r"'d0' \(1 pairs\)$"):
+            filter_by_alignment(ParallelCorpus((pair("d0", ("a",)),)), scores)
+
+    def test_cli_table_is_the_library_table(self, tmp_path):
+        rng = random.Random(13)
+        for _ in range(50):
+            _, scores, _, _ = oracle_case(rng)
+            keys = [(s.doc_id, s.pair_index) for s in scores]
+            if len(set(keys)) < len(keys):
+                continue
+            write_jsonl(tmp_path / "s.jsonl", map(vars, scores))
+            table = read_score_table(tmp_path / "s.jsonl")
+            assert table == _score_table(scores)
+            assert list(table) == list(dict.fromkeys(s.doc_id for s in scores))
+
+
+def read_jsonl_rows(path):
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]

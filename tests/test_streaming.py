@@ -1,7 +1,8 @@
 """The build commands (clean, mr-split, oversample) stream from reader to
 writer: they fail cleanly part-way through a file, and their memory does
-not grow with the corpus. ``contrastive`` streams its instances: its
-memory does not grow with the candidate texts."""
+not grow with the corpus (``clean`` keeps a fixed-size record per
+document, and one doc id per scored document). ``contrastive`` streams
+its instances: its memory does not grow with the candidate texts."""
 
 import contextlib
 import io
@@ -68,6 +69,46 @@ def test_peak_memory_does_not_grow_with_the_corpus(command, tmp_path, monkeypatc
     for n_docs in (25, 100):
         write_corpus(tmp_path / "in.jsonl", n_docs, n_sentences=32, width=40)
         peaks.append(traced_peak(BUILD_STEPS[command]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_clean_peak_memory_does_not_grow_with_the_documents(tmp_path, monkeypatch):
+    # Dedup holds a fixed-size digest per document, not its text.
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path / "in.jsonl", 3, n_sentences=32, width=40)
+    assert dispatch(BUILD_STEPS["clean"]) == 0  # first-call allocations are not the corpus's
+    peaks = []
+    for n_docs in (25, 400):
+        write_corpus(tmp_path / "in.jsonl", n_docs, n_sentences=32, width=40)
+        peaks.append(traced_peak(BUILD_STEPS["clean"]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def write_scored_corpus(directory, n_docs, n_pairs, id_width):
+    """``n_docs`` documents of ``n_pairs`` sentence pairs, with doc ids of
+    ``id_width`` characters, and a score for every pair."""
+    ids = [f"{i:0{id_width}d}" for i in range(n_docs)]
+    with open(directory / "in.jsonl", "w", encoding="utf-8") as handle:
+        for doc_id in ids:
+            sentences = [f"s{j}." for j in range(n_pairs)]
+            handle.write(json.dumps({"doc_id": doc_id, "src": sentences, "tgt": sentences}) + "\n")
+    with open(directory / "s.jsonl", "w", encoding="utf-8") as handle:
+        for doc_id in ids:
+            for j in range(n_pairs):
+                row = {"doc_id": doc_id, "pair_index": j, "score": 0.9}
+                handle.write(json.dumps(row) + "\n")
+
+
+def test_clean_score_table_holds_one_doc_id_per_document(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"]
+    write_scored_corpus(tmp_path, 3, 10, 10)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0  # first-call allocations are not the scores'
+    peaks = []
+    for id_width in (10, 1000):
+        write_scored_corpus(tmp_path, 50, 100, id_width)
+        peaks.append(traced_peak(argv))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
