@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+# Every command reads or writes through corpus; each handler imports the
+# stage module it runs, so a step loads only the layers it uses.
 from . import corpus as corpus_io
-from . import harness, metrics, mrsplit, pipeline
 
 _COLUMNS = ("d-BLEU", "TC", "CP", "PT")
 
@@ -111,6 +112,7 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 
 
 def _cmd_clean(args: argparse.Namespace) -> None:
+    from . import pipeline
     _distinct_outputs({"--out": args.out, "--report": args.report})
     metadata, documents = corpus_io.read_record_stream(args.input)
     report = pipeline.CleanReport()
@@ -148,6 +150,7 @@ def _cmd_clean(args: argparse.Namespace) -> None:
 
 
 def _cmd_mr_split(args: argparse.Namespace) -> None:
+    from . import mrsplit
     metadata, documents = corpus_io.read_record_stream(args.input)
     cfg = mrsplit.MRConfig(
         include_singletons=not args.no_singletons, joiner=args.joiner
@@ -161,6 +164,7 @@ def _cmd_mr_split(args: argparse.Namespace) -> None:
 
 
 def _cmd_oversample(args: argparse.Namespace) -> None:
+    from . import mrsplit
     metadata, documents = corpus_io.read_record_stream(args.input)
     replicas = mrsplit.oversample_records(documents, args.factor)
     written, digest = corpus_io.write_record_stream(args.out, metadata, replicas)
@@ -169,8 +173,12 @@ def _cmd_oversample(args: argparse.Namespace) -> None:
 
 
 def _cmd_bucket(args: argparse.Namespace) -> None:
+    from . import mrsplit
+    try:
+        budgets = [int(b) for b in args.budgets.split(",") if b]
+    except ValueError as exc:
+        raise ValueError(f"--budgets: {exc}") from None
     corpus = corpus_io.read_records(args.input)
-    budgets = [int(b) for b in args.budgets.split(",") if b]
     buckets = mrsplit.bucket_by_length(corpus, budgets)
     outputs = {}
     for budget, bucket in buckets.items():
@@ -181,6 +189,7 @@ def _cmd_bucket(args: argparse.Namespace) -> None:
 
 
 def _cmd_bleu(args: argparse.Namespace) -> None:
+    from . import metrics
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     cfg = metrics.TokenizerConfig(lowercase=not args.cased)
@@ -195,6 +204,7 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
 
 
 def _cmd_tcp(args: argparse.Namespace) -> None:
+    from . import metrics
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     labeled = metrics.read_labeled_docs(ref, args.labels)
@@ -218,6 +228,8 @@ def _cmd_tcp(args: argparse.Namespace) -> None:
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
+    from . import metrics
+
     def read_column(path: str) -> list[float]:
         values = []
         for lineno, raw in corpus_io.read_lines(path, "number"):
@@ -239,6 +251,7 @@ def _cmd_pearson(args: argparse.Namespace) -> None:
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> None:
+    from . import harness
     args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
     _distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
     corpus = corpus_io.read_records(args.input)
@@ -253,6 +266,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
 
 
 def _cmd_contrastive(args: argparse.Namespace) -> None:
+    from . import harness, metrics
     instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
     try:
@@ -277,6 +291,7 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
+    from . import metrics
     rows = []
     for path in args.files:
         by_name = {r.name: r for r in metrics.read_reports(path)}
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bucket", help="re-cut documents under token budgets")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--budgets", required=True, help="comma-separated, ascending")
+    p.add_argument("--budgets", required=True, help="comma-separated, strictly ascending")
     p.set_defaults(func=_cmd_bucket)
 
     p = sub.add_parser("bleu", help="sentence- or document-level BLEU")

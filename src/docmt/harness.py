@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corpus import (
     Document,
@@ -31,7 +31,10 @@ from .corpus import (
     strings_of,
     write_jsonl,
 )
-from .metrics import MetricReport, tokenize
+
+# metrics is imported where it is used, so a shuffle does not load it.
+if TYPE_CHECKING:
+    from .metrics import MetricReport
 
 OVERALL = "overall"
 
@@ -198,6 +201,7 @@ def contrastive_accuracy(
     second score for a candidate, or a candidate left without one raises
     ``ScoreError``.
     """
+    from .metrics import MetricReport
     table: dict[str, tuple[str, int, list[float | None]]] = {}
     for inst in instances:
         if inst.instance_id in table:
@@ -258,6 +262,7 @@ class BigramModel:
 
     @classmethod
     def fit(cls, text: str) -> "BigramModel":
+        from .metrics import tokenize
         tokens = tokenize(text)
         unigrams: Counter = Counter(tokens)
         bigrams: Counter = Counter(zip(tokens, tokens[1:]))
@@ -271,6 +276,7 @@ class BigramModel:
 
     def score(self, text: str) -> float:
         """Total log-probability of the candidate's internal transitions."""
+        from .metrics import tokenize
         tokens = tokenize(text)
         if not tokens:
             raise ValueError("cannot score an empty candidate")

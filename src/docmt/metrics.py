@@ -12,7 +12,6 @@ gives BLEU 0.
 from __future__ import annotations
 
 import math
-import statistics
 import unicodedata
 import warnings
 from collections import Counter
@@ -312,6 +311,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("pearson needs at least two points")
+    import statistics  # costly to import, and used only here
     try:
         return statistics.correlation(xs, ys)
     except statistics.StatisticsError as exc:

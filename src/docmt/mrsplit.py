@@ -202,6 +202,8 @@ def bucket_by_length(
     budgets = list(token_budgets)
     if any(b < 1 for b in budgets):
         raise ValueError(f"token budgets must be positive: {budgets}")
+    if len(set(budgets)) < len(budgets):
+        raise ValueError(f"token budgets must not repeat: {budgets}")
     if budgets != sorted(budgets):
         raise ValueError(f"token budgets must be ascending: {budgets}")
     buckets: dict[int, ParallelCorpus] = {}

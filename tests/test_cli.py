@@ -213,6 +213,21 @@ class TestOversampleAndBucket:
         assert len(small) >= len(large)
         assert (tmp_path / "bucket.b4.jsonl.manifest.json").exists()
 
+    def test_bucket_rejects_a_repeated_budget(self, corpus_file, tmp_path, capsys):
+        prefix = tmp_path / "bucket"
+        assert run("bucket", "--in", corpus_file, "--out-prefix", prefix, "--budgets", "10,10") == 1
+        assert capsys.readouterr().err == "error: token budgets must not repeat: [10, 10]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_bucket_budget_that_is_not_a_number_names_the_flag(
+        self, corpus_file, tmp_path, capsys
+    ):
+        prefix = tmp_path / "bucket"
+        assert run("bucket", "--in", corpus_file, "--out-prefix", prefix, "--budgets", "abc") == 1
+        assert capsys.readouterr().err == (
+            "error: --budgets: invalid literal for int() with base 10: 'abc'\n"
+        )
+
 
 class TestMetricsCommands:
     def test_bleu_identity_prints_100(self, tmp_path, capsys):

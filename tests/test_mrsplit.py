@@ -273,3 +273,5 @@ class TestBuckets:
             bucket_by_length(corpus, [64, 32])
         with pytest.raises(ValueError):
             bucket_by_length(corpus, [0, 2])
+        with pytest.raises(ValueError, match="must not repeat"):
+            bucket_by_length(corpus, [8, 8])
