@@ -37,7 +37,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for names in _EXPORTS.values() for name in names]
+# The layers too, so that ``from docmt import *`` binds them as it always has.
+__all__ = [*_EXPORTS, *_MODULE_OF]
 
 
 def __getattr__(name: str):
@@ -51,4 +52,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return sorted({*globals(), *__all__})

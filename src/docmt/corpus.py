@@ -218,14 +218,6 @@ class ParallelCorpus:
         return self.documents[index]
 
 
-def digest16(text: str) -> bytes:
-    """The 128-bit BLAKE2b digest of ``text``, a fixed-size stand-in for it
-    in a set. Two texts share a digest by chance with probability 2**-128,
-    so n texts hold any false repeat with probability about n**2 / 2**129."""
-    # surrogatepass: text built in code may hold a lone surrogate.
-    return hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
-
-
 def write_text(path: str | Path, chunks: Iterable[str]) -> str:
     """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines);
     returns the SHA-256 hex digest of the bytes written.
@@ -468,10 +460,9 @@ def read_record_stream(
     """Open a records file: its metadata, and its documents one at a time.
 
     The first line is read here; every later line is read and checked
-    when the iterator reaches it, so of the documents seen so far only a
-    16-byte digest of each id is held. A repeated doc_id raises
-    ``ValueError``, ``"{path}: duplicate doc_id 'x' in corpus"``, at the
-    line that repeats it.
+    when the iterator reaches it, so only the ids seen so far are held.
+    A repeated doc_id raises ``ValueError``, ``"{path}: duplicate doc_id
+    'x' in corpus"``, at the line that repeats it.
     """
     metadata: dict[str, str] = {}
     first = True
@@ -496,12 +487,11 @@ def read_record_stream(
     head = next(rows, None)  # None: a metadata line, or an empty file
 
     def documents() -> Iterator[ParallelDocument]:
-        seen: set[bytes] = set()
+        seen: set[str] = set()
         for doc in itertools.chain([] if head is None else [head], rows):
-            key = digest16(doc.doc_id)
-            if key in seen:
+            if doc.doc_id in seen:
                 raise ValueError(f"{path}: duplicate doc_id {doc.doc_id!r} in corpus")
-            seen.add(key)
+            seen.add(doc.doc_id)
             yield doc
 
     return metadata, documents()

@@ -9,6 +9,7 @@ a time; the corpus-level functions wrap it.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,6 @@ from .corpus import (
     ParallelDocument,
     Record,
     ScoreError,
-    digest16,
     field_of,
     finite_of,
     read_jsonl,
@@ -81,9 +81,14 @@ class CleanReport:
 
 
 def _fingerprint(sentences: Sequence[str]) -> bytes:
-    """The ``digest16`` of the source text, lowercased and with whitespace
-    runs collapsed; punctuation stays significant."""
-    return digest16(" ".join(" ".join(sentences).lower().split()))
+    """The 128-bit BLAKE2b digest of the source text, lowercased and with
+    whitespace runs collapsed; punctuation stays significant. Two texts
+    share a digest by chance with probability 2**-128, so n documents
+    hold any false duplicate with probability about n**2 / 2**129."""
+    text = " ".join(" ".join(sentences).lower().split())
+    # surrogatepass: a document built in code may hold a lone surrogate.
+    data = text.encode("utf-8", "surrogatepass")
+    return hashlib.blake2b(data, digest_size=16).digest()
 
 
 def _deduplicated(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:

@@ -112,19 +112,6 @@ def test_clean_score_table_holds_one_doc_id_per_document(tmp_path, monkeypatch):
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-def test_mr_split_holds_a_fixed_size_key_per_doc_id(tmp_path, monkeypatch):
-    # The reader checks doc ids for repeats by digest, not by the id text.
-    # 1,000 ids, so that the ids outweigh the manifest's 64 KiB hashing block.
-    monkeypatch.chdir(tmp_path)
-    write_scored_corpus(tmp_path, 3, 1, 10)
-    assert dispatch(BUILD_STEPS["mr-split"]) == 0  # first-call allocations are not the ids'
-    peaks = []
-    for id_width in (10, 1000):
-        write_scored_corpus(tmp_path, 1000, 1, id_width)
-        peaks.append(traced_peak(BUILD_STEPS["mr-split"]))
-    assert peaks[1] < 1.5 * peaks[0], peaks
-
-
 def write_contrastive(directory, n_instances, width):
     """``n_instances`` instances of three candidates of about ``width``
     characters each, and a score for every candidate."""
