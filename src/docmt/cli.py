@@ -254,15 +254,28 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
     from . import harness
     args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
     _distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
-    corpus = corpus_io.read_records(args.input)
+    metadata, documents = corpus_io.read_record_stream(args.input)
+    perms = harness.Permutations()
     if args.mode == "local":
-        shuffled, records = harness.local_shuffle(corpus, args.seed)
+        shuffled = harness.local_shuffle_records(documents, args.seed, perms)
     else:
-        shuffled, records = harness.global_shuffle(corpus, args.seed)
-    outputs = {args.out: corpus_io.write_records(shuffled, args.out)}
-    outputs[args.perm_out] = harness.write_permutation_records(records, args.perm_out)
+        again = corpus_io.read_record_stream(args.input)[1]
+        shuffled = harness.global_shuffle_records(
+            documents, again, args.seed, perms, args.input
+        )
+    outputs = dict.fromkeys([args.out, args.perm_out], "")
+
+    def shuffled_then_permutations():
+        yield from shuffled
+        # --out replaces its file only after this returns: a failure leaves neither.
+        records = perms.records()
+        outputs[args.perm_out] = harness.write_permutation_records(records, args.perm_out)
+
+    written, outputs[args.out] = corpus_io.write_record_stream(
+        args.out, metadata, shuffled_then_permutations()
+    )
     _manifest(args, [args.input], outputs)
-    print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")
+    print(f"wrote {written} documents ({args.mode} shuffle, seed {args.seed})")
 
 
 def _cmd_contrastive(args: argparse.Namespace) -> None:

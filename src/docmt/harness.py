@@ -6,24 +6,25 @@ Shuffles permute only the source side (targets stay fixed so perturbed
 sources can be evaluated against unchanged references); the returned
 records allow exact inversion or reference realignment. Each document
 draws from its own seed substream, so results do not depend on
-traversal order.
+traversal order. Each shuffle streams ``Record``s, keeping its
+permutations flat (``Permutations``), under a wrapper over whole corpora.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .corpus import (
-    Document,
     ParallelCorpus,
     ParallelDocument,
+    Record,
     ScoreError,
     field_of,
     finite_of,
@@ -49,6 +50,9 @@ class PermutationRecord:
 
     doc_id: str
     mapping: tuple[tuple[str, int], ...]
+
+
+Shuffled = tuple[ParallelCorpus, list[PermutationRecord]]
 
 
 @dataclass(frozen=True)
@@ -91,60 +95,100 @@ def _substream(seed: int, namespace: str) -> random.Random:
     return random.Random(f"{seed}:{namespace}")
 
 
-def _rearrange(
-    corpus: ParallelCorpus, mappings: Sequence[Sequence[tuple[str, int]]]
-) -> tuple[ParallelCorpus, list[PermutationRecord]]:
-    """Rebuild ``corpus`` so that position i of document d holds the source
-    sentence at slot ``mappings[d][i]`` (an original (doc_id, index))."""
-    sources = {pd.doc_id: pd.source.sentences for pd in corpus}
-    documents = []
-    records = []
-    for pd, mapping in zip(corpus, mappings):
-        sentences = tuple(sources[doc_id][i] for doc_id, i in mapping)
-        shuffled = Document(pd.doc_id, sentences)
-        documents.append(ParallelDocument(shuffled, pd.target, aligned=pd.aligned))
-        records.append(PermutationRecord(pd.doc_id, tuple(mapping)))
-    return corpus.derive(documents), records
+class Permutations:
+    """The permutation records of one shuffle, kept flat while its
+    documents stream. Source sentences are numbered corpus-wide in input
+    order: document ``d`` holds the numbers ``offsets[d]:offsets[d + 1]``,
+    and ``order[p]`` is the number of the sentence now at position ``p``."""
+
+    def __init__(self) -> None:
+        self.doc_ids: list[str] = []
+        self.offsets = array("q", [0])
+        self.order = array("q")
+
+    def records(self) -> Iterator[PermutationRecord]:
+        for d, doc_id in enumerate(self.doc_ids):
+            numbers = self.order[self.offsets[d] : self.offsets[d + 1]]
+            yield PermutationRecord(doc_id, tuple(map(self._slot, numbers)))
+
+    def _slot(self, number: int) -> tuple[str, int]:
+        d = bisect_right(self.offsets, number) - 1
+        return self.doc_ids[d], number - self.offsets[d]
 
 
-def local_shuffle(
-    corpus: ParallelCorpus, seed: int
-) -> tuple[ParallelCorpus, list[PermutationRecord]]:
-    """Permute source sentences independently inside each document.
-
-    Documents with at least two sentences never receive the identity
-    permutation (it is redrawn). Single-sentence documents pass through.
-    """
-    if not corpus.documents:
-        raise ValueError("cannot shuffle an empty corpus")
-    mappings = []
-    for ordinal, pd in enumerate(corpus):
-        m = len(pd.source)
-        perm = list(range(m))
-        if m >= 2:
+def local_shuffle_records(
+    documents: Iterable[ParallelDocument], seed: int, perms: Permutations
+) -> Iterator[Record]:
+    """Each document with its source sentences permuted, one at a time;
+    the permutations go to ``perms``. Documents with at least two
+    sentences never receive the identity permutation (it is redrawn)."""
+    for ordinal, pd in enumerate(documents):
+        sentences = pd.source.sentences
+        perm = list(range(len(sentences)))
+        if len(perm) >= 2:
             rng = _substream(seed, f"doc:{ordinal}")
             rng.shuffle(perm)
             while perm == sorted(perm):
                 rng.shuffle(perm)
-        mappings.append([(pd.doc_id, j) for j in perm])
-    return _rearrange(corpus, mappings)
-
-
-def global_shuffle(
-    corpus: ParallelCorpus, seed: int
-) -> tuple[ParallelCorpus, list[PermutationRecord]]:
-    """Pool all source sentences corpus-wide, permute, and redistribute.
-
-    Per-document sentence counts are preserved; sentences migrate across
-    documents.
-    """
-    if not corpus.documents:
+        perms.doc_ids.append(pd.doc_id)
+        perms.order.extend([perms.offsets[-1] + j for j in perm])
+        perms.offsets.append(len(perms.order))
+        shuffled = tuple(sentences[j] for j in perm)
+        yield Record(pd.doc_id, shuffled, pd.target.sentences, pd.aligned)
+    if not perms.doc_ids:
         raise ValueError("cannot shuffle an empty corpus")
-    pool = [(pd.doc_id, i) for pd in corpus for i in range(len(pd.source))]
-    # Shuffling the pool itself draws exactly what shuffling its indices would.
-    _substream(seed, "global").shuffle(pool)
-    slots = iter(pool)
-    return _rearrange(corpus, [list(islice(slots, len(pd.source))) for pd in corpus])
+
+
+def global_shuffle_records(
+    documents: Iterable[ParallelDocument],
+    again: Iterable[ParallelDocument],
+    seed: int,
+    perms: Permutations,
+    name: str,
+) -> Iterator[Record]:
+    """Pool all source sentences corpus-wide, permute, and redistribute;
+    per-document sentence counts are preserved. Of ``documents`` only the
+    sources are kept; ``again``, a second read of them, gives the targets
+    one document at a time, and a document that differs raises
+    ``ValueError`` naming ``name``."""
+    sources: list[str] = []
+    for pd in documents:
+        perms.doc_ids.append(pd.doc_id)
+        sources.extend(pd.source.sentences)
+        perms.offsets.append(len(sources))
+    if not perms.doc_ids:
+        raise ValueError("cannot shuffle an empty corpus")
+    perms.order = array("q", range(len(sources)))
+    # Shuffling the numbers draws exactly what shuffling the pool would.
+    _substream(seed, "global").shuffle(perms.order)
+    changed = f"{name}: document {{}} changed between two reads"
+    again = iter(again)
+    for d, doc_id in enumerate(perms.doc_ids):
+        start, end = perms.offsets[d], perms.offsets[d + 1]
+        pd = next(again, None)
+        first_read = (doc_id, sources[start:end])
+        if pd is None or (pd.doc_id, list(pd.source.sentences)) != first_read:
+            raise ValueError(changed.format(d))
+        shuffled = tuple(sources[number] for number in perms.order[start:end])
+        yield Record(doc_id, shuffled, pd.target.sentences, pd.aligned)
+    if next(again, None) is not None:
+        raise ValueError(changed.format(len(perms.doc_ids)))
+
+
+def local_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
+    """``local_shuffle_records`` over a whole corpus."""
+    perms = Permutations()
+    records = local_shuffle_records(corpus, seed, perms)
+    documents = [ParallelDocument.of(*record) for record in records]
+    return corpus.derive(documents), list(perms.records())
+
+
+def global_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
+    """``global_shuffle_records`` over a whole corpus."""
+    perms = Permutations()
+    records = global_shuffle_records(corpus, corpus, seed, perms, "corpus")
+    documents = [ParallelDocument.of(*record) for record in records]
+    return corpus.derive(documents), list(perms.records())
 
 
 def unshuffle(
@@ -155,7 +199,8 @@ def unshuffle(
         raise ValueError(
             f"record count {len(records)} != document count {len(corpus.documents)}"
         )
-    inverse: dict[str, list[tuple[str, int] | None]] = {
+    # doc_id -> its source sentences, put back in order
+    inverse: dict[str, list[str | None]] = {
         pd.doc_id: [None] * len(pd.source) for pd in corpus
     }
     for record, pd in zip(records, corpus):
@@ -180,9 +225,12 @@ def unshuffle(
                     f"records are not a bijection: slot ({orig_doc!r}, {orig_index}) "
                     "assigned twice"
                 )
-            inverse[orig_doc][orig_index] = (pd.doc_id, position)
+            inverse[orig_doc][orig_index] = pd.source.sentences[position]
     # Equal lengths and no slot assigned twice leave no slot unassigned.
-    return _rearrange(corpus, [inverse[pd.doc_id] for pd in corpus])[0]
+    return corpus.derive(
+        ParallelDocument.of(pd.doc_id, inverse[pd.doc_id], pd.target.sentences, pd.aligned)
+        for pd in corpus
+    )
 
 
 def contrastive_accuracy(
@@ -196,44 +244,55 @@ def contrastive_accuracy(
 
     Both arguments are read once, one item at a time: of each instance
     only its phenomenon, its positive index and one score slot per
-    candidate are kept, and instances are decided in input order once
-    every score is in. A score for an unknown instance or candidate, a
-    second score for a candidate, or a candidate left without one raises
-    ``ScoreError``.
+    candidate are kept, in flat columns (scores as 64-bit floats), and
+    instances are decided in input order once every score is in. A score
+    for an unknown instance or candidate, a second score for a candidate,
+    or a candidate left without one raises ``ScoreError``.
     """
     from .metrics import MetricReport
-    table: dict[str, tuple[str, int, list[float | None]]] = {}
+    rows: dict[str, int] = {}  # instance_id -> row, in input order
+    offsets = array("q", [0])  # row r's score slots are offsets[r]:offsets[r + 1]
+    positives = array("q")
+    codes = array("q")  # row -> index into phenomena
+    phenomena: dict[str, int] = {}
     for inst in instances:
-        if inst.instance_id in table:
+        if inst.instance_id in rows:
             raise ValueError("duplicate instance_id in instance list")
-        slots: list[float | None] = [None] * len(inst.candidates)
-        # One string per phenomenon, not one per instance.
-        phenomenon = sys.intern(inst.phenomenon)
-        table[inst.instance_id] = (phenomenon, inst.positive_index, slots)
+        rows[inst.instance_id] = len(positives)
+        positives.append(inst.positive_index)
+        codes.append(phenomena.setdefault(inst.phenomenon, len(phenomena)))
+        offsets.append(offsets[-1] + len(inst.candidates))
+    values = array("d", bytes(8 * offsets[-1]))
+    filled = bytearray(offsets[-1])  # 1 where a slot holds its score
     for score in scores:
-        entry = table.get(score.instance_id)
-        if entry is None:
+        row = rows.get(score.instance_id)
+        if row is None:
             raise ScoreError(f"score for unknown instance {score.instance_id!r}")
-        slots = entry[2]
-        if not 0 <= score.candidate_index < len(slots):
+        start = offsets[row]
+        if not 0 <= score.candidate_index < offsets[row + 1] - start:
             raise ScoreError(
                 f"score for unknown candidate {score.candidate_index} of instance "
                 f"{score.instance_id!r}"
             )
-        if slots[score.candidate_index] is not None:
+        slot = start + score.candidate_index
+        if filled[slot]:
             key = (score.instance_id, score.candidate_index)
             raise ScoreError(f"duplicate score for {key}")
-        slots[score.candidate_index] = score.score
+        filled[slot] = 1
+        values[slot] = score.score
+    names = list(phenomena)
     correct: Counter = Counter()
     total: Counter = Counter()
-    for instance_id, (phenomenon, positive_index, slots) in table.items():
-        if None in slots:
+    columns = zip(rows, offsets, offsets[1:], positives, codes)
+    for instance_id, start, end, positive_index, code in columns:
+        if (missing := filled.find(0, start, end)) >= 0:
             raise ScoreError(
-                f"missing score for candidate {slots.index(None)} of instance "
+                f"missing score for candidate {missing - start} of instance "
                 f"{instance_id!r}"
             )
-        positive = slots[positive_index]
-        hit = all(positive > s for i, s in enumerate(slots) if i != positive_index)
+        slot = start + positive_index
+        hit = all(values[slot] > values[i] for i in range(start, end) if i != slot)
+        phenomenon = names[code]
         total[phenomenon] += 1
         total[OVERALL] += 1
         if hit:
@@ -297,7 +356,9 @@ def read_instance_stream(path: str | Path) -> Iterator[ContrastiveInstance]:
     """The instances of a JSON-lines file, each read and checked when the
     iterator reaches its line; an ``instance_id`` that an earlier line
     gave is an error at the line that repeats it."""
-    seen: set[str] = set()
+    # A dict, not a set: below 50,000 entries a set grows 4-fold at each
+    # resize, so 20,000 ids take 2 MiB as a set and 0.4 MiB as a dict.
+    seen: dict[str, None] = {}
 
     def parse(record: dict) -> ContrastiveInstance:
         instance = ContrastiveInstance(
@@ -309,7 +370,7 @@ def read_instance_stream(path: str | Path) -> Iterator[ContrastiveInstance]:
         )
         if instance.instance_id in seen:
             raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
-        seen.add(instance.instance_id)
+        seen[instance.instance_id] = None
         return instance
 
     return read_jsonl(path, parse, "instance")

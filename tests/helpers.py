@@ -6,6 +6,7 @@ import math
 import random
 import unicodedata
 from collections import Counter
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from docmt import (
@@ -19,7 +20,7 @@ from docmt import (
     TokenizerConfig,
 )
 from docmt.corpus import Record
-from docmt.harness import OVERALL
+from docmt.harness import OVERALL, PermutationRecord
 from docmt.pipeline import DEFAULT_GUARDS, DEFAULT_QUOTE_CLOSERS, DEFAULT_TERMINALS
 
 VOCAB = "the a of and to in cat dog house tree river stone bird cloud ran sat".split()
@@ -272,3 +273,75 @@ def naive_alignment_filtered(
         )
     if missing is not None:
         raise ValueError(missing)
+
+
+def _naive_substream(seed: int, namespace: str) -> random.Random:
+    return random.Random(f"{seed}:{namespace}")
+
+
+def naive_rearrange(
+    corpus: ParallelCorpus, mappings: Sequence[Sequence[tuple[str, int]]]
+) -> tuple[ParallelCorpus, list[PermutationRecord]]:
+    """Rebuild ``corpus`` so that position i of document d holds the source
+    sentence at slot ``mappings[d][i]`` (an original (doc_id, index))."""
+    sources = {pd.doc_id: pd.source.sentences for pd in corpus}
+    documents = []
+    records = []
+    for pd, mapping in zip(corpus, mappings):
+        sentences = tuple(sources[doc_id][i] for doc_id, i in mapping)
+        shuffled = Document(pd.doc_id, sentences)
+        documents.append(ParallelDocument(shuffled, pd.target, aligned=pd.aligned))
+        records.append(PermutationRecord(pd.doc_id, tuple(mapping)))
+    return corpus.derive(documents), records
+
+
+def naive_local_shuffle(
+    corpus: ParallelCorpus, seed: int
+) -> tuple[ParallelCorpus, list[PermutationRecord]]:
+    """Reference local shuffle: holds the whole corpus and rebuilds it
+    from one list of (doc_id, index) slots per document."""
+    if not corpus.documents:
+        raise ValueError("cannot shuffle an empty corpus")
+    mappings = []
+    for ordinal, pd in enumerate(corpus):
+        m = len(pd.source)
+        perm = list(range(m))
+        if m >= 2:
+            rng = _naive_substream(seed, f"doc:{ordinal}")
+            rng.shuffle(perm)
+            while perm == sorted(perm):
+                rng.shuffle(perm)
+        mappings.append([(pd.doc_id, j) for j in perm])
+    return naive_rearrange(corpus, mappings)
+
+
+def naive_global_shuffle(
+    corpus: ParallelCorpus, seed: int
+) -> tuple[ParallelCorpus, list[PermutationRecord]]:
+    """Reference global shuffle: shuffles the pool of (doc_id, index)
+    slots itself and deals it out by the documents' sentence counts."""
+    if not corpus.documents:
+        raise ValueError("cannot shuffle an empty corpus")
+    pool = [(pd.doc_id, i) for pd in corpus for i in range(len(pd.source))]
+    _naive_substream(seed, "global").shuffle(pool)
+    slots = iter(pool)
+    return naive_rearrange(corpus, [list(islice(slots, len(pd.source))) for pd in corpus])
+
+
+def naive_cmd_shuffle(args) -> None:
+    """Reference ``shuffle`` command: reads the whole corpus, shuffles it
+    with the reference shuffles, then writes the output, the permutation
+    records and the manifest one after the other."""
+    from docmt import cli
+    from docmt.corpus import read_records, write_records
+    from docmt.harness import write_permutation_records
+
+    args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
+    cli._distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
+    corpus = read_records(args.input)
+    shuffle = naive_local_shuffle if args.mode == "local" else naive_global_shuffle
+    shuffled, records = shuffle(corpus, args.seed)
+    outputs = {args.out: write_records(shuffled, args.out)}
+    outputs[args.perm_out] = write_permutation_records(records, args.perm_out)
+    cli._manifest(args, [args.input], outputs)
+    print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")

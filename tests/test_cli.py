@@ -299,6 +299,45 @@ class TestShuffleCommand:
         records = read_permutation_records(tmp_path / "s1.jsonl.perm.jsonl")
         assert unshuffle(read_records(out1), records) == read_records(corpus_file)
 
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_a_failed_permutation_file_leaves_no_output(
+        self, mode, corpus_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run("shuffle", "--in", corpus_file, "--out", "o.jsonl", "--mode", mode,
+                   "--seed", "1", "--perm-out", "nodir/p.jsonl") == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/p.jsonl'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_global_shuffle_rejects_an_input_that_changes_between_reads(
+        self, corpus_file, tmp_path, monkeypatch, capsys
+    ):
+        # The first read of a global shuffle keeps only the source sentences;
+        # the second read, which supplies the targets, must give the same
+        # documents.
+        from docmt import corpus
+
+        first_read = corpus.read_record_stream
+        reads = []
+
+        def read_record_stream(path):
+            reads.append(path)
+            if len(reads) == 2:
+                write_records(make_corpus([8, 2]), path)
+            return first_read(path)
+
+        monkeypatch.setattr(corpus, "read_record_stream", read_record_stream)
+        monkeypatch.chdir(tmp_path)
+        assert run("shuffle", "--in", "corpus.jsonl", "--out", "o.jsonl", "--mode", "global",
+                   "--seed", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: corpus.jsonl: document 1 changed between two reads\n"
+        )
+        assert len(reads) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
 
 class TestContrastiveCommand:
     def test_accuracy_report(self, tmp_path, capsys):

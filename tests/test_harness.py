@@ -9,13 +9,15 @@ from docmt import (
     CandidateScore,
     ContrastiveInstance,
     ParallelCorpus,
+    ParallelDocument,
     contrastive_accuracy,
     global_shuffle,
     local_shuffle,
     reference_scorer,
     unshuffle,
 )
-from docmt.corpus import write_jsonl
+from docmt import cli
+from docmt.corpus import write_jsonl, write_records
 from docmt.harness import (
     PermutationRecord,
     read_candidate_scores,
@@ -23,7 +25,14 @@ from docmt.harness import (
     read_permutation_records,
     write_permutation_records,
 )
-from helpers import make_corpus, naive_contrastive_accuracy, random_corpus
+from helpers import (
+    make_corpus,
+    naive_cmd_shuffle,
+    naive_contrastive_accuracy,
+    naive_global_shuffle,
+    naive_local_shuffle,
+    random_corpus,
+)
 
 
 class TestLocalShuffle:
@@ -155,6 +164,78 @@ class TestUnshuffle:
         )
         with pytest.raises(ValueError, match="malformed record on line 1"):
             read_permutation_records(tmp_path / "perm.jsonl")
+
+
+SENTENCE_POOL = tuple(f"sentence {k}." for k in range(12))
+
+
+def random_shuffle_corpus(rng):
+    """0-8 documents of 1-30 source sentences drawn from a small pool, so
+    strings repeat within and across documents. Some documents are
+    flagged unaligned, with their own target count; some corpora carry
+    metadata. No documents gives the empty-corpus error."""
+    documents = []
+    for d in range(0 if rng.random() < 0.05 else rng.randint(1, 8)):
+        source = [rng.choice(SENTENCE_POOL) for _ in range(rng.randint(1, 30))]
+        if rng.random() < 0.25:
+            target = [rng.choice(SENTENCE_POOL) for _ in range(rng.randint(1, 30))]
+            documents.append(ParallelDocument.of(f"doc{d}", source, target, aligned=False))
+        else:
+            target = [rng.choice(SENTENCE_POOL) for _ in source]
+            documents.append(ParallelDocument.of(f"doc{d}", source, target))
+    metadata = {"lang": "de-en", "split": str(rng.randint(0, 9))} if rng.random() < 0.5 else {}
+    return ParallelCorpus(tuple(documents), metadata)
+
+
+def shuffle_outcome(shuffle, corpus, seed):
+    """The shuffled corpus and its records, or the message of the error."""
+    try:
+        return shuffle(corpus, seed)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestShuffleOracle:
+    """The shuffles stream; they must give what the reference shuffles,
+    which hold the whole corpus and its slot pool, give."""
+
+    def test_matches_reference_on_seeded_corpora(self):
+        rng = random.Random(47)
+        kinds = Counter()
+        for _ in range(1_000):
+            corpus = random_shuffle_corpus(rng)
+            seed = rng.randrange(1_000)
+            for shuffle, reference in (
+                (local_shuffle, naive_local_shuffle), (global_shuffle, naive_global_shuffle)
+            ):
+                expected = shuffle_outcome(reference, corpus, seed)
+                assert shuffle_outcome(shuffle, corpus, seed) == expected
+            kinds["empty" if not corpus.documents else "documents"] += 1
+            kinds["metadata"] += bool(corpus.metadata)
+            kinds["unaligned"] += any(not pd.aligned for pd in corpus)
+        assert min(kinds.values()) > 30, kinds
+
+    def test_command_matches_reference_byte_for_byte(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(53)
+        for case in range(100):
+            corpus = random_shuffle_corpus(rng)
+            argv = ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl",
+                    "--mode", rng.choice(["local", "global"]), "--seed", str(rng.randrange(100))]
+            results = []
+            for side in ("stream", "reference"):
+                work = tmp_path / f"{case}-{side}"
+                work.mkdir()
+                write_records(corpus, work / "in.jsonl")
+                monkeypatch.chdir(work)
+                if side == "reference":
+                    monkeypatch.setattr(cli, "_cmd_shuffle", naive_cmd_shuffle)
+                code = cli.dispatch(argv)
+                monkeypatch.undo()
+                files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+                results.append((code, capsys.readouterr(), files))
+            assert results[0] == results[1], argv
+            if corpus.documents:
+                assert len(results[0][2]) == 4  # in, out, perm and manifest
 
 
 def instance(iid, positive, negatives, phenomenon="deixis"):

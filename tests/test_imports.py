@@ -51,26 +51,43 @@ def inputs(tmp_path):
         encoding="utf-8",
     )
     (tmp_path / "bleu.jsonl").write_text('{"name": "d-BLEU", "value": 10.0}\n', encoding="utf-8")
+    (tmp_path / "inst.jsonl").write_text(
+        '{"instance_id":"i0","source":"s","candidates":["good","bad"],'
+        '"positive_index":0,"phenomenon":"deixis"}\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "sc.jsonl").write_text(
+        '{"instance_id":"i0","candidate_index":0,"score":1.0}\n'
+        '{"instance_id":"i0","candidate_index":1,"score":0.5}\n',
+        encoding="utf-8",
+    )
     return tmp_path
 
 
 @pytest.mark.parametrize(
     "argv, runs",
     [
-        (["bleu", "--hyp", "doc.txt", "--ref", "doc.txt"], "metrics"),
-        (["tcp", "--hyp", "doc.txt", "--ref", "doc.txt", "--labels", "labels.jsonl"], "metrics"),
-        (["report", "bleu.jsonl"], "metrics"),
-        (["shuffle", "--in", "corpus.jsonl", "--out", "sh.jsonl", "--mode", "local",
-          "--seed", "1"], "harness"),
-        (["clean", "--in", "corpus.jsonl", "--out", "cl.jsonl", "--dedup"], "pipeline"),
+        pytest.param(["bleu", "--hyp", "doc.txt", "--ref", "doc.txt"], {"metrics"},
+                     id="bleu-metrics"),
+        pytest.param(["tcp", "--hyp", "doc.txt", "--ref", "doc.txt", "--labels", "labels.jsonl"],
+                     {"metrics"}, id="tcp-metrics"),
+        pytest.param(["report", "bleu.jsonl"], {"metrics"}, id="report-metrics"),
+        pytest.param(["shuffle", "--in", "corpus.jsonl", "--out", "sh.jsonl", "--mode", "local",
+                      "--seed", "1"], {"harness"}, id="shuffle-harness"),
+        pytest.param(["shuffle", "--in", "corpus.jsonl", "--out", "sh.jsonl", "--mode", "global",
+                      "--seed", "1"], {"harness"}, id="shuffle-global-harness"),
+        pytest.param(["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl",
+                      "--out", "acc.jsonl"], {"harness", "metrics"},
+                     id="contrastive-harness-metrics"),
+        pytest.param(["clean", "--in", "corpus.jsonl", "--out", "cl.jsonl", "--dedup"],
+                     {"pipeline"}, id="clean-pipeline"),
     ],
-    ids=lambda value: value if isinstance(value, str) else value[0],
 )
 def test_a_command_loads_only_the_layer_it_runs(argv, runs, inputs):
     loaded = loaded_after(
         f"from docmt.cli import dispatch\nassert dispatch({argv!r}) == 0", inputs
     )
-    assert loaded & LAYERS == {"docmt.corpus", f"docmt.{runs}"}
+    assert loaded & LAYERS == {"docmt.corpus", *(f"docmt.{layer}" for layer in runs)}
 
 
 def test_statistics_is_loaded_only_by_pearson(tmp_path):

@@ -1,8 +1,11 @@
 """The build commands (clean, mr-split, oversample) stream from reader to
 writer: they fail cleanly part-way through a file, and their memory does
 not grow with the corpus (``clean`` keeps a fixed-size record per
-document, and one doc id per scored document). ``contrastive`` streams
-its instances: its memory does not grow with the candidate texts."""
+document, and one doc id per scored document). ``shuffle`` holds one
+document at a time, besides a few numbers per document and, in global
+mode, the source sentences. ``contrastive`` streams its instances: its
+memory does not grow with the candidate texts, and its table takes a few
+hundred bytes per instance."""
 
 import contextlib
 import io
@@ -141,3 +144,57 @@ def test_contrastive_peak_memory_does_not_grow_with_the_candidates(tmp_path, mon
         write_contrastive(tmp_path, 2000, width)
         peaks.append(traced_peak(argv))
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+SHUFFLE = ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl", "--seed", "1", "--mode"]
+
+
+def write_shuffle_corpus(path, n_docs, src_width, tgt_width):
+    """``n_docs`` documents of 8 sentence pairs; each source sentence has
+    about ``src_width`` characters and each target one ``tgt_width``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(n_docs):
+            src = [f"source {i} {j} {'w' * src_width}." for j in range(8)]
+            tgt = [f"target {i} {j} {'v' * tgt_width}." for j in range(8)]
+            handle.write(json.dumps({"doc_id": f"d{i}", "src": src, "tgt": tgt}) + "\n")
+
+
+def test_local_shuffle_peak_memory_does_not_grow_with_the_documents(tmp_path, monkeypatch):
+    # A local shuffle holds one document, and of every other document its
+    # id and one number per sentence: some 200 bytes beside the 32 KB of
+    # text that each document here has.
+    monkeypatch.chdir(tmp_path)
+    write_shuffle_corpus(tmp_path / "in.jsonl", 3, 2000, 2000)
+    assert dispatch(SHUFFLE + ["local"]) == 0  # first-call allocations are not the corpus's
+    peaks = []
+    for n_docs in (25, 400):
+        write_shuffle_corpus(tmp_path / "in.jsonl", n_docs, 2000, 2000)
+        peaks.append(traced_peak(SHUFFLE + ["local"]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_global_shuffle_peak_memory_does_not_grow_with_the_targets(tmp_path, monkeypatch):
+    # A global shuffle holds every source sentence, but reads the targets
+    # one document at a time in a second pass.
+    monkeypatch.chdir(tmp_path)
+    write_shuffle_corpus(tmp_path / "in.jsonl", 3, 20, 20)
+    assert dispatch(SHUFFLE + ["global"]) == 0  # first-call allocations are not the corpus's
+    peaks = []
+    for tgt_width in (200, 2000):
+        write_shuffle_corpus(tmp_path / "in.jsonl", 400, 20, tgt_width)
+        peaks.append(traced_peak(SHUFFLE + ["global"]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_contrastive_holds_few_bytes_per_instance(tmp_path, monkeypatch):
+    # The table keeps one id and row number per instance and flat columns
+    # of numbers: about 180 bytes per 3-candidate instance at 20,000
+    # instances, where a list of score slots per instance took about 350.
+    monkeypatch.chdir(tmp_path)
+    argv = ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"]
+    write_contrastive(tmp_path, 20, 10)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0  # first-call allocations are not the instances'
+    write_contrastive(tmp_path, 20_000, 10)
+    per_instance = traced_peak(argv) / 20_000
+    assert per_instance < 250, per_instance
