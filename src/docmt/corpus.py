@@ -26,12 +26,14 @@ carries aligned, metadata-free corpora (which is all it can ever
 produce); records carries every corpus.
 
 Every JSON-lines file of the toolkit is read through ``read_jsonl``,
-one line at a time. Records files stream: ``read_record_stream`` yields
-checked documents one by one and ``write_record_stream`` writes
-``Record`` tuples through the one line encoder, ``encode_record``;
-``read_records``/``write_records`` wrap them for whole corpora. Every
-output file is written atomically (a temp file in the same directory,
-then ``os.replace``) and hashed as it is written.
+one line at a time. Records files stream, records in and records out:
+``read_record_stream`` checks each line once and yields a ``Record``,
+the stages take and yield records, and ``write_record_stream`` writes
+them through the one line encoder, ``encode_record``. For whole corpora
+``read_records``/``write_records`` wrap the two, and records become
+documents again only in ``ParallelCorpus.derive``. Every output file is
+written atomically (a temp file in the same directory, then
+``os.replace``) and hashed as it is written.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Sized, TypeVar
 
 T = TypeVar("T")
+D = TypeVar("D", "ParallelDocument", "Record")
 
 _HEADER_RE = re.compile(r"^#\s*doc_id:\s*(\S+)\s*$")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -90,17 +93,7 @@ class Document:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        if not self.doc_id:
-            raise ValueError("doc_id must be non-empty")
-        if not self.sentences:
-            raise ValueError(f"document {self.doc_id!r} has no sentences")
-        for i, sentence in enumerate(self.sentences):
-            if "\n" in sentence or "\r" in sentence:
-                raise ValueError(
-                    f"document {self.doc_id!r}, sentence {i}: embedded newline"
-                )
-            if not sentence.strip():
-                raise ValueError(f"document {self.doc_id!r}, sentence {i}: blank sentence")
+        check_sentences(self.doc_id, self.sentences)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -129,13 +122,8 @@ class ParallelDocument:
                 f"source doc_id {self.source.doc_id!r} != target doc_id "
                 f"{self.target.doc_id!r}"
             )
-        if self.aligned is None:
-            object.__setattr__(self, "aligned", len(self.source) == len(self.target))
-        if self.aligned and len(self.source) != len(self.target):
-            raise ValueError(
-                f"document {self.doc_id!r} marked aligned but has "
-                f"{len(self.source)} source vs {len(self.target)} target sentences"
-            )
+        aligned = aligned_flag(self.doc_id, self.source, self.target, self.aligned)
+        object.__setattr__(self, "aligned", aligned)
 
     @classmethod
     def of(
@@ -165,8 +153,8 @@ class ParallelDocument:
 
 class Record(NamedTuple):
     """One document of the records format as it streams from reader to
-    writer. Stages build records from sentences that were checked when
-    they were read, so a record is never checked again."""
+    writer. The reader checks it once; stages build records from checked
+    sentences, so a record is never checked again."""
 
     doc_id: str
     src: tuple[str, ...]
@@ -174,16 +162,43 @@ class Record(NamedTuple):
     aligned: bool
 
 
+def check_sentences(doc_id: str, sentences: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` unless ``doc_id`` is non-empty and
+    ``sentences`` is a non-empty run of non-blank, single-line strings."""
+    if not doc_id:
+        raise ValueError("doc_id must be non-empty")
+    if not sentences:
+        raise ValueError(f"document {doc_id!r} has no sentences")
+    for i, sentence in enumerate(sentences):
+        if "\n" in sentence or "\r" in sentence:
+            raise ValueError(f"document {doc_id!r}, sentence {i}: embedded newline")
+        if not sentence.strip():
+            raise ValueError(f"document {doc_id!r}, sentence {i}: blank sentence")
+
+
+def aligned_flag(doc_id: str, src: Sized, tgt: Sized, aligned: bool | None) -> bool:
+    """``aligned``, or when it is None whether the two sides have equal
+    sentence counts; a document marked aligned must have equal counts."""
+    if aligned is None:
+        return len(src) == len(tgt)
+    if aligned and len(src) != len(tgt):
+        raise ValueError(
+            f"document {doc_id!r} marked aligned but has "
+            f"{len(src)} source vs {len(tgt)} target sentences"
+        )
+    return aligned
+
+
 class ScoreError(ValueError):
     """Scores that do not fit what they score: a score for an unknown
     item, a second score for one item, or an item left without a score."""
 
 
-def require_aligned(pd: ParallelDocument) -> ParallelDocument:
-    """``pd``, which must be sentence-aligned."""
-    if not pd.aligned:
-        raise ValueError(f"document {pd.doc_id!r} is not sentence-aligned")
-    return pd
+def require_aligned(doc: D) -> D:
+    """``doc``, a document or a record, which must be sentence-aligned."""
+    if not doc.aligned:
+        raise ValueError(f"document {doc.doc_id!r} is not sentence-aligned")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -201,12 +216,15 @@ class ParallelCorpus:
                 raise ValueError(f"duplicate doc_id {doc.doc_id!r} in corpus")
             seen.add(doc.doc_id)
 
-    def derive(
-        self, documents: Iterable[ParallelDocument], **metadata: str
-    ) -> ParallelCorpus:
-        """A new corpus of ``documents`` carrying a copy of this corpus's
-        metadata, updated with ``metadata``."""
-        return ParallelCorpus(tuple(documents), {**self.metadata, **metadata})
+    def derive(self, records: Iterable[Record], **metadata: str) -> ParallelCorpus:
+        """A new corpus of ``records``, as checked documents, carrying a
+        copy of this corpus's metadata, updated with ``metadata``."""
+        documents = tuple(ParallelDocument.of(*record) for record in records)
+        return ParallelCorpus(documents, {**self.metadata, **metadata})
+
+    def records(self) -> Iterator[Record]:
+        """The documents as ``Record``s, in order."""
+        return (doc.record for doc in self.documents)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -331,7 +349,11 @@ def finite_of(record: Any, key: str) -> float:
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{key!r} must be a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} is an integer beyond the float range") from None
+    if not finite:
         raise ValueError(f"{key!r} must be finite, got {value}")
     return value
 
@@ -454,20 +476,19 @@ def write_doc_text(
     return write_text(src_path, [src]), write_text(tgt_path, [tgt])
 
 
-def read_record_stream(
-    path: str | Path,
-) -> tuple[dict[str, str], Iterator[ParallelDocument]]:
+def read_record_stream(path: str | Path) -> tuple[dict[str, str], Iterator[Record]]:
     """Open a records file: its metadata, and its documents one at a time.
 
-    The first line is read here; every later line is read and checked
-    when the iterator reaches it, so only the ids seen so far are held.
-    A repeated doc_id raises ``ValueError``, ``"{path}: duplicate doc_id
-    'x' in corpus"``, at the line that repeats it.
+    The first line is read here; every later line is read when the
+    iterator reaches it, checked once with the checks the document
+    constructors run, and yielded as a ``Record``. Only the ids seen so
+    far are held. A repeated doc_id raises ``ValueError``, ``"{path}:
+    duplicate doc_id 'x' in corpus"``, at the line that repeats it.
     """
     metadata: dict[str, str] = {}
     first = True
 
-    def parse(record: Any) -> ParallelDocument | None:
+    def parse(record: Any) -> Record | None:
         nonlocal first
         is_metadata = first and isinstance(record, dict) and set(record) == {"metadata"}
         first = False
@@ -479,28 +500,29 @@ def read_record_stream(
         aligned = record.get("aligned")
         if aligned is not None:
             aligned = field_of(record, "aligned", bool)
-        return ParallelDocument.of(
-            doc_id, strings_of(record, "src"), strings_of(record, "tgt"), aligned
-        )
+        src, tgt = strings_of(record, "src"), strings_of(record, "tgt")
+        check_sentences(doc_id, src)
+        check_sentences(doc_id, tgt)
+        return Record(doc_id, src, tgt, aligned_flag(doc_id, src, tgt, aligned))
 
     rows = read_jsonl(path, parse, "record")
     head = next(rows, None)  # None: a metadata line, or an empty file
 
-    def documents() -> Iterator[ParallelDocument]:
+    def records() -> Iterator[Record]:
         seen: set[str] = set()
-        for doc in itertools.chain([] if head is None else [head], rows):
-            if doc.doc_id in seen:
-                raise ValueError(f"{path}: duplicate doc_id {doc.doc_id!r} in corpus")
-            seen.add(doc.doc_id)
-            yield doc
+        for record in itertools.chain([] if head is None else [head], rows):
+            if record.doc_id in seen:
+                raise ValueError(f"{path}: duplicate doc_id {record.doc_id!r} in corpus")
+            seen.add(record.doc_id)
+            yield record
 
-    return metadata, documents()
+    return metadata, records()
 
 
 def read_records(path: str | Path) -> ParallelCorpus:
     """Read the JSON-lines records format; malformed lines report line numbers."""
-    metadata, documents = read_record_stream(path)
-    return ParallelCorpus(tuple(documents), metadata)
+    metadata, records = read_record_stream(path)
+    return ParallelCorpus((), metadata).derive(records)
 
 
 _quote = json.encoder.encode_basestring  # the escaper of json.dumps(ensure_ascii=False)
@@ -542,4 +564,4 @@ def write_record_stream(
 def write_records(corpus: ParallelCorpus, path: str | Path) -> str:
     """Write the JSON-lines records format (UTF-8, one document per line);
     returns the file's SHA-256."""
-    return write_record_stream(path, corpus.metadata, (doc.record for doc in corpus))[1]
+    return write_record_stream(path, corpus.metadata, corpus.records())[1]

@@ -6,8 +6,9 @@ Shuffles permute only the source side (targets stay fixed so perturbed
 sources can be evaluated against unchanged references); the returned
 records allow exact inversion or reference realignment. Each document
 draws from its own seed substream, so results do not depend on
-traversal order. Each shuffle streams ``Record``s, keeping its
-permutations flat (``Permutations``), under a wrapper over whole corpora.
+traversal order. Each shuffle takes and yields ``Record``s, as the
+records reader checked them, keeping its permutations flat
+(``Permutations``), under a wrapper over whole corpora.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import (
     ParallelCorpus,
-    ParallelDocument,
     Record,
     ScoreError,
     field_of,
@@ -80,8 +80,7 @@ class ContrastiveInstance:
             )
 
 
-@dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(NamedTuple):
     """Force-decoding style score for one candidate; higher is more probable."""
 
     instance_id: str
@@ -117,44 +116,42 @@ class Permutations:
 
 
 def local_shuffle_records(
-    documents: Iterable[ParallelDocument], seed: int, perms: Permutations
+    records: Iterable[Record], seed: int, perms: Permutations
 ) -> Iterator[Record]:
-    """Each document with its source sentences permuted, one at a time;
+    """Each record with its source sentences permuted, one at a time;
     the permutations go to ``perms``. Documents with at least two
     sentences never receive the identity permutation (it is redrawn)."""
-    for ordinal, pd in enumerate(documents):
-        sentences = pd.source.sentences
-        perm = list(range(len(sentences)))
+    for ordinal, (doc_id, src, tgt, aligned) in enumerate(records):
+        perm = list(range(len(src)))
         if len(perm) >= 2:
             rng = _substream(seed, f"doc:{ordinal}")
             rng.shuffle(perm)
             while perm == sorted(perm):
                 rng.shuffle(perm)
-        perms.doc_ids.append(pd.doc_id)
+        perms.doc_ids.append(doc_id)
         perms.order.extend([perms.offsets[-1] + j for j in perm])
         perms.offsets.append(len(perms.order))
-        shuffled = tuple(sentences[j] for j in perm)
-        yield Record(pd.doc_id, shuffled, pd.target.sentences, pd.aligned)
+        yield Record(doc_id, tuple(src[j] for j in perm), tgt, aligned)
     if not perms.doc_ids:
         raise ValueError("cannot shuffle an empty corpus")
 
 
 def global_shuffle_records(
-    documents: Iterable[ParallelDocument],
-    again: Iterable[ParallelDocument],
+    records: Iterable[Record],
+    again: Iterable[Record],
     seed: int,
     perms: Permutations,
     name: str,
 ) -> Iterator[Record]:
     """Pool all source sentences corpus-wide, permute, and redistribute;
-    per-document sentence counts are preserved. Of ``documents`` only the
+    per-document sentence counts are preserved. Of ``records`` only the
     sources are kept; ``again``, a second read of them, gives the targets
     one document at a time, and a document that differs raises
     ``ValueError`` naming ``name``."""
     sources: list[str] = []
-    for pd in documents:
-        perms.doc_ids.append(pd.doc_id)
-        sources.extend(pd.source.sentences)
+    for record in records:
+        perms.doc_ids.append(record.doc_id)
+        sources.extend(record.src)
         perms.offsets.append(len(sources))
     if not perms.doc_ids:
         raise ValueError("cannot shuffle an empty corpus")
@@ -165,12 +162,12 @@ def global_shuffle_records(
     again = iter(again)
     for d, doc_id in enumerate(perms.doc_ids):
         start, end = perms.offsets[d], perms.offsets[d + 1]
-        pd = next(again, None)
+        record = next(again, None)
         first_read = (doc_id, sources[start:end])
-        if pd is None or (pd.doc_id, list(pd.source.sentences)) != first_read:
+        if record is None or (record.doc_id, list(record.src)) != first_read:
             raise ValueError(changed.format(d))
         shuffled = tuple(sources[number] for number in perms.order[start:end])
-        yield Record(doc_id, shuffled, pd.target.sentences, pd.aligned)
+        yield Record(doc_id, shuffled, record.tgt, record.aligned)
     if next(again, None) is not None:
         raise ValueError(changed.format(len(perms.doc_ids)))
 
@@ -178,17 +175,16 @@ def global_shuffle_records(
 def local_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
     """``local_shuffle_records`` over a whole corpus."""
     perms = Permutations()
-    records = local_shuffle_records(corpus, seed, perms)
-    documents = [ParallelDocument.of(*record) for record in records]
-    return corpus.derive(documents), list(perms.records())
+    shuffled = corpus.derive(local_shuffle_records(corpus.records(), seed, perms))
+    return shuffled, list(perms.records())
 
 
 def global_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
     """``global_shuffle_records`` over a whole corpus."""
     perms = Permutations()
-    records = global_shuffle_records(corpus, corpus, seed, perms, "corpus")
-    documents = [ParallelDocument.of(*record) for record in records]
-    return corpus.derive(documents), list(perms.records())
+    again = corpus.records()
+    shuffled = global_shuffle_records(corpus.records(), again, seed, perms, "corpus")
+    return corpus.derive(shuffled), list(perms.records())
 
 
 def unshuffle(
@@ -228,7 +224,7 @@ def unshuffle(
             inverse[orig_doc][orig_index] = pd.source.sentences[position]
     # Equal lengths and no slot assigned twice leave no slot unassigned.
     return corpus.derive(
-        ParallelDocument.of(pd.doc_id, inverse[pd.doc_id], pd.target.sentences, pd.aligned)
+        Record(pd.doc_id, tuple(inverse[pd.doc_id]), pd.target.sentences, pd.aligned)
         for pd in corpus
     )
 
@@ -395,15 +391,3 @@ def write_permutation_records(
     records: Iterable[PermutationRecord], path: str | Path
 ) -> str:
     return write_jsonl(path, map(vars, records))
-
-
-def read_permutation_records(path: str | Path) -> list[PermutationRecord]:
-    def parse(record: dict) -> PermutationRecord:
-        doc_id = field_of(record, "doc_id", str)
-        mapping = field_of(record, "mapping", list)
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in mapping):
-            raise TypeError("'mapping' entries must be [doc_id, index] pairs")
-        pairs = tuple((field_of(p, 0, str), field_of(p, 1, int)) for p in mapping)
-        return PermutationRecord(doc_id, pairs)
-
-    return list(read_jsonl(path, parse, "record"))

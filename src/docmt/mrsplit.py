@@ -7,8 +7,9 @@ when M is not itself a power of two). An 8-sentence document therefore
 yields 15 segments (1 + 2 + 4 + 8). Also provides oversampling and
 token-budgeted re-paragraphing for length-bucketed evaluation.
 
-``mr_records`` and ``oversample_records`` take documents one at a time
-and yield output records; the corpus-level functions wrap them.
+``mr_records`` and ``oversample_records`` take ``Record``s one at a
+time, as the records reader checked them, and yield ``Record``s; the
+corpus-level functions wrap them.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class Segment:
     target_text: str
     sentence_span: tuple[int, int]
 
-    @property
-    def segment_id(self) -> str:
-        return f"{self.doc_id}.k{self.level_k}.p{self.part_index}"
-
 
 def mr_levels(m: int, cfg: MRConfig | None = None) -> list[int]:
     """Resolution levels for an ``m``-sentence document, ascending.
@@ -65,16 +62,17 @@ def mr_levels(m: int, cfg: MRConfig | None = None) -> list[int]:
     return levels
 
 
-def _part_spans(m: int, k: int) -> list[tuple[int, int]]:
-    # Sizes differ by at most 1; the first (m mod k) parts get the extra.
-    base, remainder = divmod(m, k)
-    spans = []
-    start = 0
-    for part in range(k):
-        size = base + (1 if part < remainder else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
+def _cuts(m: int, cfg: MRConfig) -> Iterator[tuple[int, int, int, int]]:
+    """``(k, part, start, end)`` of each segment of an ``m``-sentence
+    document, by ascending level, then part: at level k, part sizes differ
+    by at most 1, and the first (m mod k) parts get the extra sentence."""
+    for k in mr_levels(m, cfg):
+        base, remainder = divmod(m, k)
+        start = 0
+        for part in range(k):
+            end = start + base + (part < remainder)
+            yield k, part, start, end
+            start = end
 
 
 def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Segment]:
@@ -84,21 +82,18 @@ def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Se
     document must be aligned.
     """
     cfg = cfg or MRConfig()
-    m = len(require_aligned(pd).source)
-    segments = []
-    for k in mr_levels(m, cfg):
-        for part, (start, end) in enumerate(_part_spans(m, k)):
-            segments.append(
-                Segment(
-                    doc_id=pd.doc_id,
-                    level_k=k,
-                    part_index=part,
-                    source_text=cfg.joiner.join(pd.source.sentences[start:end]),
-                    target_text=cfg.joiner.join(pd.target.sentences[start:end]),
-                    sentence_span=(start, end),
-                )
-            )
-    return segments
+    src, tgt = require_aligned(pd).source.sentences, pd.target.sentences
+    return [
+        Segment(
+            doc_id=pd.doc_id,
+            level_k=k,
+            part_index=part,
+            source_text=cfg.joiner.join(src[start:end]),
+            target_text=cfg.joiner.join(tgt[start:end]),
+            sentence_span=(start, end),
+        )
+        for k, part, start, end in _cuts(len(src), cfg)
+    ]
 
 
 @dataclass
@@ -108,11 +103,12 @@ class MRTally:
     input_tokens: int = 0
     output_tokens: int = 0
 
-    def add(self, pd: ParallelDocument, cfg: MRConfig) -> None:
-        tokens = sum(len(sentence.split()) for sentence in pd.source.sentences)
+    def add(self, sentences: Sequence[str], n_levels: int) -> None:
+        """Count a document of source ``sentences`` split at ``n_levels`` levels."""
+        tokens = sum(len(sentence.split()) for sentence in sentences)
         self.input_tokens += tokens
         # Every level repeats each sentence exactly once.
-        self.output_tokens += len(mr_levels(len(pd.source), cfg)) * tokens
+        self.output_tokens += n_levels * tokens
 
     @property
     def ratio(self) -> float:
@@ -120,21 +116,23 @@ class MRTally:
 
 
 def mr_records(
-    documents: Iterable[ParallelDocument], cfg: MRConfig, tally: MRTally
+    records: Iterable[Record], cfg: MRConfig, tally: MRTally
 ) -> Iterator[Record]:
-    """Each document's segments as one-sentence aligned records, one
-    document at a time, in input order, then ascending level, then part
-    index; each document's source tokens are added to ``tally``.
+    """Each aligned document's segments (as ``split_document`` cuts them)
+    as one-sentence aligned records, one document at a time, in input
+    order, then ascending level, then part index; each document's source
+    tokens are added to ``tally``.
 
     A segment's id is ``<doc_id>.k<K>.p<P>``. Its two trailing digit runs
     parse back uniquely, so distinct document ids give distinct segment
     ids and no set of output ids is needed.
     """
-    for pd in documents:
-        segments = split_document(pd, cfg)
-        tally.add(pd, cfg)
-        for seg in segments:
-            yield Record(seg.segment_id, (seg.source_text,), (seg.target_text,), True)
+    join = cfg.joiner.join
+    for doc_id, src, tgt, _ in map(require_aligned, records):
+        tally.add(src, len(mr_levels(len(src), cfg)))
+        for k, part, start, end in _cuts(len(src), cfg):
+            source, target = join(src[start:end]), join(tgt[start:end])
+            yield Record(f"{doc_id}.k{k}.p{part}", (source,), (target,), True)
 
 
 def build_mr_corpus(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> ParallelCorpus:
@@ -144,8 +142,7 @@ def build_mr_corpus(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> Para
     the joined run; order is input document order, then ascending level,
     then part index.
     """
-    records = mr_records(corpus, cfg or MRConfig(), MRTally())
-    return corpus.derive(ParallelDocument.of(*r) for r in records)
+    return corpus.derive(mr_records(corpus.records(), cfg or MRConfig(), MRTally()))
 
 
 def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
@@ -158,22 +155,20 @@ def mr_ratio(corpus: ParallelCorpus, cfg: MRConfig | None = None) -> float:
     if not corpus.documents:
         raise ValueError("mr_ratio of an empty corpus is undefined")
     tally = MRTally()
-    for doc in map(require_aligned, corpus):
-        tally.add(doc, cfg)
+    for record in map(require_aligned, corpus.records()):
+        tally.add(record.src, len(mr_levels(len(record.src), cfg)))
     return tally.ratio
 
 
-def oversample_records(
-    documents: Iterable[ParallelDocument], factor: int
-) -> Iterator[Record]:
-    """Each document ``factor`` times as records with ids
-    ``<doc_id>.r<R>``, replicas adjacent, in input order. The trailing
-    digit run parses back uniquely, so distinct ids stay distinct."""
+def oversample_records(records: Iterable[Record], factor: int) -> Iterator[Record]:
+    """Each record ``factor`` times with ids ``<doc_id>.r<R>``, replicas
+    adjacent, in input order. The trailing digit run parses back
+    uniquely, so distinct ids stay distinct."""
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     return (
-        Record(f"{pd.doc_id}.r{r}", pd.source.sentences, pd.target.sentences, pd.aligned)
-        for pd in documents
+        Record(f"{doc_id}.r{r}", src, tgt, aligned)
+        for doc_id, src, tgt, aligned in records
         for r in range(factor)
     )
 
@@ -183,8 +178,7 @@ def oversample(corpus: ParallelCorpus, factor: int) -> ParallelCorpus:
 
     All replicas of a document are adjacent, in input document order.
     """
-    records = oversample_records(corpus, factor)
-    return corpus.derive(ParallelDocument.of(*r) for r in records)
+    return corpus.derive(oversample_records(corpus.records(), factor))
 
 
 def bucket_by_length(
@@ -208,9 +202,9 @@ def bucket_by_length(
         raise ValueError(f"token budgets must be ascending: {budgets}")
     buckets: dict[int, ParallelCorpus] = {}
     for budget in budgets:
-        documents = []
-        for pd in map(require_aligned, corpus):
-            counts = [len(s.split()) for s in pd.source.sentences]
+        records = []
+        for doc_id, src, tgt, _ in map(require_aligned, corpus.records()):
+            counts = [len(s.split()) for s in src]
             paragraphs: list[tuple[int, int]] = []
             start = 0
             running = 0
@@ -222,13 +216,7 @@ def bucket_by_length(
                 running += count
             paragraphs.append((start, len(counts)))
             for j, (a, b) in enumerate(paragraphs):
-                documents.append(
-                    ParallelDocument.of(
-                        f"{pd.doc_id}.b{budget}.p{j}",
-                        pd.source.sentences[a:b],
-                        pd.target.sentences[a:b],
-                        aligned=True,
-                    )
-                )
-        buckets[budget] = corpus.derive(documents, token_budget=str(budget))
+                record = Record(f"{doc_id}.b{budget}.p{j}", src[a:b], tgt[a:b], True)
+                records.append(record)
+        buckets[budget] = corpus.derive(records, token_budget=str(budget))
     return buckets

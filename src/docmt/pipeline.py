@@ -3,8 +3,9 @@ terminal-punctuation repair, and alignment-score filtration.
 
 The stages compose in a fixed order (deduplicate, segment, fix
 punctuation, filter by alignment); each is also usable on its own.
-``clean_records`` runs them over a stream of documents, one document at
-a time; the corpus-level functions wrap it.
+``clean_records`` runs them over a stream of ``Record``s, one document
+at a time, and yields ``Record``s; it checks nothing the records reader
+checked. The corpus-level functions wrap it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .corpus import (
     Document,
     ParallelCorpus,
-    ParallelDocument,
     Record,
     ScoreError,
     field_of,
@@ -109,8 +109,7 @@ def deduplicate(corpus: ParallelCorpus) -> tuple[ParallelCorpus, list[str]]:
     corpus and the removed doc_ids.
     """
     removed: list[str] = []
-    kept = _deduplicated((doc.record for doc in corpus), removed)
-    return corpus.derive(ParallelDocument.of(*r) for r in kept), removed
+    return corpus.derive(_deduplicated(corpus.records(), removed)), removed
 
 
 def _is_guarded(text: str, terminal_index: int) -> bool:
@@ -265,9 +264,9 @@ def filter_by_alignment(
     """
     removed: dict[str, list[int]] = {}
     kept = _alignment_filtered(
-        (doc.record for doc in corpus), lambda: _score_table(scores), threshold, removed
+        corpus.records(), lambda: _score_table(scores), threshold, removed
     )
-    return corpus.derive(ParallelDocument.of(*r) for r in kept), removed
+    return corpus.derive(kept), removed
 
 
 def _score_parser(table: ScoreTable) -> Callable[[dict], AlignmentScore]:
@@ -303,7 +302,7 @@ def read_score_table(path: str | Path) -> ScoreTable:
 
 
 def clean_records(
-    documents: Iterable[ParallelDocument],
+    records: Iterable[Record],
     report: CleanReport,
     *,
     dedup: bool = False,
@@ -312,7 +311,7 @@ def clean_records(
     scores: Callable[[], ScoreTable] | None = None,
     threshold: float = 0.40,
 ) -> Iterator[Record]:
-    """The enabled cleaning stages over ``documents``, one document at a
+    """The enabled cleaning stages over ``records``, one document at a
     time; each removal is logged in ``report`` as it happens.
 
     Order: deduplicate, re-segment sentences, repair terminal
@@ -327,26 +326,24 @@ def clean_records(
     the earlier stages exactly; a score that does not fit raises
     ``ScoreError``.
     """
-    records: Iterator[Record] = (doc.record for doc in documents)
+    stream: Iterator[Record] = iter(records)
     if dedup:
-        records = _deduplicated(records, report.removed_duplicates)
+        stream = _deduplicated(stream, report.removed_duplicates)
     if segment:
-        records = _resegmented(records, report.removed_unaligned)
+        stream = _resegmented(stream, report.removed_unaligned)
     if punct_filler is not None:
-        records = (
+        stream = (
             Record(
                 r.doc_id,
                 _punctuated(r.src, punct_filler),
                 _punctuated(r.tgt, punct_filler),
                 r.aligned,
             )
-            for r in records
+            for r in stream
         )
     if scores is not None:
-        records = _alignment_filtered(
-            records, scores, threshold, report.removed_misaligned
-        )
-    return records
+        stream = _alignment_filtered(stream, scores, threshold, report.removed_misaligned)
+    return stream
 
 
 def clean_corpus(
@@ -363,7 +360,7 @@ def clean_corpus(
     removal report."""
     report = CleanReport()
     records = clean_records(
-        corpus,
+        corpus.records(),
         report,
         dedup=dedup,
         segment=segment,
@@ -371,4 +368,4 @@ def clean_corpus(
         scores=None if scores is None else lambda: _score_table(scores),
         threshold=threshold,
     )
-    return corpus.derive(ParallelDocument.of(*r) for r in records), report
+    return corpus.derive(records), report

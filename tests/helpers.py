@@ -19,7 +19,7 @@ from docmt import (
     ParallelDocument,
     TokenizerConfig,
 )
-from docmt.corpus import Record
+from docmt.corpus import Record, field_of, read_jsonl, strings_of
 from docmt.harness import OVERALL, PermutationRecord
 from docmt.pipeline import DEFAULT_GUARDS, DEFAULT_QUOTE_CLOSERS, DEFAULT_TERMINALS
 
@@ -212,6 +212,22 @@ def naive_contrastive_accuracy(
     }
 
 
+def naive_read_records(path) -> list[Record]:
+    """Reference records reader, for files with no metadata line and no
+    repeated doc_id: each line becomes a ``ParallelDocument``, whose
+    constructors check it, and then a ``Record``."""
+
+    def parse(row) -> Record:
+        doc_id = field_of(row, "doc_id", str)
+        aligned = row.get("aligned")
+        if aligned is not None:
+            aligned = field_of(row, "aligned", bool)
+        src, tgt = strings_of(row, "src"), strings_of(row, "tgt")
+        return ParallelDocument.of(doc_id, src, tgt, aligned).record
+
+    return list(read_jsonl(path, parse, "record"))
+
+
 def naive_deduplicated(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
     """Reference dedup: keeps each document's whole normalized source text
     (lowercased, whitespace runs collapsed) and compares the texts."""
@@ -285,14 +301,13 @@ def naive_rearrange(
     """Rebuild ``corpus`` so that position i of document d holds the source
     sentence at slot ``mappings[d][i]`` (an original (doc_id, index))."""
     sources = {pd.doc_id: pd.source.sentences for pd in corpus}
-    documents = []
+    shuffled = []
     records = []
     for pd, mapping in zip(corpus, mappings):
         sentences = tuple(sources[doc_id][i] for doc_id, i in mapping)
-        shuffled = Document(pd.doc_id, sentences)
-        documents.append(ParallelDocument(shuffled, pd.target, aligned=pd.aligned))
+        shuffled.append(Record(pd.doc_id, sentences, pd.target.sentences, pd.aligned))
         records.append(PermutationRecord(pd.doc_id, tuple(mapping)))
-    return corpus.derive(documents), records
+    return corpus.derive(shuffled), records
 
 
 def naive_local_shuffle(

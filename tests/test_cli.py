@@ -293,10 +293,13 @@ class TestShuffleCommand:
                 == 0
             )
         assert out1.read_bytes() == out2.read_bytes()
-        from docmt import unshuffle
-        from docmt.harness import read_permutation_records
+        from docmt import PermutationRecord, unshuffle
 
-        records = read_permutation_records(tmp_path / "s1.jsonl.perm.jsonl")
+        with open(tmp_path / "s1.jsonl.perm.jsonl", encoding="utf-8") as handle:
+            rows = [json.loads(line) for line in handle]
+        records = [
+            PermutationRecord(row["doc_id"], tuple(map(tuple, row["mapping"]))) for row in rows
+        ]
         assert unshuffle(read_records(out1), records) == read_records(corpus_file)
 
     @pytest.mark.parametrize("mode", ["local", "global"])
@@ -414,6 +417,7 @@ SCORE = '{"instance_id":"i0","candidate_index":0,"score":1.0}\n'
 ALIGN = '{"doc_id":"d0","pair_index":0,"score":0.9}\n'
 TCP_REF = "he went home and slept.\n"
 LABEL = '{"doc_id":"000000","word":"he","position":0,"category":"PRON"}\n'
+HUGE = "0" * 400  # after a 1: an integer that no float holds
 
 
 def bad_utf8(lines, lineno):
@@ -453,6 +457,22 @@ MALFORMED = {
          "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":NaN}\n'},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
         "sc.jsonl", "line 2",
+    ),
+    "contrastive score is an integer beyond the float range": (
+        {"inst.jsonl": INSTANCES,
+         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":1%s}\n' % HUGE},
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
+        "sc.jsonl", "malformed score on line 2: 'score' is an integer beyond the float range",
+    ),
+    "alignment score is an integer beyond the float range": (
+        {"in.jsonl": RECORD, "s.jsonl": ALIGN.replace("0.9", "1" + HUGE)},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "s.jsonl", "malformed score on line 1: 'score' is an integer beyond the float range",
+    ),
+    "metric value is an integer beyond the float range": (
+        {"m.jsonl": '{"name":"TC","value":50.0}\n{"name":"CP","value":1%s}\n' % HUGE},
+        ["report", "m.jsonl"], "m.jsonl",
+        "malformed metric record on line 2: 'value' is an integer beyond the float range",
     ),
     "label position is a float": (
         {"ref.txt": TCP_REF,

@@ -25,8 +25,8 @@ from docmt import (
     unshuffle,
     write_records,
 )
-from docmt.corpus import Record, encode_record, write_jsonl
-from helpers import make_corpus, random_corpus
+from docmt.corpus import Record, encode_record, read_record_stream, write_jsonl
+from helpers import make_corpus, make_sentence, naive_read_records, random_corpus
 
 
 def write(path, text):
@@ -247,6 +247,74 @@ class TestRecordsFormat:
         )
         with pytest.raises(ValueError, match="^.*r: duplicate doc_id 'd0' in corpus$"):
             read_records(tmp_path / "r")
+
+
+def sentences_of(rng, row):
+    """A side of ``row``, as a list, to put a fault in."""
+    side = rng.choice(["src", "tgt"])
+    if not isinstance(row[side], list):
+        row[side] = [make_sentence(rng) + "."]
+    return row[side]
+
+
+# Faults put into a record by the reader oracle test, by name.
+MUTATIONS = {
+    "empty doc_id": lambda rng, row: row.update(doc_id=""),
+    "doc_id not a string": lambda rng, row: row.update(doc_id=rng.choice([7, None, ["d"]])),
+    "empty side": lambda rng, row: row.update({rng.choice(["src", "tgt"]): []}),
+    "blank sentence": lambda rng, row: sentences_of(rng, row).insert(
+        rng.randint(0, 1), rng.choice(["", " ", "\t", "\u3000"])),
+    "embedded newline": lambda rng, row: sentences_of(rng, row).append(
+        rng.choice(["a\nb.", "a\rb.", "a.\n", "\r\n"])),
+    "aligned with unequal counts": lambda rng, row: (
+        row.update(aligned=True), sentences_of(rng, row).append("extra.")),
+    "aligned not a bool": lambda rng, row: row.update(aligned=rng.choice(["yes", 1, 0])),
+    "side not a list": lambda rng, row: row.update(
+        {rng.choice(["src", "tgt"]): rng.choice(["a.", 5, None, {"a": 1}])}),
+    "sentence not a string": lambda rng, row: sentences_of(rng, row).append(
+        rng.choice([5, None, ["x."], True])),
+}
+
+
+def read_all(read, path):
+    """What ``read(path)`` gives: its records, or the message it raises."""
+    try:
+        return list(read(path))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestReaderOracle:
+    """The reader checks each line once, with the checks the document
+    constructors run, and reports the first fault they would report."""
+
+    def test_matches_the_constructors_on_mutated_records(self, tmp_path):
+        rng = random.Random(14)
+        seen = {name: 0 for name in MUTATIONS}
+        for case in range(1500):
+            rows = []
+            for i in range(rng.randint(1, 5)):
+                row = {"doc_id": f"d{i}",
+                       "src": [make_sentence(rng) + "." for _ in range(rng.randint(1, 3))],
+                       "tgt": [make_sentence(rng) + "." for _ in range(rng.randint(1, 3))]}
+                if rng.random() < 0.3:
+                    row["aligned"] = rng.random() < 0.5
+                for name in rng.sample(list(MUTATIONS), rng.choice([0, 0, 1, 1, 2])):
+                    MUTATIONS[name](rng, row)
+                    seen[name] += 1
+                rows.append(row)
+            path = tmp_path / f"r{case % 2}.jsonl"
+            write_jsonl(path, rows)
+            expected = read_all(naive_read_records, path)
+            assert read_all(lambda p: read_record_stream(p)[1], path) == expected, rows
+        assert min(seen.values()) > 100, seen
+
+    def test_both_sides_are_typed_before_a_sentence_is_checked(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [{"doc_id": "d0", "src": ["a.", " "], "tgt": "b."}])
+        message = "malformed record on line 1: 'tgt' must be list, got str"
+        assert message in read_all(lambda p: read_record_stream(p)[1], path)
+        assert message in read_all(naive_read_records, path)
 
 
 class TestLineEndings:

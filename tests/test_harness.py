@@ -22,8 +22,6 @@ from docmt.harness import (
     PermutationRecord,
     read_candidate_scores,
     read_instances,
-    read_permutation_records,
-    write_permutation_records,
 )
 from helpers import (
     make_corpus,
@@ -149,21 +147,6 @@ class TestUnshuffle:
         with pytest.raises(ValueError, match="unknown slot"):
             unshuffle(shuffled, bad)
 
-    def test_record_file_round_trip(self, tmp_path):
-        corpus = make_corpus([3, 2])
-        _, records = global_shuffle(corpus, 9)
-        write_permutation_records(records, tmp_path / "perm.jsonl")
-        assert read_permutation_records(tmp_path / "perm.jsonl") == records
-
-    @pytest.mark.parametrize(
-        "entry", ['["d000","1"]', '["d000",0.9]', '["d000",true]', '{"d000":1}']
-    )
-    def test_record_file_mapping_entries_are_checked(self, tmp_path, entry):
-        (tmp_path / "perm.jsonl").write_text(
-            '{"doc_id":"d000","mapping":[["d000",0],' + entry + "]}\n", encoding="utf-8"
-        )
-        with pytest.raises(ValueError, match="malformed record on line 1"):
-            read_permutation_records(tmp_path / "perm.jsonl")
 
 
 SENTENCE_POOL = tuple(f"sentence {k}." for k in range(12))
@@ -480,5 +463,5 @@ class TestHarnessFiles:
 
     def test_score_file_round_trip(self, tmp_path):
         scores = scores_for("i0", [0.25, -1.5])
-        write_jsonl(tmp_path / "scores.jsonl", map(vars, scores))
+        write_jsonl(tmp_path / "scores.jsonl", (score._asdict() for score in scores))
         assert list(read_candidate_scores(tmp_path / "scores.jsonl")) == scores

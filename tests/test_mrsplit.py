@@ -15,6 +15,7 @@ from docmt import (
     oversample,
     split_document,
 )
+from docmt.corpus import Record
 from docmt.mrsplit import MRTally, mr_records, oversample_records
 from helpers import make_corpus, make_doc_pair, random_corpus
 
@@ -135,6 +136,21 @@ class TestBuildCorpus:
             )
             assert output_tokens == (level_exp + 1) * input_tokens
 
+    def test_records_are_the_split_document_segments(self):
+        # mr_records cuts its spans itself, with split_document's cuts.
+        rng = random.Random(9)
+        for cfg in (MRConfig(), MRConfig(include_singletons=False, joiner=" | ")):
+            for _ in range(30):
+                corpus = random_corpus(rng, max_sentences=40)
+                tally = MRTally()
+                expected = [
+                    Record(f"{seg.doc_id}.k{seg.level_k}.p{seg.part_index}",
+                           (seg.source_text,), (seg.target_text,), True)
+                    for pd in corpus for seg in split_document(pd, cfg)
+                ]
+                assert list(mr_records(corpus.records(), cfg, tally)) == expected
+                assert tally.ratio == mr_ratio(corpus, cfg)
+
     def test_deterministic(self):
         rng1, rng2 = random.Random(4), random.Random(4)
         a = build_mr_corpus(random_corpus(rng1))
@@ -208,10 +224,10 @@ class TestOutputIds:
 
     def assert_unique_outputs(self, corpus):
         for cfg in (MRConfig(), MRConfig(include_singletons=False)):
-            ids = [r.doc_id for r in mr_records(corpus, cfg, MRTally())]
+            ids = [r.doc_id for r in mr_records(corpus.records(), cfg, MRTally())]
             assert len(ids) == len(set(ids))
         for factor in (1, 3, 11):
-            ids = [r.doc_id for r in oversample_records(corpus, factor)]
+            ids = [r.doc_id for r in oversample_records(corpus.records(), factor)]
             assert len(ids) == len(set(ids)) == factor * len(corpus)
 
     def test_adversarial_ids(self):

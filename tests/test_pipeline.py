@@ -454,7 +454,7 @@ class TestCompactCleanOracle:
             documents, scores, threshold, faults = oracle_case(rng)
             report = CleanReport()
             got = drained(clean_records(
-                documents, report, dedup=True,
+                (d.record for d in documents), report, dedup=True,
                 scores=lambda: _score_table(scores), threshold=threshold,
             ))
             expected_report = CleanReport()

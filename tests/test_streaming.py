@@ -14,7 +14,9 @@ import tracemalloc
 
 import pytest
 
+from docmt import mrsplit
 from docmt.cli import dispatch
+from docmt.corpus import Document, ParallelDocument
 
 
 def write_corpus(path, n_docs, n_sentences=1, width=0):
@@ -50,6 +52,45 @@ def test_malformed_line_after_many_documents_leaves_nothing(
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
+
+
+STREAMED = {
+    **BUILD_STEPS,
+    "clean scored": ["clean", "--in", "in.jsonl", "--out", "out.jsonl",
+                     "--align-scores", "s.jsonl"],
+    "shuffle local": ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl", "--mode", "local",
+                      "--seed", "1"],
+    "shuffle global": ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl", "--mode",
+                       "global", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", [*STREAMED, "bucket"])
+def test_streamed_commands_build_no_document(command, tmp_path, monkeypatch):
+    # Records are checked once, by the reader; a document built on the
+    # way would check them again. ``bucket`` builds a corpus, and shows
+    # that the counters count.
+    monkeypatch.chdir(tmp_path)
+    write_scored_corpus(tmp_path, 20, 3, 4)
+    built = {"Document": 0, "ParallelDocument": 0, "Segment": 0}
+
+    def counted(name, call):
+        def count(*args, **kwargs):
+            built[name] += 1
+            return call(*args, **kwargs)
+        return count
+
+    for cls in (Document, ParallelDocument):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(mrsplit, "Segment", counted("Segment", mrsplit.Segment))
+    argv = STREAMED.get(command) or ["bucket", "--in", "in.jsonl", "--out-prefix", "b",
+                                     "--budgets", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0
+    if command == "bucket":
+        assert built["Document"] > 0 and built["ParallelDocument"] > 0, built
+    else:
+        assert built == {"Document": 0, "ParallelDocument": 0, "Segment": 0}
 
 
 def traced_peak(argv):
