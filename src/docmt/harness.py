@@ -22,16 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import (
-    ParallelCorpus,
-    Record,
-    ScoreError,
-    field_of,
-    finite_of,
-    read_jsonl,
-    strings_of,
-    write_jsonl,
-)
+from .corpus import ParallelCorpus, Record, ScoreError
+from .fileio import field_of, finite_of, read_jsonl, strings_of, write_jsonl
 
 # metrics is imported where it is used, so a shuffle does not load it.
 if TYPE_CHECKING:

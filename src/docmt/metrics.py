@@ -19,14 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import (
-    Document,
-    field_of,
-    finite_of,
-    paired_doc_ids,
-    read_jsonl,
-    write_jsonl,
-)
+from .corpus import Document, paired_doc_ids
+from .fileio import field_of, finite_of, read_jsonl, write_jsonl
 
 CATEGORIES = ("TENSE", "CONJ", "PRON")
 _CATEGORY_METRIC = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}

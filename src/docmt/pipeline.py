@@ -16,15 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import (
-    Document,
-    ParallelCorpus,
-    Record,
-    ScoreError,
-    field_of,
-    finite_of,
-    read_jsonl,
-)
+from .corpus import Document, ParallelCorpus, Record, ScoreError
+from .fileio import field_of, finite_of, read_jsonl
 
 DEFAULT_TERMINALS = frozenset({".", "!", "?", "。", "！", "？", "…"})
 DEFAULT_QUOTE_CLOSERS = frozenset({'"', "'", "”", "’", "»", ")", "」", "』"})

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from docmt import mrsplit
+from docmt import corpus, mrsplit
 from docmt.cli import dispatch
 from docmt.corpus import Document, ParallelDocument
 
@@ -91,6 +91,23 @@ def test_streamed_commands_build_no_document(command, tmp_path, monkeypatch):
         assert built["Document"] > 0 and built["ParallelDocument"] > 0, built
     else:
         assert built == {"Document": 0, "ParallelDocument": 0, "Segment": 0}
+
+
+@pytest.mark.parametrize("reader", ["read_records", "read_record_stream"])
+def test_each_record_is_checked_once(reader, tmp_path, monkeypatch):
+    # read_records builds its documents from the lines; the record
+    # stream checks its records itself. Either way each side is checked
+    # once and each pair's alignment once.
+    write_corpus(tmp_path / "in.jsonl", 5, n_sentences=2)
+    calls = {"check_sentences": 0, "aligned_flag": 0}
+    for name in calls:
+        def count(*args, _name=name, _call=getattr(corpus, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(corpus, name, count)
+    result = getattr(corpus, reader)(tmp_path / "in.jsonl")
+    assert len(list(result if reader == "read_records" else result[1])) == 5
+    assert calls == {"check_sentences": 10, "aligned_flag": 5}
 
 
 def traced_peak(argv):
