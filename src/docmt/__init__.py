@@ -24,7 +24,8 @@ _EXPORTS = {
     ),
     "metrics": (
         "Label", "LabeledTestDoc", "MetricReport", "SpanConfig", "TokenizerConfig",
-        "corpus_bleu", "d_bleu", "pearson", "s_bleu", "span_metric", "tcp", "tokenize",
+        "corpus_bleu", "d_bleu", "pearson", "s_bleu", "span_metric", "span_metrics", "tcp",
+        "tokenize",
     ),
     "mrsplit": (
         "MRConfig", "Segment", "bucket_by_length", "build_mr_corpus", "mr_levels",

@@ -14,8 +14,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -26,15 +27,23 @@ from . import corpus as corpus_io
 _COLUMNS = ("d-BLEU", "TC", "CP", "PT")
 
 
-@dataclass
 class RunManifest:
-    """Reproducibility record for one CLI run."""
+    """Reproducibility record for one CLI run; ``write`` serializes its
+    attributes."""
 
-    command: str
-    config: dict[str, str] = field(default_factory=dict)
-    seed: int | None = None
-    input_digests: dict[str, str] = field(default_factory=dict)
-    output_digests: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self,
+        command: str,
+        config: dict[str, str],
+        seed: int | None,
+        input_digests: dict[str, str],
+        output_digests: dict[str, str],
+    ) -> None:
+        self.command = command
+        self.config = config
+        self.seed = seed
+        self.input_digests = input_digests
+        self.output_digests = output_digests
 
     def write(self, path: str | Path) -> None:
         text = json.dumps(vars(self), indent=2, sort_keys=True, ensure_ascii=False)
@@ -48,6 +57,19 @@ def _sha256(path: str | Path) -> str:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _regular_files(*paths: str) -> list[str]:
+    """``paths``, the inputs a run's manifest will record, each of which
+    must be a regular file: the manifest hashes an input by reading it
+    again after the run, and a pipe or a device would not give the bytes
+    the run read. The paths are only ``stat``ed, so a FIFO is not opened."""
+    for path in paths:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(
+                f"{path}: not a regular file, so the manifest cannot record its digest"
+            )
+    return list(paths)
 
 
 def _config(args: argparse.Namespace) -> dict[str, str]:
@@ -97,23 +119,26 @@ def _cmd_convert(args: argparse.Namespace) -> None:
     if args.to == "records":
         if not (args.src and args.tgt and args.out):
             raise ValueError("convert --to records needs --src, --tgt, and --out")
+        inputs = _regular_files(args.src, args.tgt)
         corpus = corpus_io.read_doc_text(args.src, args.tgt)
         digest = corpus_io.write_records(corpus, args.out)
-        _manifest(args, [args.src, args.tgt], {args.out: digest})
+        _manifest(args, inputs, {args.out: digest})
     else:
         if not (args.input and args.src_out and args.tgt_out):
             raise ValueError(
                 "convert --to doc-text needs --in, --src-out, and --tgt-out"
             )
         _distinct_outputs({"--src-out": args.src_out, "--tgt-out": args.tgt_out})
+        inputs = _regular_files(args.input)
         corpus = corpus_io.read_records(args.input)
         digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
-        _manifest(args, [args.input], dict(zip([args.src_out, args.tgt_out], digests)))
+        _manifest(args, inputs, dict(zip([args.src_out, args.tgt_out], digests)))
 
 
 def _cmd_clean(args: argparse.Namespace) -> None:
     from . import pipeline
     _distinct_outputs({"--out": args.out, "--report": args.report})
+    inputs = _regular_files(args.input, *filter(None, [args.align_scores]))
     metadata, documents = corpus_io.read_record_stream(args.input)
     report = pipeline.CleanReport()
     cleaned = pipeline.clean_records(
@@ -129,14 +154,20 @@ def _cmd_clean(args: argparse.Namespace) -> None:
         ),
         threshold=args.align_threshold,
     )
+    outputs = dict.fromkeys(filter(None, [args.out, args.report]), "")
+
+    def cleaned_then_report():
+        yield from cleaned
+        # --out replaces its file only after this returns: a failure leaves neither.
+        if args.report:
+            outputs[args.report] = corpus_io.write_jsonl(args.report, report.records())
+
     try:
-        kept, digest = corpus_io.write_record_stream(args.out, metadata, cleaned)
+        kept, outputs[args.out] = corpus_io.write_record_stream(
+            args.out, metadata, cleaned_then_report()
+        )
     except corpus_io.ScoreError as exc:
         raise ValueError(f"{args.align_scores}: {exc}") from None
-    outputs = {args.out: digest}
-    if args.report:
-        outputs[args.report] = corpus_io.write_jsonl(args.report, report.records())
-    inputs = [args.input] + ([args.align_scores] if args.align_scores else [])
     _manifest(args, inputs, outputs)
     removed = [
         len(report.removed_duplicates),
@@ -151,6 +182,7 @@ def _cmd_clean(args: argparse.Namespace) -> None:
 
 def _cmd_mr_split(args: argparse.Namespace) -> None:
     from . import mrsplit
+    inputs = _regular_files(args.input)
     metadata, documents = corpus_io.read_record_stream(args.input)
     cfg = mrsplit.MRConfig(
         include_singletons=not args.no_singletons, joiner=args.joiner
@@ -158,17 +190,18 @@ def _cmd_mr_split(args: argparse.Namespace) -> None:
     tally = mrsplit.MRTally()
     segments = mrsplit.mr_records(documents, cfg, tally)
     written, digest = corpus_io.write_record_stream(args.out, metadata, segments)
-    _manifest(args, [args.input], {args.out: digest})
+    _manifest(args, inputs, {args.out: digest})
     ratio = tally.ratio if written else float("nan")
     print(f"wrote {written} segment pairs (token ratio {ratio:.2f})")
 
 
 def _cmd_oversample(args: argparse.Namespace) -> None:
     from . import mrsplit
+    inputs = _regular_files(args.input)
     metadata, documents = corpus_io.read_record_stream(args.input)
     replicas = mrsplit.oversample_records(documents, args.factor)
     written, digest = corpus_io.write_record_stream(args.out, metadata, replicas)
-    _manifest(args, [args.input], {args.out: digest})
+    _manifest(args, inputs, {args.out: digest})
     print(f"wrote {written} documents")
 
 
@@ -178,18 +211,20 @@ def _cmd_bucket(args: argparse.Namespace) -> None:
         budgets = [int(b) for b in args.budgets.split(",") if b]
     except ValueError as exc:
         raise ValueError(f"--budgets: {exc}") from None
+    inputs = _regular_files(args.input)
     corpus = corpus_io.read_records(args.input)
     buckets = mrsplit.bucket_by_length(corpus, budgets)
     outputs = {}
     for budget, bucket in buckets.items():
         out = f"{args.out_prefix}.b{budget}.jsonl"
         outputs[out] = corpus_io.write_records(bucket, out)
-    _manifest(args, [args.input], outputs)
+    _manifest(args, inputs, outputs)
     print(f"wrote {len(outputs)} buckets")
 
 
 def _cmd_bleu(args: argparse.Namespace) -> None:
     from . import metrics
+    inputs = _regular_files(args.hyp, args.ref) if args.out else []
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     cfg = metrics.TokenizerConfig(lowercase=not args.cased)
@@ -200,19 +235,16 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
     print(f"{report.name} = {report.value:.2f}")
     if args.out:
         digest = metrics.write_reports([report], args.out)
-        _manifest(args, [args.hyp, args.ref], {args.out: digest})
+        _manifest(args, inputs, {args.out: digest})
 
 
 def _cmd_tcp(args: argparse.Namespace) -> None:
     from . import metrics
+    inputs = _regular_files(args.hyp, args.ref, args.labels) if args.out else []
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     labeled = metrics.read_labeled_docs(ref, args.labels)
-    span_cfg = metrics.SpanConfig(radius_d=args.radius)
-    reports = [
-        metrics.span_metric(hyp, labeled, category, span_cfg)
-        for category in metrics.CATEGORIES
-    ]
+    reports = metrics.span_metrics(hyp, labeled, metrics.SpanConfig(radius_d=args.radius))
     overall = metrics.tcp(*(r.value for r in reports))
     for report in reports:
         print(
@@ -224,7 +256,7 @@ def _cmd_tcp(args: argparse.Namespace) -> None:
         digest = metrics.write_reports(
             reports + [metrics.MetricReport("TCP", overall)], args.out
         )
-        _manifest(args, [args.hyp, args.ref, args.labels], {args.out: digest})
+        _manifest(args, inputs, {args.out: digest})
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
@@ -254,6 +286,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
     from . import harness
     args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
     _distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
+    inputs = _regular_files(args.input)
     metadata, documents = corpus_io.read_record_stream(args.input)
     perms = harness.Permutations()
     if args.mode == "local":
@@ -274,12 +307,13 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
     written, outputs[args.out] = corpus_io.write_record_stream(
         args.out, metadata, shuffled_then_permutations()
     )
-    _manifest(args, [args.input], outputs)
+    _manifest(args, inputs, outputs)
     print(f"wrote {written} documents ({args.mode} shuffle, seed {args.seed})")
 
 
 def _cmd_contrastive(args: argparse.Namespace) -> None:
     from . import harness, metrics
+    inputs = _regular_files(args.instances, args.scores) if args.out else []
     instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
     try:
@@ -300,11 +334,12 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
         digest = metrics.write_reports(
             [results[k] for k in sorted(results)], args.out
         )
-        _manifest(args, [args.instances, args.scores], {args.out: digest})
+        _manifest(args, inputs, {args.out: digest})
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
     from . import metrics
+    inputs = _regular_files(*args.files) if args.out else []
     rows = []
     for path in args.files:
         by_name = {r.name: r for r in metrics.read_reports(path)}
@@ -331,7 +366,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
     print(table)
     if args.out:
         digest = corpus_io.write_text(args.out, [table + "\n"])
-        _manifest(args, list(args.files), {args.out: digest})
+        _manifest(args, inputs, {args.out: digest})
 
 
 def build_parser() -> argparse.ArgumentParser:

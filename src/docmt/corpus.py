@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Sized, TypeVar
 
@@ -80,15 +79,44 @@ def paired_doc_ids(
     return ids
 
 
-@dataclass(frozen=True)
-class Document:
-    """An ordered run of sentences with a stable id."""
+class Value:
+    """Base of the checked value types: equality, hashing and ``repr``
+    over the ``__slots__`` fields, in order. Instances are not changed
+    after their constructor has checked them."""
 
-    doc_id: str
-    sentences: tuple[str, ...]
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Document(Value):
+    """An ordered run of sentences with a stable id.
+
+    The checks run in ``__post_init__``, which the constructor calls
+    through the class, so a patch of the method sees every document.
+    """
+
+    __slots__ = ("doc_id", "sentences")
+
+    def __init__(self, doc_id: str, sentences: Iterable[str]) -> None:
+        self.doc_id = doc_id
+        self.sentences = tuple(sentences)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sentences", tuple(self.sentences))
         check_sentences(self.doc_id, self.sentences)
 
     def __len__(self) -> int:
@@ -100,17 +128,23 @@ class Document:
         return " ".join(self.sentences)
 
 
-@dataclass(frozen=True)
-class ParallelDocument:
+class ParallelDocument(Value):
     """A source/target document pair.
 
     ``aligned`` asserts a one-to-one sentence correspondence; when it is
     left unset it defaults to "the two sides have equal sentence counts".
+    The checks run in ``__post_init__``, as for ``Document``.
     """
 
-    source: Document
-    target: Document
-    aligned: bool | None = None
+    __slots__ = ("source", "target", "aligned")
+
+    def __init__(
+        self, source: Document, target: Document, aligned: bool | None = None
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.aligned = aligned
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.source.doc_id != self.target.doc_id:
@@ -118,8 +152,7 @@ class ParallelDocument:
                 f"source doc_id {self.source.doc_id!r} != target doc_id "
                 f"{self.target.doc_id!r}"
             )
-        aligned = aligned_flag(self.doc_id, self.source, self.target, self.aligned)
-        object.__setattr__(self, "aligned", aligned)
+        self.aligned = aligned_flag(self.doc_id, self.source, self.target, self.aligned)
 
     @classmethod
     def of(
@@ -197,15 +230,18 @@ def require_aligned(doc: D) -> D:
     return doc
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
+class ParallelCorpus(Value):
     """An ordered collection of parallel documents with unique ids."""
 
-    documents: tuple[ParallelDocument, ...] = ()
-    metadata: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("documents", "metadata")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "documents", tuple(self.documents))
+    def __init__(
+        self,
+        documents: Iterable[ParallelDocument] = (),
+        metadata: dict[str, str] | None = None,
+    ) -> None:
+        self.documents = tuple(documents)
+        self.metadata = {} if metadata is None else metadata
         seen: set[str] = set()
         for doc in self.documents:
             if doc.doc_id in seen:
@@ -333,12 +369,19 @@ def write_doc_text(
 ) -> tuple[str, str]:
     """Write a corpus as a parallel doc-text file pair; returns the two
     files' SHA-256 digests. Every document must be sentence-aligned, and
-    both sides are checked before either file is written, so a fault
-    writes nothing."""
+    both sides are checked before either file is written, and the target
+    is written before the source replaces its file, so a fault writes
+    neither."""
     documents = [require_aligned(doc) for doc in corpus]
     src = _doc_text([doc.source for doc in documents])
     tgt = _doc_text([doc.target for doc in documents])
-    return write_text(src_path, [src]), write_text(tgt_path, [tgt])
+    tgt_digest: list[str] = []
+
+    def source_then_target() -> Iterator[str]:
+        yield src
+        tgt_digest.append(write_text(tgt_path, [tgt]))
+
+    return write_text(src_path, source_then_target()), tgt_digest[0]
 
 
 def read_record_stream(path: str | Path) -> tuple[dict[str, str], Iterator[Record]]:

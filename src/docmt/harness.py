@@ -18,11 +18,10 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import ParallelCorpus, Record, ScoreError
+from .corpus import ParallelCorpus, Record, ScoreError, Value
 from .fileio import field_of, finite_of, read_jsonl, strings_of, write_jsonl
 
 # metrics is imported where it is used, so a shuffle does not load it.
@@ -32,8 +31,7 @@ if TYPE_CHECKING:
 OVERALL = "overall"
 
 
-@dataclass(frozen=True)
-class PermutationRecord:
+class PermutationRecord(NamedTuple):
     """Where each sentence of a perturbed document originally lived.
 
     ``mapping[i]`` is the original (doc_id, sentence_index) of the
@@ -47,29 +45,34 @@ class PermutationRecord:
 Shuffled = tuple[ParallelCorpus, list[PermutationRecord]]
 
 
-@dataclass(frozen=True)
-class ContrastiveInstance:
+class ContrastiveInstance(Value):
     """A source with one positive translation and minimally wrong negatives."""
 
-    instance_id: str
-    source: str
-    candidates: tuple[str, ...]
-    positive_index: int
-    phenomenon: str
+    __slots__ = ("instance_id", "source", "candidates", "positive_index", "phenomenon")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if len(self.candidates) < 2:
+    def __init__(
+        self,
+        instance_id: str,
+        source: str,
+        candidates: Iterable[str],
+        positive_index: int,
+        phenomenon: str,
+    ) -> None:
+        candidates = tuple(candidates)
+        if len(candidates) < 2:
+            raise ValueError(f"instance {instance_id!r} needs at least 2 candidates")
+        if len(set(candidates)) != len(candidates):
+            raise ValueError(f"instance {instance_id!r} has duplicate candidates")
+        if not 0 <= positive_index < len(candidates):
             raise ValueError(
-                f"instance {self.instance_id!r} needs at least 2 candidates"
+                f"instance {instance_id!r}: positive_index "
+                f"{positive_index} out of range"
             )
-        if len(set(self.candidates)) != len(self.candidates):
-            raise ValueError(f"instance {self.instance_id!r} has duplicate candidates")
-        if not 0 <= self.positive_index < len(self.candidates):
-            raise ValueError(
-                f"instance {self.instance_id!r}: positive_index "
-                f"{self.positive_index} out of range"
-            )
+        self.instance_id = instance_id
+        self.source = source
+        self.candidates = candidates
+        self.positive_index = positive_index
+        self.phenomenon = phenomenon
 
 
 class CandidateScore(NamedTuple):
@@ -294,8 +297,7 @@ def contrastive_accuracy(
     }
 
 
-@dataclass(frozen=True)
-class BigramModel:
+class BigramModel(NamedTuple):
     """Add-one-smoothed bigram statistics over tokenized training text.
 
     Deterministic stand-in for a neural force decoder: candidate scores
@@ -382,4 +384,4 @@ def read_candidate_scores(path: str | Path) -> Iterator[CandidateScore]:
 def write_permutation_records(
     records: Iterable[PermutationRecord], path: str | Path
 ) -> str:
-    return write_jsonl(path, map(vars, records))
+    return write_jsonl(path, (record._asdict() for record in records))

@@ -15,66 +15,60 @@ import math
 import unicodedata
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Document, paired_doc_ids
+from .corpus import Document, Value, paired_doc_ids
 from .fileio import field_of, finite_of, read_jsonl, write_jsonl
 
 CATEGORIES = ("TENSE", "CONJ", "PRON")
 _CATEGORY_METRIC = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(NamedTuple):
     """Shared tokenization regime for all metrics."""
 
     lowercase: bool = True
 
 
-@dataclass(frozen=True)
-class SpanConfig:
+class SpanConfig(Value):
     """Half-width, in tokens, of the search window around a label position."""
 
-    radius_d: int = 20
+    __slots__ = ("radius_d",)
 
-    def __post_init__(self) -> None:
-        if self.radius_d < 0:
-            raise ValueError(f"radius_d must be >= 0, got {self.radius_d}")
+    def __init__(self, radius_d: int = 20) -> None:
+        if radius_d < 0:
+            raise ValueError(f"radius_d must be >= 0, got {radius_d}")
+        self.radius_d = radius_d
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(Value):
     """A labeled word at a 0-based token position of a flattened reference."""
 
-    word: str
-    position: int
-    category: str
+    __slots__ = ("word", "position", "category")
 
-    def __post_init__(self) -> None:
-        if self.category not in CATEGORIES:
-            raise ValueError(
-                f"category must be one of {CATEGORIES}, got {self.category!r}"
-            )
-        if self.position < 0:
-            raise ValueError(f"position must be >= 0, got {self.position}")
+    def __init__(self, word: str, position: int, category: str) -> None:
+        if category not in CATEGORIES:
+            raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
+        if position < 0:
+            raise ValueError(f"position must be >= 0, got {position}")
+        self.word = word
+        self.position = position
+        self.category = category
 
 
-@dataclass(frozen=True)
-class LabeledTestDoc:
+class LabeledTestDoc(Value):
     """A reference document plus its labeled (word, position) pairs."""
 
-    doc_id: str
-    reference: Document
-    labels: tuple[Label, ...]
+    __slots__ = ("doc_id", "reference", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, doc_id: str, reference: Document, labels: Iterable[Label]) -> None:
+        self.doc_id = doc_id
+        self.reference = reference
+        self.labels = tuple(labels)
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """A named metric value; count metrics also carry their raw counts.
 
     For count metrics, ``value`` is the percentage 100 * numerator /
@@ -244,12 +238,37 @@ def span_metric(
     """
     if category not in CATEGORIES:
         raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
+    return _span_reports(outputs, refs, (category,), span_cfg)[0]
+
+
+def span_metrics(
+    outputs: Sequence[Document],
+    refs: Sequence[LabeledTestDoc],
+    span_cfg: SpanConfig | None = None,
+) -> list[MetricReport]:
+    """TC, CP and PT (``span_metric`` of each of ``CATEGORIES``) in one
+    pass, which tokenizes each labeled reference and its output once.
+    On an error it raises what the first failing ``span_metric`` call, in
+    ``CATEGORIES`` order, raises."""
+    try:
+        return _span_reports(outputs, refs, CATEGORIES, span_cfg)
+    except ValueError:  # one category's error, found in document order
+        return [span_metric(outputs, refs, c, span_cfg) for c in CATEGORIES]
+
+
+def _span_reports(
+    outputs: Sequence[Document],
+    refs: Sequence[LabeledTestDoc],
+    categories: Sequence[str],
+    span_cfg: SpanConfig | None,
+) -> list[MetricReport]:
+    """``span_metric`` of each of ``categories``, one document at a time."""
     span_cfg = span_cfg or SpanConfig()
     by_id = {doc.doc_id: doc for doc in outputs}
-    hits = 0
-    total = 0
+    hits = dict.fromkeys(categories, 0)
+    totals = dict.fromkeys(categories, 0)
     for ref in refs:
-        labels = [label for label in ref.labels if label.category == category]
+        labels = [label for label in ref.labels if label.category in totals]
         if not labels:
             continue
         if ref.doc_id not in by_id:
@@ -270,17 +289,21 @@ def span_metric(
                     f"{ref_tokens[label.position]!r} at position {label.position} "
                     f"of document {ref.doc_id!r}"
                 )
-            total += 1
+            totals[label.category] += 1
             lo = max(0, math.floor(alpha * label.position - span_cfg.radius_d))
             hi = min(
                 len(out_tokens) - 1,
                 math.ceil(alpha * label.position + span_cfg.radius_d),
             )
             if word in out_tokens[lo : hi + 1]:
-                hits += 1
-    if total == 0:
-        raise ValueError(f"no labels of category {category!r} in the test set")
-    return MetricReport(_CATEGORY_METRIC[category], 100.0 * hits / total, hits, total)
+                hits[label.category] += 1
+    for category in categories:
+        if totals[category] == 0:
+            raise ValueError(f"no labels of category {category!r} in the test set")
+    return [
+        MetricReport(_CATEGORY_METRIC[c], 100.0 * hits[c] / totals[c], hits[c], totals[c])
+        for c in categories
+    ]
 
 
 def tcp(tc: float, cp: float, pt: float) -> float:
@@ -342,7 +365,7 @@ def read_labeled_docs(
 
 
 def write_reports(reports: Iterable[MetricReport], path: str | Path) -> str:
-    return write_jsonl(path, map(vars, reports))
+    return write_jsonl(path, (report._asdict() for report in reports))
 
 
 def read_reports(path: str | Path) -> list[MetricReport]:

@@ -14,26 +14,24 @@ corpus-level functions wrap them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import ParallelCorpus, ParallelDocument, Record, require_aligned
+from .corpus import ParallelCorpus, ParallelDocument, Record, Value, require_aligned
 
 
-@dataclass(frozen=True)
-class MRConfig:
+class MRConfig(Value):
     """Splitting options: sentence-level fallback and flattening joiner."""
 
-    include_singletons: bool = True
-    joiner: str = " "
+    __slots__ = ("include_singletons", "joiner")
 
-    def __post_init__(self) -> None:
-        if "\n" in self.joiner or "\r" in self.joiner:
+    def __init__(self, include_singletons: bool = True, joiner: str = " ") -> None:
+        if "\n" in joiner or "\r" in joiner:
             raise ValueError("joiner must not contain newlines")
+        self.include_singletons = include_singletons
+        self.joiner = joiner
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One contiguous sentence run emitted at a given resolution level."""
 
     doc_id: str
@@ -96,12 +94,14 @@ def split_document(pd: ParallelDocument, cfg: MRConfig | None = None) -> list[Se
     ]
 
 
-@dataclass
 class MRTally:
     """Source tokens into and out of an MR pass; joiners are not counted."""
 
-    input_tokens: int = 0
-    output_tokens: int = 0
+    __slots__ = ("input_tokens", "output_tokens")
+
+    def __init__(self) -> None:
+        self.input_tokens = 0
+        self.output_tokens = 0
 
     def add(self, sentences: Sequence[str], n_levels: int) -> None:
         """Count a document of source ``sentences`` split at ``n_levels`` levels."""

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import Document, ParallelCorpus, Record, ScoreError
+from .corpus import Document, ParallelCorpus, Record, ScoreError, Value
 from .fileio import field_of, finite_of, read_jsonl
 
 DEFAULT_TERMINALS = frozenset({".", "!", "?", "。", "！", "？", "…"})
@@ -34,31 +33,36 @@ _BOUNDARY_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class AlignmentScore:
+def check_score(doc_id: str, pair_index: int, score: float) -> None:
+    """Raise ``ValueError`` unless ``pair_index`` is >= 0 and ``score``
+    is in [0, 1]."""
+    if pair_index < 0:
+        raise ValueError(f"pair_index must be >= 0, got {pair_index}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score for ({doc_id!r}, {pair_index}) out of [0, 1]: {score}")
+
+
+class AlignmentScore(Value):
     """Alignment confidence for one sentence pair of one document."""
 
-    doc_id: str
-    pair_index: int
-    score: float
+    __slots__ = ("doc_id", "pair_index", "score")
 
-    def __post_init__(self) -> None:
-        if self.pair_index < 0:
-            raise ValueError(f"pair_index must be >= 0, got {self.pair_index}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(
-                f"score for ({self.doc_id!r}, {self.pair_index}) out of [0, 1]: "
-                f"{self.score}"
-            )
+    def __init__(self, doc_id: str, pair_index: int, score: float) -> None:
+        check_score(doc_id, pair_index, score)
+        self.doc_id = doc_id
+        self.pair_index = pair_index
+        self.score = score
 
 
-@dataclass
 class CleanReport:
     """Removal log produced by the cleaning stages."""
 
-    removed_duplicates: list[str] = field(default_factory=list)
-    removed_unaligned: list[str] = field(default_factory=list)
-    removed_misaligned: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ("removed_duplicates", "removed_unaligned", "removed_misaligned")
+
+    def __init__(self) -> None:
+        self.removed_duplicates: list[str] = []
+        self.removed_unaligned: list[str] = []
+        self.removed_misaligned: dict[str, list[int]] = {}
 
     def records(self) -> list[dict[str, object]]:
         rows: list[dict[str, object]] = []
@@ -173,20 +177,20 @@ def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
 ScoreTable = dict[str, dict[int, float]]
 
 
-def _entered(table: ScoreTable, score: AlignmentScore) -> bool:
+def _entered(table: ScoreTable, doc_id: str, pair_index: int, score: float) -> bool:
     """Put ``score`` in ``table``; False, with ``table`` left as it was,
     when its pair has a score already."""
-    pairs = table.setdefault(score.doc_id, {})
-    if score.pair_index in pairs:
+    pairs = table.setdefault(doc_id, {})
+    if pair_index in pairs:
         return False
-    pairs[score.pair_index] = score.score
+    pairs[pair_index] = score
     return True
 
 
 def _score_table(scores: Iterable[AlignmentScore]) -> ScoreTable:
     table: ScoreTable = {}
     for score in scores:
-        if not _entered(table, score):
+        if not _entered(table, score.doc_id, score.pair_index, score.score):
             raise ScoreError(
                 f"duplicate score for document {score.doc_id!r}, "
                 f"pair {score.pair_index}"
@@ -262,34 +266,35 @@ def filter_by_alignment(
     return corpus.derive(kept), removed
 
 
-def _score_parser(table: ScoreTable) -> Callable[[dict], AlignmentScore]:
-    """A ``read_jsonl`` parser of alignment-score lines that enters each
-    score in ``table``, so a pair scored twice is reported at the line
-    that repeats it."""
+def _score_parser(
+    table: ScoreTable, make: Callable[[str, int, float], object]
+) -> Callable[[dict], object]:
+    """A ``read_jsonl`` parser of alignment-score lines: ``make``, which
+    checks the score's fields, then enters the score in ``table``, so a
+    pair scored twice is reported at the line that repeats it."""
 
-    def parse(record: dict) -> AlignmentScore:
-        score = AlignmentScore(
-            field_of(record, "doc_id", str),
-            field_of(record, "pair_index", int),
-            finite_of(record, "score"),
-        )
-        if not _entered(table, score):
-            raise ValueError(f"duplicate score for {(score.doc_id, score.pair_index)}")
-        return score
+    def parse(record: dict) -> object:
+        doc_id = field_of(record, "doc_id", str)
+        pair_index = field_of(record, "pair_index", int)
+        score = finite_of(record, "score")
+        made = make(doc_id, pair_index, score)
+        if not _entered(table, doc_id, pair_index, score):
+            raise ValueError(f"duplicate score for {(doc_id, pair_index)}")
+        return made
 
     return parse
 
 
 def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
     """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
-    return read_jsonl(path, _score_parser({}), "score")
+    return read_jsonl(path, _score_parser({}, AlignmentScore), "score")
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
     """A JSON-lines alignment-score file as one ``ScoreTable``, read one
     line at a time; the table is the only copy of the scores held."""
     table: ScoreTable = {}
-    for _ in read_jsonl(path, _score_parser(table), "score"):
+    for _ in read_jsonl(path, _score_parser(table, check_score), "score"):
         pass
     return table
 

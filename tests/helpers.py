@@ -228,6 +228,12 @@ def naive_read_records(path) -> list[Record]:
     return list(read_jsonl(path, parse, "record"))
 
 
+def score_rows(scores: Iterable[AlignmentScore]) -> Iterator[dict]:
+    """Alignment scores as the rows of a score file."""
+    for s in scores:
+        yield {"doc_id": s.doc_id, "pair_index": s.pair_index, "score": s.score}
+
+
 def naive_deduplicated(records: Iterable[Record], removed: list[str]) -> Iterator[Record]:
     """Reference dedup: keeps each document's whole normalized source text
     (lowercased, whitespace runs collapsed) and compares the texts."""

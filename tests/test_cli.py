@@ -1,4 +1,7 @@
+import contextlib
 import json
+import os
+import threading
 
 import pytest
 
@@ -130,6 +133,17 @@ class TestConvert:
         assert "collides with the doc_id header syntax" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
+    def test_a_failed_target_file_leaves_no_source_file(
+        self, corpus_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run("convert", "--to", "doc-text", "--in", corpus_file,
+                   "--src-out", "s.txt", "--tgt-out", "nodir/t.txt") == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/t.txt'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
 
 class TestClean:
     def test_flags_and_report(self, tmp_path):
@@ -177,6 +191,16 @@ class TestClean:
         assert json.loads(report.read_text()) == {"stage": "segment", "doc_id": "d"}
         assert run("mr-split", "--in", out, "--out", tmp_path / "mr.jsonl") == 0
         assert len(read_records(tmp_path / "mr.jsonl")) == 3
+
+
+    def test_a_failed_report_leaves_no_output(self, corpus_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("clean", "--in", corpus_file, "--out", "o.jsonl", "--dedup",
+                   "--report", "nodir/r.jsonl") == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/r.jsonl'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
 class TestMrSplit:
@@ -785,3 +809,99 @@ def test_manifest_config_follows_the_flags(command, workspace):
     assert run(*argv) == 0
     manifest = json.loads((workspace / f"{output}.manifest.json").read_text())
     assert manifest["config"] == config
+
+
+# command -> the input of its MANIFEST_CONFIGS run that is made a FIFO
+FIFO_INPUTS = {
+    "convert-records": "t.txt", "convert-doc-text": "corpus.jsonl", "clean": "corpus.jsonl",
+    "mr-split": "corpus.jsonl", "oversample": "corpus.jsonl", "bucket": "corpus.jsonl",
+    "bleu": "s.txt", "tcp": "labels.jsonl", "shuffle": "corpus.jsonl",
+    "contrastive": "sc.jsonl", "report": "m2.jsonl",
+}
+
+
+@contextlib.contextmanager
+def unblocked_after(fifo, seconds):
+    """From ``seconds`` on, open ``fifo`` for writing whenever something
+    waits to read it, so a reader blocked on it reads end of file and the
+    test fails instead of hanging."""
+    done = threading.Event()
+
+    def unblock():
+        done.wait(seconds)
+        while not done.is_set():
+            with contextlib.suppress(OSError):  # ENXIO: nothing reads it
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            done.wait(0.1)
+
+    thread = threading.Thread(target=unblock)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("command", list(FIFO_INPUTS))
+def test_an_input_the_manifest_cannot_hash_is_rejected_unopened(command, workspace, capsys):
+    # The manifest hashes each input by reading it again after the run;
+    # a pipe would be recorded with the digest of what is left in it.
+    argv = MANIFEST_CONFIGS[command][0]
+    fifo = workspace / FIFO_INPUTS[command]
+    fifo.unlink()
+    os.mkfifo(fifo)
+    before = sorted(p.name for p in workspace.iterdir())
+    with unblocked_after(fifo, 5):
+        assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fifo.name}: not a regular file, so the manifest cannot record its digest\n"
+    )
+    assert sorted(p.name for p in workspace.iterdir()) == before
+
+
+def test_pearson_writes_no_manifest_and_reads_a_pipe(tmp_path, capsys):
+    fifo = tmp_path / "x.fifo"
+    os.mkfifo(fifo)
+    (tmp_path / "y.txt").write_text("1\n3\n2\n", encoding="utf-8")
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as handle:
+            handle.write("1\n2\n3\n")
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        assert run("pearson", "--x", fifo, "--y", tmp_path / "y.txt") == 0
+    finally:
+        writer.join(10)
+        if writer.is_alive():  # pearson never opened the pipe: release the writer
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(10)
+    assert capsys.readouterr().out == "pearson = 0.5000\n"
+
+
+def test_the_bench_seams_hold(monkeypatch, tmp_path):
+    # The bench's traced run counts documents by patching __post_init__ on
+    # the class, and hashed bytes by patching RunManifest.write, which
+    # reads the manifest's input_digests and output_digests.
+    from docmt import Document, ParallelDocument
+    from docmt.cli import RunManifest
+
+    calls = []
+    for cls in (Document, ParallelDocument):
+        def counted(self, _original=cls.__post_init__):
+            calls.append(type(self).__name__)
+            _original(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    ParallelDocument.of("d0", ["a."], ["b."])
+    assert calls == ["Document", "Document", "ParallelDocument"]
+    with pytest.raises(ValueError, match="blank sentence"):
+        Document("d0", [" "])
+    manifest = RunManifest("mr-split", {}, None, {"in": "1"}, {"out": "2"})
+    assert (manifest.input_digests, manifest.output_digests) == ({"in": "1"}, {"out": "2"})
+    manifest.write(tmp_path / "m.json")
+    assert json.loads((tmp_path / "m.json").read_text(encoding="utf-8")) == {
+        "command": "mr-split", "config": {}, "seed": None,
+        "input_digests": {"in": "1"}, "output_digests": {"out": "2"},
+    }

@@ -1,7 +1,8 @@
 """A step loads only what it runs: ``import docmt`` imports no submodule,
-each command imports only the layers it uses, and ``statistics`` is
-imported by ``pearson`` alone. Each check runs in a fresh interpreter, so
-what the test process has already imported does not count."""
+each command imports only the layers it uses, ``statistics`` is imported
+by ``pearson`` alone, and nothing imports ``dataclasses`` or the
+``inspect`` it needs. Each check runs in a fresh interpreter, so what the
+test process has already imported does not count."""
 
 import json
 import os
@@ -18,6 +19,8 @@ from helpers import make_corpus
 
 SRC = str(Path(docmt.__file__).resolve().parent.parent)
 LAYERS = {f"docmt.{name}" for name in ("corpus", "pipeline", "mrsplit", "metrics", "harness")}
+# Costly to import, and no value type needs them.
+UNUSED = {"dataclasses", "inspect"}
 
 
 def loaded_after(code, cwd):
@@ -44,6 +47,7 @@ def test_import_docmt_loads_no_submodule(tmp_path):
 def inputs(tmp_path):
     write_records(make_corpus([4, 3]), tmp_path / "corpus.jsonl")
     (tmp_path / "doc.txt").write_text("he went home and slept.\n", encoding="utf-8")
+    (tmp_path / "x.txt").write_text("1\n2\n3\n", encoding="utf-8")
     (tmp_path / "labels.jsonl").write_text(
         '{"doc_id":"000000","word":"went","position":1,"category":"TENSE"}\n'
         '{"doc_id":"000000","word":"and","position":3,"category":"CONJ"}\n'
@@ -67,6 +71,18 @@ def inputs(tmp_path):
 @pytest.mark.parametrize(
     "argv, runs",
     [
+        pytest.param(["convert", "--to", "records", "--src", "doc.txt", "--tgt", "doc.txt",
+                      "--out", "c.jsonl"], set(), id="convert-records"),
+        pytest.param(["convert", "--to", "doc-text", "--in", "corpus.jsonl", "--src-out",
+                      "s.txt", "--tgt-out", "t.txt"], set(), id="convert-doc-text"),
+        pytest.param(["mr-split", "--in", "corpus.jsonl", "--out", "mr.jsonl"], {"mrsplit"},
+                     id="mr-split-mrsplit"),
+        pytest.param(["oversample", "--in", "corpus.jsonl", "--out", "os.jsonl", "--factor",
+                      "2"], {"mrsplit"}, id="oversample-mrsplit"),
+        pytest.param(["bucket", "--in", "corpus.jsonl", "--out-prefix", "b", "--budgets",
+                      "4"], {"mrsplit"}, id="bucket-mrsplit"),
+        pytest.param(["pearson", "--x", "x.txt", "--y", "x.txt"], {"metrics"},
+                     id="pearson-metrics"),
         pytest.param(["bleu", "--hyp", "doc.txt", "--ref", "doc.txt"], {"metrics"},
                      id="bleu-metrics"),
         pytest.param(["tcp", "--hyp", "doc.txt", "--ref", "doc.txt", "--labels", "labels.jsonl"],
@@ -88,6 +104,16 @@ def test_a_command_loads_only_the_layer_it_runs(argv, runs, inputs):
         f"from docmt.cli import dispatch\nassert dispatch({argv!r}) == 0", inputs
     )
     assert loaded & LAYERS == {"docmt.corpus", *(f"docmt.{layer}" for layer in runs)}
+    assert not loaded & UNUSED
+
+
+@pytest.mark.parametrize(
+    "code, modules", [("import docmt.cli", {"docmt.cli"}), ("from docmt import *", LAYERS)]
+)
+def test_no_import_loads_dataclasses(code, modules, tmp_path):
+    loaded = loaded_after(code, tmp_path)
+    assert modules <= loaded
+    assert not loaded & UNUSED
 
 
 def test_statistics_is_loaded_only_by_pearson(tmp_path):

@@ -18,7 +18,8 @@ from docmt import (
     tcp,
     tokenize,
 )
-from docmt.metrics import read_labeled_docs
+from docmt import metrics
+from docmt.metrics import CATEGORIES, read_labeled_docs, span_metrics
 from helpers import VOCAB, naive_bleu, naive_tokenize
 
 
@@ -335,6 +336,64 @@ class TestSpanMetric:
         ref = self.build_ref("d0", ["went", "home"], [Label("Went", 0, "TENSE")])
         out = Document("d0", ("went home",))
         assert span_metric([out], [ref], "TENSE").value == 100.0
+
+    def random_case(self, rng):
+        """Outputs and labeled references with, at random, a category
+        without labels, a missing output, a label past the reference end
+        or a label whose word is not the reference token."""
+        outputs, refs = [], []
+        for d in range(rng.randint(1, 4)):
+            tokens = [rng.choice(VOCAB) for _ in range(rng.randint(1, 30))]
+            labels = []
+            for _ in range(rng.randint(0, 5)):
+                position = rng.randrange(len(tokens) + (rng.random() < 0.05))
+                word = tokens[position] if position < len(tokens) else "w"
+                if rng.random() < 0.05:
+                    word = "zz"
+                labels.append(Label(word, position, rng.choice(CATEGORIES)))
+            refs.append(self.build_ref(f"d{d}", tokens, labels))
+            if rng.random() > 0.05:
+                out = [rng.choice(VOCAB) for _ in range(rng.randint(1, 30))]
+                outputs.append(Document(f"d{d}", (spaced(out),)))
+        return outputs, refs
+
+    def test_one_pass_matches_one_call_per_category(self):
+        # span_metrics raises what the first failing span_metric call
+        # raises, in CATEGORIES order, and otherwise returns their reports.
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(5)
+        kinds = {}
+        for _ in range(3000):
+            outputs, refs = self.random_case(rng)
+            cfg = SpanConfig(radius_d=rng.randint(0, 6))
+            expected = outcome(
+                lambda: [span_metric(outputs, refs, c, cfg) for c in CATEGORIES]
+            )
+            assert outcome(lambda: span_metrics(outputs, refs, cfg)) == expected
+            kind = "reports" if isinstance(expected, list) else expected.split(" ")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert kinds.keys() == {"reports", "missing", "label", "no"}, kinds
+        assert min(kinds.values()) > 100, kinds
+
+    def test_one_pass_tokenizes_each_labeled_document_once(self, monkeypatch):
+        texts = []
+
+        def counted(text, cfg=None):
+            texts.append(text)
+            return tokenize(text, cfg)
+
+        monkeypatch.setattr(metrics, "tokenize", counted)
+        tokens = ["he", "went", "and", "slept"]
+        labels = [Label("went", 1, "TENSE"), Label("and", 2, "CONJ"), Label("he", 0, "PRON")]
+        refs = [self.build_ref(f"d{d}", tokens, labels) for d in range(3)]
+        outputs = [Document(f"d{d}", (f"output {d}",)) for d in range(3)]
+        assert [r.denominator for r in span_metrics(outputs, refs)] == [3, 3, 3]
+        assert len(texts) == 6 and len(set(texts)) == 4
 
 
 class TestTcp:

@@ -37,6 +37,7 @@ from helpers import (
     naive_deduplicated,
     naive_split_paragraph,
     random_corpus,
+    score_rows,
 )
 
 
@@ -286,7 +287,7 @@ class TestAlignmentFilter:
 class TestBaselineScores:
     def test_score_file_round_trip(self, tmp_path):
         scores = [AlignmentScore("d0", 0, 0.25), AlignmentScore("d1", 3, 1.0)]
-        write_jsonl(tmp_path / "s.jsonl", map(vars, scores))
+        write_jsonl(tmp_path / "s.jsonl", score_rows(scores))
         assert list(read_alignment_scores(tmp_path / "s.jsonl")) == scores
 
 
@@ -481,7 +482,7 @@ class TestCompactCleanOracle:
             for name in ("out.jsonl", "out.jsonl.manifest.json", "removed.jsonl"):
                 (tmp_path / name).unlink(missing_ok=True)
             write_records(ParallelCorpus(tuple(documents)), "in.jsonl")
-            write_jsonl("s.jsonl", map(vars, scores))
+            write_jsonl("s.jsonl", score_rows(scores))
             report = CleanReport()
             kept, message = drained(naive_alignment_filtered(
                 naive_deduplicated((d.record for d in documents), report.removed_duplicates),
@@ -532,7 +533,7 @@ class TestCompactCleanOracle:
             keys = [(s.doc_id, s.pair_index) for s in scores]
             if len(set(keys)) < len(keys):
                 continue
-            write_jsonl(tmp_path / "s.jsonl", map(vars, scores))
+            write_jsonl(tmp_path / "s.jsonl", score_rows(scores))
             table = read_score_table(tmp_path / "s.jsonl")
             assert table == _score_table(scores)
             assert list(table) == list(dict.fromkeys(s.doc_id for s in scores))
