@@ -14,39 +14,30 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import stat
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Every command reads or writes through corpus; each handler imports the
 # stage module it runs, so a step loads only the layers it uses.
 from . import corpus as corpus_io
+from .fileio import checked_paths
 
 _COLUMNS = ("d-BLEU", "TC", "CP", "PT")
 
 
-class RunManifest:
+class RunManifest(NamedTuple):
     """Reproducibility record for one CLI run; ``write`` serializes its
-    attributes."""
+    fields."""
 
-    def __init__(
-        self,
-        command: str,
-        config: dict[str, str],
-        seed: int | None,
-        input_digests: dict[str, str],
-        output_digests: dict[str, str],
-    ) -> None:
-        self.command = command
-        self.config = config
-        self.seed = seed
-        self.input_digests = input_digests
-        self.output_digests = output_digests
+    command: str
+    config: dict[str, str]
+    seed: int | None
+    input_digests: dict[str, str]
+    output_digests: dict[str, str]
 
     def write(self, path: str | Path) -> None:
-        text = json.dumps(vars(self), indent=2, sort_keys=True, ensure_ascii=False)
+        text = json.dumps(self._asdict(), indent=2, sort_keys=True, ensure_ascii=False)
         corpus_io.write_text(path, [text + "\n"])
 
 
@@ -57,19 +48,6 @@ def _sha256(path: str | Path) -> str:
         for block in iter(lambda: handle.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _regular_files(*paths: str) -> list[str]:
-    """``paths``, the inputs a run's manifest will record, each of which
-    must be a regular file: the manifest hashes an input by reading it
-    again after the run, and a pipe or a device would not give the bytes
-    the run read. The paths are only ``stat``ed, so a FIFO is not opened."""
-    for path in paths:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise ValueError(
-                f"{path}: not a regular file, so the manifest cannot record its digest"
-            )
-    return list(paths)
 
 
 def _config(args: argparse.Namespace) -> dict[str, str]:
@@ -89,9 +67,9 @@ def _config(args: argparse.Namespace) -> dict[str, str]:
 def _manifest(
     args: argparse.Namespace, inputs: Sequence[str], outputs: dict[str, str]
 ) -> None:
-    """Write the run's manifest beside its first output. ``outputs`` maps
-    each output path to the SHA-256 its writer returned; inputs are
-    hashed from disk."""
+    """Write the run's manifest beside its first output, where
+    ``checked_paths`` looks for it. ``outputs`` maps each output path to
+    the SHA-256 its writer returned; inputs are hashed from disk."""
     manifest = RunManifest(
         command=args.command,
         config=_config(args),
@@ -102,24 +80,12 @@ def _manifest(
     manifest.write(f"{next(iter(outputs))}.manifest.json")
 
 
-def _distinct_outputs(outputs: dict[str, str | None]) -> None:
-    """Raise when two of the set ``{flag: path}`` outputs, or one of them
-    and the manifest beside the first, are one file."""
-    manifest = f"{next(iter(outputs.values()))}.manifest.json"
-    flags: dict[Path, str] = {}
-    for flag, path in {**outputs, "the manifest": manifest}.items():
-        if path is not None:
-            resolved = Path(path).resolve()
-            if resolved in flags:
-                raise ValueError(f"{path}: {flags[resolved]} and {flag} name the same file")
-            flags[resolved] = flag
-
-
 def _cmd_convert(args: argparse.Namespace) -> None:
     if args.to == "records":
         if not (args.src and args.tgt and args.out):
             raise ValueError("convert --to records needs --src, --tgt, and --out")
-        inputs = _regular_files(args.src, args.tgt)
+        ins = [("--src", args.src), ("--tgt", args.tgt)]
+        inputs = checked_paths(ins, [("--out", args.out)])
         corpus = corpus_io.read_doc_text(args.src, args.tgt)
         digest = corpus_io.write_records(corpus, args.out)
         _manifest(args, inputs, {args.out: digest})
@@ -128,8 +94,8 @@ def _cmd_convert(args: argparse.Namespace) -> None:
             raise ValueError(
                 "convert --to doc-text needs --in, --src-out, and --tgt-out"
             )
-        _distinct_outputs({"--src-out": args.src_out, "--tgt-out": args.tgt_out})
-        inputs = _regular_files(args.input)
+        outs = [("--src-out", args.src_out), ("--tgt-out", args.tgt_out)]
+        inputs = checked_paths([("--in", args.input)], outs)
         corpus = corpus_io.read_records(args.input)
         digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
         _manifest(args, inputs, dict(zip([args.src_out, args.tgt_out], digests)))
@@ -137,8 +103,8 @@ def _cmd_convert(args: argparse.Namespace) -> None:
 
 def _cmd_clean(args: argparse.Namespace) -> None:
     from . import pipeline
-    _distinct_outputs({"--out": args.out, "--report": args.report})
-    inputs = _regular_files(args.input, *filter(None, [args.align_scores]))
+    ins = [("--in", args.input), ("--align-scores", args.align_scores)]
+    inputs = checked_paths(ins, [("--out", args.out), ("--report", args.report)])
     metadata, documents = corpus_io.read_record_stream(args.input)
     report = pipeline.CleanReport()
     cleaned = pipeline.clean_records(
@@ -182,7 +148,7 @@ def _cmd_clean(args: argparse.Namespace) -> None:
 
 def _cmd_mr_split(args: argparse.Namespace) -> None:
     from . import mrsplit
-    inputs = _regular_files(args.input)
+    inputs = checked_paths([("--in", args.input)], [("--out", args.out)])
     metadata, documents = corpus_io.read_record_stream(args.input)
     cfg = mrsplit.MRConfig(
         include_singletons=not args.no_singletons, joiner=args.joiner
@@ -197,7 +163,7 @@ def _cmd_mr_split(args: argparse.Namespace) -> None:
 
 def _cmd_oversample(args: argparse.Namespace) -> None:
     from . import mrsplit
-    inputs = _regular_files(args.input)
+    inputs = checked_paths([("--in", args.input)], [("--out", args.out)])
     metadata, documents = corpus_io.read_record_stream(args.input)
     replicas = mrsplit.oversample_records(documents, args.factor)
     written, digest = corpus_io.write_record_stream(args.out, metadata, replicas)
@@ -211,20 +177,19 @@ def _cmd_bucket(args: argparse.Namespace) -> None:
         budgets = [int(b) for b in args.budgets.split(",") if b]
     except ValueError as exc:
         raise ValueError(f"--budgets: {exc}") from None
-    inputs = _regular_files(args.input)
-    corpus = corpus_io.read_records(args.input)
-    buckets = mrsplit.bucket_by_length(corpus, budgets)
-    outputs = {}
-    for budget, bucket in buckets.items():
-        out = f"{args.out_prefix}.b{budget}.jsonl"
-        outputs[out] = corpus_io.write_records(bucket, out)
+    # Each budget once: bucket_by_length reports a repeated one.
+    outs = [f"{args.out_prefix}.b{budget}.jsonl" for budget in dict.fromkeys(budgets)]
+    inputs = checked_paths([("--in", args.input)], [("--out-prefix", out) for out in outs])
+    buckets = mrsplit.bucket_by_length(corpus_io.read_records(args.input), budgets)
+    outputs = {out: corpus_io.write_records(b, out) for out, b in zip(outs, buckets.values())}
     _manifest(args, inputs, outputs)
     print(f"wrote {len(outputs)} buckets")
 
 
 def _cmd_bleu(args: argparse.Namespace) -> None:
     from . import metrics
-    inputs = _regular_files(args.hyp, args.ref) if args.out else []
+    ins = [("--hyp", args.hyp), ("--ref", args.ref)]
+    inputs = checked_paths(ins, [("--out", args.out)])
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     cfg = metrics.TokenizerConfig(lowercase=not args.cased)
@@ -240,7 +205,8 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
 
 def _cmd_tcp(args: argparse.Namespace) -> None:
     from . import metrics
-    inputs = _regular_files(args.hyp, args.ref, args.labels) if args.out else []
+    ins = [("--hyp", args.hyp), ("--ref", args.ref), ("--labels", args.labels)]
+    inputs = checked_paths(ins, [("--out", args.out)])
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     labeled = metrics.read_labeled_docs(ref, args.labels)
@@ -285,8 +251,8 @@ def _cmd_pearson(args: argparse.Namespace) -> None:
 def _cmd_shuffle(args: argparse.Namespace) -> None:
     from . import harness
     args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
-    _distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
-    inputs = _regular_files(args.input)
+    outs = [("--out", args.out), ("--perm-out", args.perm_out)]
+    inputs = checked_paths([("--in", args.input)], outs)
     metadata, documents = corpus_io.read_record_stream(args.input)
     perms = harness.Permutations()
     if args.mode == "local":
@@ -313,7 +279,8 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
 
 def _cmd_contrastive(args: argparse.Namespace) -> None:
     from . import harness, metrics
-    inputs = _regular_files(args.instances, args.scores) if args.out else []
+    ins = [("--instances", args.instances), ("--scores", args.scores)]
+    inputs = checked_paths(ins, [("--out", args.out)])
     instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
     try:
@@ -339,7 +306,7 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> None:
     from . import metrics
-    inputs = _regular_files(*args.files) if args.out else []
+    inputs = checked_paths([("files", f) for f in args.files], [("--out", args.out)])
     rows = []
     for path in args.files:
         by_name = {r.name: r for r in metrics.read_reports(path)}
@@ -474,7 +441,10 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"  # the shape of every diagnostic
+        print(f"error: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -44,11 +44,14 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, Sized, TypeVar
 
-from .fileio import field_of, read_jsonl, read_lines, strings_of, write_jsonl, write_text
+from .fileio import read_jsonl, read_lines, typed, write_jsonl, write_text
 
 D = TypeVar("D", "ParallelDocument", "Record")
 
 _HEADER_RE = re.compile(r"^#\s*doc_id:\s*(\S+)\s*$")
+# The records format's tables: a record line, and the metadata line that may lead a file.
+RECORD_FIELDS = (("doc_id", str), ("aligned", (bool, None)), ("src", tuple), ("tgt", tuple))
+METADATA_FIELDS = (("metadata", dict),)
 
 
 def _ordinal_id(index: int) -> str:
@@ -414,17 +417,14 @@ def _read_rows(
         nonlocal first
         is_metadata = first and isinstance(record, dict) and set(record) == {"metadata"}
         first = False
-        if is_metadata:
-            for key in field_of(record, "metadata", dict):
-                metadata[key] = field_of(record["metadata"], key, str)
+        if is_metadata:  # an object of strings
+            (values,) = typed(record, METADATA_FIELDS)
+            metadata.update(zip(values, typed(values, [(key, str) for key in values])))
             return None
-        doc_id = field_of(record, "doc_id", str)
-        aligned = record.get("aligned")
-        if aligned is not None:
-            aligned = field_of(record, "aligned", bool)
-        return make(doc_id, strings_of(record, "src"), strings_of(record, "tgt"), aligned)
+        doc_id, aligned, src, tgt = typed(record, RECORD_FIELDS)
+        return make(doc_id, src, tgt, aligned)
 
-    rows = read_jsonl(path, parse, "record")
+    rows = read_jsonl(path, None, parse, "record")
     head = next(rows, None)  # None: a metadata line, or an empty file
 
     def documents() -> Iterator[D]:

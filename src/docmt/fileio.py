@@ -1,7 +1,7 @@
 """The file primitives every layer reads and writes through: line-numbered
-reads of text and JSON-lines files, the field checks of a parsed row, and
-atomic writes hashed as they are written. They live apart from ``corpus``
-to keep each module small (see "What a command loads" in the README)."""
+reads of text and JSON-lines files typed by a table per format, the check
+of a run's paths, and atomic writes hashed as they are written. They live
+apart to keep ``corpus`` and ``cli`` small (see "What a command loads")."""
 
 from __future__ import annotations
 
@@ -10,10 +10,12 @@ import json
 import math
 import os
 import re
+import stat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
+Fields = Sequence[tuple[str, Any]]  # a format's table: see typed
 
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
@@ -51,13 +53,16 @@ def read_lines(path: str | Path, what: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> Iterator[T]:
-    """Parse each non-blank line of a JSON-lines file with ``parse``, one
-    line at a time, as the iterator reaches it.
+def read_jsonl(
+    path: str | Path, fields: Fields | None, make: Callable[..., T], what: str
+) -> Iterator[T]:
+    """``make(*typed(row, fields))`` of each non-blank line of a JSON-lines
+    file, or ``make(row)`` when ``fields`` is None, one line at a time, as
+    the iterator reaches it. This is the one place that decodes JSON.
 
     A line that is not JSON, that escapes a lone surrogate (``\\ud800``
     with no low surrogate after it, or a low one with no high one before
-    it), or that ``parse`` rejects with ``KeyError``, ``TypeError`` or
+    it), or that ``typed`` or ``make`` rejects with ``TypeError`` or
     ``ValueError``, raises ``ValueError`` with the message
     ``"{path}: malformed {what} on line {n}: {why}"``. So every string
     read is valid Unicode and encodes as UTF-8.
@@ -74,43 +79,88 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> Iterat
                 lone = _SURROGATE_RE.search(json.dumps(value, ensure_ascii=False))
                 if lone:
                     raise ValueError(f"lone surrogate \\u{ord(lone.group()):04x}")
-            row = parse(value)
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            row = make(value) if fields is None else make(*typed(value, fields))
+        except (TypeError, ValueError) as exc:  # JSONDecodeError too
             raise ValueError(
                 f"{path}: malformed {what} on line {lineno}: {exc}"
             ) from exc
         yield row
 
 
-def field_of(record: Any, key: str, kind: type) -> Any:
-    """``record[key]``, required to be a ``kind``; a bool is never a number."""
-    value = record[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
-    return value
+def typed(row: Any, fields: Fields) -> list[Any]:
+    """The values in ``row``, a JSON object, of a format's ``(key, kind)``
+    pairs, in order. A kind is an exact JSON type (str, int, bool, dict),
+    float (a finite number; an int stays an int), tuple (a list of strings,
+    read as a tuple), object (any value), or ``(kind, default)`` for an
+    optional key; the first value not of its kind raises ``TypeError`` or
+    ``ValueError``. JSON decodes to exact types, so ``type(value) is kind``
+    passes most values (``value - value`` is 0.0 only for a finite float)."""
+    if type(row) is not dict:
+        raise TypeError(f"expected a JSON object, got {type(row).__name__}")
+    values = []
+    for key, kind in fields:
+        value = row.get(key)
+        if type(value) is not kind or kind is float and value - value:
+            value = _slow(row, key, kind)
+        values.append(value)
+    return values
 
 
-def finite_of(record: Any, key: str) -> float:
-    """``record[key]``, required to be a finite int or float (not a bool)."""
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key!r} must be a number, got {type(value).__name__}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        raise ValueError(f"{key!r} is an integer beyond the float range") from None
-    if not finite:
+def _slow(row: dict, key: str, kind: Any) -> Any:
+    """``row[key]``, checked as ``typed`` checks it: an absent or optional
+    key, a number that is an int or not finite, a list, any value, or an error."""
+    if type(kind) is tuple:
+        if key not in row:
+            return kind[1]
+        kind = kind[0]
+    elif key not in row:
+        raise ValueError(f"missing key {key!r}")
+    value = row[key]
+    if kind is float and type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            raise ValueError(f"{key!r} is an integer beyond the float range") from None
         raise ValueError(f"{key!r} must be finite, got {value}")
-    return value
+    if kind is tuple and type(value) is list:
+        for i, item in enumerate(value):
+            if type(item) is not str:
+                raise TypeError(f"{key!r}[{i}] must be str, got {type(item).__name__}")
+        return tuple(value)
+    if type(value) is kind or kind is object:
+        return value
+    name = {float: "a number", tuple: "list"}.get(kind, kind.__name__)
+    raise TypeError(f"{key!r} must be {name}, got {type(value).__name__}")
 
 
-def strings_of(record: Any, key: str) -> tuple[str, ...]:
-    """``record[key]``, required to be a list of strings."""
-    value = field_of(record, key, list)
-    for i, item in enumerate(value):
-        if not isinstance(item, str):
-            raise TypeError(f"{key!r}[{i}] must be str, got {type(item).__name__}")
-    return tuple(value)
+def checked_paths(
+    inputs: Sequence[tuple[str, str | None]], outputs: Sequence[tuple[str, str | None]]
+) -> list[str]:
+    """The paths of a run's set ``(flag, path)`` inputs, for the manifest
+    the CLI writes beside its first output, checked before anything is
+    opened. No two outputs, nor the manifest, nor one of these and an
+    input, may be one file (by resolved path). An input must be a regular
+    file, which the manifest can hash again after the run; it is only
+    ``stat``ed, so a FIFO is not opened. With no output set, there is no
+    manifest, and nothing is checked."""
+    outs = [(flag, path) for flag, path in outputs if path is not None]
+    if not outs:
+        return []
+    ins = [(flag, path) for flag, path in inputs if path is not None]
+    outs.append(("the manifest", f"{outs[0][1]}.manifest.json"))
+    flags = {Path(path).resolve(): flag for flag, path in ins}
+    for flag, path in outs:
+        resolved = Path(path).resolve()
+        if resolved in flags:
+            raise ValueError(f"{path}: {flags[resolved]} and {flag} name the same file")
+        flags[resolved] = flag
+    for _, path in ins:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(
+                f"{path}: not a regular file, so the manifest cannot record its digest"
+            )
+    return [path for _, path in ins]
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> str:

@@ -19,16 +19,21 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import ParallelCorpus, Record, ScoreError, Value
-from .fileio import field_of, finite_of, read_jsonl, strings_of, write_jsonl
+from .fileio import read_jsonl, write_jsonl
 
 # metrics is imported where it is used, so a shuffle does not load it.
 if TYPE_CHECKING:
     from .metrics import MetricReport
 
 OVERALL = "overall"
+INSTANCE_FIELDS = (
+    ("instance_id", str), ("source", str), ("candidates", tuple),
+    ("positive_index", int), ("phenomenon", str),
+)
+CANDIDATE_FIELDS = (("instance_id", str), ("candidate_index", int), ("score", float))
 
 
 class PermutationRecord(NamedTuple):
@@ -350,20 +355,14 @@ def read_instance_stream(path: str | Path) -> Iterator[ContrastiveInstance]:
     # resize, so 20,000 ids take 2 MiB as a set and 0.4 MiB as a dict.
     seen: dict[str, None] = {}
 
-    def parse(record: dict) -> ContrastiveInstance:
-        instance = ContrastiveInstance(
-            field_of(record, "instance_id", str),
-            field_of(record, "source", str),
-            strings_of(record, "candidates"),
-            field_of(record, "positive_index", int),
-            field_of(record, "phenomenon", str),
-        )
+    def unseen(*fields: Any) -> ContrastiveInstance:
+        instance = ContrastiveInstance(*fields)
         if instance.instance_id in seen:
             raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
         seen[instance.instance_id] = None
         return instance
 
-    return read_jsonl(path, parse, "instance")
+    return read_jsonl(path, INSTANCE_FIELDS, unseen, "instance")
 
 
 def read_instances(path: str | Path) -> list[ContrastiveInstance]:
@@ -371,14 +370,7 @@ def read_instances(path: str | Path) -> list[ContrastiveInstance]:
 
 
 def read_candidate_scores(path: str | Path) -> Iterator[CandidateScore]:
-    def parse(record: dict) -> CandidateScore:
-        return CandidateScore(
-            field_of(record, "instance_id", str),
-            field_of(record, "candidate_index", int),
-            finite_of(record, "score"),
-        )
-
-    return read_jsonl(path, parse, "score")
+    return read_jsonl(path, CANDIDATE_FIELDS, CandidateScore, "score")
 
 
 def write_permutation_records(

@@ -19,10 +19,14 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Document, Value, paired_doc_ids
-from .fileio import field_of, finite_of, read_jsonl, write_jsonl
+from .fileio import read_jsonl, write_jsonl
 
 CATEGORIES = ("TENSE", "CONJ", "PRON")
 _CATEGORY_METRIC = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}
+LABEL_FIELDS = (("word", str), ("position", int), ("category", object), ("doc_id", str))
+METRIC_FIELDS = (
+    ("name", str), ("value", float), ("numerator", (int, 0)), ("denominator", (int, 0))
+)
 
 
 class TokenizerConfig(NamedTuple):
@@ -338,21 +342,14 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 def read_labeled_docs(
     references: Sequence[Document], labels_path: str | Path
 ) -> list[LabeledTestDoc]:
-    """Join a JSON-lines label file against its reference documents.
-
-    Each record carries doc_id, word, position, and category; labels for
-    unknown documents are an error. Documents without labels are omitted.
-    """
-    def parse(record: dict) -> tuple[str, Label]:
-        label = Label(
-            field_of(record, "word", str),
-            field_of(record, "position", int),
-            record["category"],
-        )
-        return field_of(record, "doc_id", str), label
+    """Join a JSON-lines label file (``LABEL_FIELDS``) against its
+    reference documents; labels for unknown documents are an error.
+    Documents without labels are omitted."""
+    def labeled(word: str, position: int, category: object, doc_id: str) -> tuple[str, Label]:
+        return doc_id, Label(word, position, category)
 
     by_id: dict[str, list[Label]] = {}
-    for doc_id, label in read_jsonl(labels_path, parse, "label"):
+    for doc_id, label in read_jsonl(labels_path, LABEL_FIELDS, labeled, "label"):
         by_id.setdefault(doc_id, []).append(label)
     refs_by_id = {doc.doc_id: doc for doc in references}
     unknown = sorted(set(by_id) - set(refs_by_id))
@@ -369,13 +366,4 @@ def write_reports(reports: Iterable[MetricReport], path: str | Path) -> str:
 
 
 def read_reports(path: str | Path) -> list[MetricReport]:
-    def parse(record: dict) -> MetricReport:
-        name = field_of(record, "name", str)
-        value = finite_of(record, "value")
-        counts = (
-            field_of(record, k, int) if k in record else 0
-            for k in ("numerator", "denominator")
-        )
-        return MetricReport(name, value, *counts)
-
-    return list(read_jsonl(path, parse, "metric record"))
+    return list(read_jsonl(path, METRIC_FIELDS, MetricReport, "metric record"))

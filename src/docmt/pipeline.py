@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Document, ParallelCorpus, Record, ScoreError, Value
-from .fileio import field_of, finite_of, read_jsonl
+from .fileio import read_jsonl
 
 DEFAULT_TERMINALS = frozenset({".", "!", "?", "。", "！", "？", "…"})
 DEFAULT_QUOTE_CLOSERS = frozenset({'"', "'", "”", "’", "»", ")", "」", "』"})
@@ -31,6 +31,7 @@ _BOUNDARY_RE = re.compile(
     f"[{re.escape(''.join(sorted(DEFAULT_QUOTE_CLOSERS)))}]*"
     r"(?=\s|\Z)"
 )
+SCORE_FIELDS = (("doc_id", str), ("pair_index", int), ("score", float))
 
 
 def check_score(doc_id: str, pair_index: int, score: float) -> None:
@@ -268,15 +269,12 @@ def filter_by_alignment(
 
 def _score_parser(
     table: ScoreTable, make: Callable[[str, int, float], object]
-) -> Callable[[dict], object]:
+) -> Callable[[str, int, float], object]:
     """A ``read_jsonl`` parser of alignment-score lines: ``make``, which
     checks the score's fields, then enters the score in ``table``, so a
     pair scored twice is reported at the line that repeats it."""
 
-    def parse(record: dict) -> object:
-        doc_id = field_of(record, "doc_id", str)
-        pair_index = field_of(record, "pair_index", int)
-        score = finite_of(record, "score")
+    def parse(doc_id: str, pair_index: int, score: float) -> object:
         made = make(doc_id, pair_index, score)
         if not _entered(table, doc_id, pair_index, score):
             raise ValueError(f"duplicate score for {(doc_id, pair_index)}")
@@ -287,14 +285,14 @@ def _score_parser(
 
 def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
     """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
-    return read_jsonl(path, _score_parser({}, AlignmentScore), "score")
+    return read_jsonl(path, SCORE_FIELDS, _score_parser({}, AlignmentScore), "score")
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
     """A JSON-lines alignment-score file as one ``ScoreTable``, read one
     line at a time; the table is the only copy of the scores held."""
     table: ScoreTable = {}
-    for _ in read_jsonl(path, _score_parser(table, check_score), "score"):
+    for _ in read_jsonl(path, SCORE_FIELDS, _score_parser(table, check_score), "score"):
         pass
     return table
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 import unicodedata
 from collections import Counter
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from docmt import (
     AlignmentScore,
@@ -19,9 +21,17 @@ from docmt import (
     ParallelDocument,
     TokenizerConfig,
 )
-from docmt.corpus import Record, field_of, read_jsonl, strings_of
+from docmt.corpus import Record
+from docmt.fileio import read_lines
 from docmt.harness import OVERALL, PermutationRecord
-from docmt.pipeline import DEFAULT_GUARDS, DEFAULT_QUOTE_CLOSERS, DEFAULT_TERMINALS
+from docmt.metrics import Label, LabeledTestDoc
+from docmt.pipeline import (
+    DEFAULT_GUARDS,
+    DEFAULT_QUOTE_CLOSERS,
+    DEFAULT_TERMINALS,
+    _entered,
+    check_score,
+)
 
 VOCAB = "the a of and to in cat dog house tree river stone bird cloud ran sat".split()
 
@@ -212,20 +222,205 @@ def naive_contrastive_accuracy(
     }
 
 
+# The JSON-lines readers' field checks and line parsers as they were before
+# each format declared a table of its keys (``docmt.fileio.typed``), kept
+# verbatim: the reference the table-driven readers are checked against.
+
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def read_jsonl(path, parse: Callable, what: str) -> Iterator:
+    """Parse each non-blank line of a JSON-lines file with ``parse``, one
+    line at a time, as the iterator reaches it."""
+    for lineno, raw in read_lines(path, what):
+        if not raw.strip():
+            continue
+        try:
+            value = json.loads(raw)
+            # A surrogate left in a decoded string was escaped alone; a
+            # pair was joined into one code point. Only lines that hold a
+            # backslash (one memchr) and escape a surrogate are searched.
+            if "\\" in raw and _SURROGATE_ESCAPE_RE.search(raw):
+                lone = _SURROGATE_RE.search(json.dumps(value, ensure_ascii=False))
+                if lone:
+                    raise ValueError(f"lone surrogate \\u{ord(lone.group()):04x}")
+            row = parse(value)
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            raise ValueError(
+                f"{path}: malformed {what} on line {lineno}: {exc}"
+            ) from exc
+        yield row
+
+
+def field_of(record: Any, key: str, kind: type) -> Any:
+    """``record[key]``, required to be a ``kind``; a bool is never a number."""
+    value = record[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def finite_of(record: Any, key: str) -> float:
+    """``record[key]``, required to be a finite int or float (not a bool)."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key!r} must be a number, got {type(value).__name__}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} is an integer beyond the float range") from None
+    if not finite:
+        raise ValueError(f"{key!r} must be finite, got {value}")
+    return value
+
+
+def strings_of(record: Any, key: str) -> tuple[str, ...]:
+    """``record[key]``, required to be a list of strings."""
+    value = field_of(record, key, list)
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise TypeError(f"{key!r}[{i}] must be str, got {type(item).__name__}")
+    return tuple(value)
+
+
+def record_parser(metadata: dict, make: Callable) -> Callable:
+    first = True
+
+    def parse(record: Any):
+        nonlocal first
+        is_metadata = first and isinstance(record, dict) and set(record) == {"metadata"}
+        first = False
+        if is_metadata:
+            for key in field_of(record, "metadata", dict):
+                metadata[key] = field_of(record["metadata"], key, str)
+            return None
+        doc_id = field_of(record, "doc_id", str)
+        aligned = record.get("aligned")
+        if aligned is not None:
+            aligned = field_of(record, "aligned", bool)
+        return make(doc_id, strings_of(record, "src"), strings_of(record, "tgt"), aligned)
+
+    return parse
+
+
+def score_parser(table: dict, make: Callable) -> Callable:
+    def parse(record: dict) -> object:
+        doc_id = field_of(record, "doc_id", str)
+        pair_index = field_of(record, "pair_index", int)
+        score = finite_of(record, "score")
+        made = make(doc_id, pair_index, score)
+        if not _entered(table, doc_id, pair_index, score):
+            raise ValueError(f"duplicate score for {(doc_id, pair_index)}")
+        return made
+
+    return parse
+
+
+def parse_label(record: dict) -> tuple[str, Label]:
+    label = Label(
+        field_of(record, "word", str),
+        field_of(record, "position", int),
+        record["category"],
+    )
+    return field_of(record, "doc_id", str), label
+
+
+def instance_parser(seen: dict) -> Callable:
+    def parse(record: dict) -> ContrastiveInstance:
+        instance = ContrastiveInstance(
+            field_of(record, "instance_id", str),
+            field_of(record, "source", str),
+            strings_of(record, "candidates"),
+            field_of(record, "positive_index", int),
+            field_of(record, "phenomenon", str),
+        )
+        if instance.instance_id in seen:
+            raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
+        seen[instance.instance_id] = None
+        return instance
+
+    return parse
+
+
+def parse_candidate_score(record: dict) -> CandidateScore:
+    return CandidateScore(
+        field_of(record, "instance_id", str),
+        field_of(record, "candidate_index", int),
+        finite_of(record, "score"),
+    )
+
+
+def parse_metric_record(record: dict) -> MetricReport:
+    name = field_of(record, "name", str)
+    value = finite_of(record, "value")
+    counts = (
+        field_of(record, k, int) if k in record else 0
+        for k in ("numerator", "denominator")
+    )
+    return MetricReport(name, value, *counts)
+
+
+def naive_parse(parse: Callable) -> Callable:
+    """``parse`` with two of the table-driven readers' messages: a line
+    that is not a JSON object, and a missing key. The parsers above left
+    both to Python, whose messages were ``'score'`` for a missing key
+    and varied with its version for the rest."""
+
+    def checked(value: Any):
+        if not isinstance(value, dict):
+            raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+        try:
+            return parse(value)
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+
+    return checked
+
+
 def naive_read_records(path) -> list[Record]:
     """Reference records reader, for files with no metadata line and no
     repeated doc_id: each line becomes a ``ParallelDocument``, whose
     constructors check it, and then a ``Record``."""
+    parse = record_parser({}, lambda *fields: ParallelDocument.of(*fields).record)
+    return list(read_jsonl(path, naive_parse(parse), "record"))
 
-    def parse(row) -> Record:
-        doc_id = field_of(row, "doc_id", str)
-        aligned = row.get("aligned")
-        if aligned is not None:
-            aligned = field_of(row, "aligned", bool)
-        src, tgt = strings_of(row, "src"), strings_of(row, "tgt")
-        return ParallelDocument.of(doc_id, src, tgt, aligned).record
 
-    return list(read_jsonl(path, parse, "record"))
+def naive_read_alignment_scores(path) -> list[AlignmentScore]:
+    return list(read_jsonl(path, naive_parse(score_parser({}, AlignmentScore)), "score"))
+
+
+def naive_read_score_table(path) -> dict:
+    table: dict = {}
+    for _ in read_jsonl(path, naive_parse(score_parser(table, check_score)), "score"):
+        pass
+    return table
+
+
+def naive_read_labeled_docs(references, labels_path) -> list[LabeledTestDoc]:
+    by_id: dict[str, list[Label]] = {}
+    for doc_id, label in read_jsonl(labels_path, naive_parse(parse_label), "label"):
+        by_id.setdefault(doc_id, []).append(label)
+    refs_by_id = {doc.doc_id: doc for doc in references}
+    unknown = sorted(set(by_id) - set(refs_by_id))
+    if unknown:
+        raise ValueError(f"{labels_path}: labels for unknown documents {unknown}")
+    return [
+        LabeledTestDoc(doc_id, refs_by_id[doc_id], tuple(labels))
+        for doc_id, labels in by_id.items()
+    ]
+
+
+def naive_read_instances(path) -> list[ContrastiveInstance]:
+    return list(read_jsonl(path, naive_parse(instance_parser({})), "instance"))
+
+
+def naive_read_candidate_scores(path) -> list[CandidateScore]:
+    return list(read_jsonl(path, naive_parse(parse_candidate_score), "score"))
+
+
+def naive_read_reports(path) -> list[MetricReport]:
+    return list(read_jsonl(path, naive_parse(parse_metric_record), "metric record"))
 
 
 def score_rows(scores: Iterable[AlignmentScore]) -> Iterator[dict]:
@@ -358,11 +553,13 @@ def naive_cmd_shuffle(args) -> None:
     from docmt.harness import write_permutation_records
 
     args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
-    cli._distinct_outputs({"--out": args.out, "--perm-out": args.perm_out})
+    inputs = cli.checked_paths(
+        [("--in", args.input)], [("--out", args.out), ("--perm-out", args.perm_out)]
+    )
     corpus = read_records(args.input)
     shuffle = naive_local_shuffle if args.mode == "local" else naive_global_shuffle
     shuffled, records = shuffle(corpus, args.seed)
     outputs = {args.out: write_records(shuffled, args.out)}
     outputs[args.perm_out] = write_permutation_records(records, args.perm_out)
-    cli._manifest(args, [args.input], outputs)
+    cli._manifest(args, inputs, outputs)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")

@@ -38,13 +38,16 @@ class TestDispatch:
     def test_missing_input_file_is_validation_error(self, tmp_path, capsys):
         code = run("mr-split", "--in", tmp_path / "absent.jsonl", "--out", tmp_path / "out")
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'absent.jsonl'}: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_directory_names_the_target(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "nodir" / "m.jsonl"
         assert run("mr-split", "--in", corpus_file, "--out", out) == 1
         err = capsys.readouterr().err
-        assert f"No such file or directory: '{out}'" in err
+        assert err == f"error: {out}: No such file or directory\n"
         assert ".tmp" not in err
 
     def test_replace_failure_names_the_target(self, corpus_file, tmp_path, capsys):
@@ -52,7 +55,7 @@ class TestDispatch:
         out.mkdir()
         assert run("mr-split", "--in", corpus_file, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert err == f"error: {out}: Is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "outdir"]
         assert list(out.iterdir()) == []
 
@@ -140,7 +143,7 @@ class TestConvert:
         assert run("convert", "--to", "doc-text", "--in", corpus_file,
                    "--src-out", "s.txt", "--tgt-out", "nodir/t.txt") == 1
         assert capsys.readouterr().err == (
-            "error: [Errno 2] No such file or directory: 'nodir/t.txt'\n"
+            "error: nodir/t.txt: No such file or directory\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
@@ -198,7 +201,7 @@ class TestClean:
         assert run("clean", "--in", corpus_file, "--out", "o.jsonl", "--dedup",
                    "--report", "nodir/r.jsonl") == 1
         assert capsys.readouterr().err == (
-            "error: [Errno 2] No such file or directory: 'nodir/r.jsonl'\n"
+            "error: nodir/r.jsonl: No such file or directory\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
@@ -334,7 +337,7 @@ class TestShuffleCommand:
         assert run("shuffle", "--in", corpus_file, "--out", "o.jsonl", "--mode", mode,
                    "--seed", "1", "--perm-out", "nodir/p.jsonl") == 1
         assert capsys.readouterr().err == (
-            "error: [Errno 2] No such file or directory: 'nodir/p.jsonl'\n"
+            "error: nodir/p.jsonl: No such file or directory\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
@@ -676,7 +679,8 @@ def test_malformed_input_is_one_line_diagnostic(case, tmp_path, monkeypatch, cap
     assert err.count("\n") == 1
 
 
-# case -> (argv with two outputs naming one file, that file's line on stderr)
+# case -> (argv with two outputs, or an output and an input, naming one
+# file, that file's line on stderr)
 OUTPUT_CLASHES = {
     "convert": (
         ["convert", "--to", "doc-text", "--in", "corpus.jsonl",
@@ -697,6 +701,14 @@ OUTPUT_CLASHES = {
          "--report", "c.jsonl.manifest.json"],
         "error: c.jsonl.manifest.json: --report and the manifest name the same file\n",
     ),
+    "oversample over its input": (
+        ["oversample", "--in", "corpus.jsonl", "--out", "corpus.jsonl", "--factor", "2"],
+        "error: corpus.jsonl: --in and --out name the same file\n",
+    ),
+    "manifest over the input": (
+        ["mr-split", "--in", "o.jsonl.manifest.json", "--out", "o.jsonl"],
+        "error: o.jsonl.manifest.json: --in and the manifest name the same file\n",
+    ),
 }
 
 
@@ -705,9 +717,11 @@ def test_two_outputs_naming_one_file_write_nothing(case, tmp_path, monkeypatch, 
     argv, err = OUTPUT_CLASHES[case]
     monkeypatch.chdir(tmp_path)
     write_records(make_corpus([8, 3]), tmp_path / "corpus.jsonl")
+    before = (tmp_path / "corpus.jsonl").read_bytes()
     assert run(*argv) == 1
     assert capsys.readouterr().err == err
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+    assert (tmp_path / "corpus.jsonl").read_bytes() == before
 
 
 @pytest.fixture
@@ -858,6 +872,22 @@ def test_an_input_the_manifest_cannot_hash_is_rejected_unopened(command, workspa
         f"error: {fifo.name}: not a regular file, so the manifest cannot record its digest\n"
     )
     assert sorted(p.name for p in workspace.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CONFIGS))
+def test_an_output_that_names_an_input_is_rejected_unopened(command, workspace, capsys):
+    # The run would replace what it reads, and its manifest would record
+    # the output's digest as the input's. Its FIFO_INPUTS input is given
+    # under the name of its first output.
+    argv, output, _ = MANIFEST_CONFIGS[command]
+    given = FIFO_INPUTS[command]
+    (workspace / output).write_bytes((workspace / given).read_bytes())
+    before = {p.name: p.read_bytes() for p in workspace.iterdir()}
+    assert run(*[output if arg == given else arg for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {output}: ") and err.count("\n") == 1
+    assert err.endswith(" name the same file\n")
+    assert {p.name: p.read_bytes() for p in workspace.iterdir()} == before
 
 
 def test_pearson_writes_no_manifest_and_reads_a_pipe(tmp_path, capsys):

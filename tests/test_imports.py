@@ -2,8 +2,10 @@
 each command imports only the layers it uses, ``statistics`` is imported
 by ``pearson`` alone, and nothing imports ``dataclasses`` or the
 ``inspect`` it needs. Each check runs in a fresh interpreter, so what the
-test process has already imported does not count."""
+test process has already imported does not count. And only ``fileio``
+decodes JSON."""
 
+import ast
 import json
 import os
 import subprocess
@@ -157,3 +159,29 @@ def test_every_export_imports_and_an_unknown_name_does_not(tmp_path):
         """,
         tmp_path,
     )
+
+
+# The names through which the json module decodes.
+DECODERS = {"load", "loads", "JSONDecoder", "raw_decode", "decoder", "scanner"}
+
+
+def test_only_fileio_decodes_json():
+    # Every JSON-lines format is read through fileio.read_jsonl and typed
+    # by its table there; a module that decoded JSON itself would grow a
+    # second loop, with its own line numbers and checks.
+    package = Path(docmt.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert {"fileio.py", "corpus.py", "metrics.py"} <= {path.name for path in modules}
+    for path in modules:
+        if path.name == "fileio.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for name in [alias.name, *alias.name.split(".")]
+        }
+        assert not used & DECODERS, (path.name, used & DECODERS)
