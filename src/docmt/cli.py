@@ -50,61 +50,61 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _config(args: argparse.Namespace) -> dict[str, str]:
-    """The subcommand's options that are set, keyed by long flag name with
-    ``-`` as ``_`` (positionals by name); lists are joined with ``,``."""
-    config = {}
+# The options that name files, by argparse dest: dispatch checks their paths
+# before a handler opens anything, and the manifest hashes the inputs.
+_READS = {"input", "src", "tgt", "align_scores", "hyp", "ref", "labels", "instances",
+          "scores", "files"}
+_WRITES = {"out", "report", "src_out", "tgt_out", "perm_out"}
+# What a handler returns: {output path: digest} in output order, or a falsy
+# value when it writes no file, and so no manifest.
+_Outputs = dict[str, str] | None
+
+
+def _options(args: argparse.Namespace):
+    """``(flag, dest, values)`` of each option of the subcommand that is set,
+    in parser order: ``flag`` is the first long flag, or a positional's dest,
+    and ``values`` a list, of one value unless the option takes several."""
     for action in args.actions:
         value = getattr(args, action.dest, None)
-        if value is None:
-            continue
-        flags = [f for f in action.option_strings if f.startswith("--")]
-        key = flags[0][2:].replace("-", "_") if flags else action.dest
-        config[key] = ",".join(value) if isinstance(value, list) else str(value)
-    return config
+        if value is not None:
+            flags = [f for f in action.option_strings if f.startswith("--")]
+            values = value if isinstance(value, list) else [value]
+            yield (flags[0] if flags else action.dest), action.dest, values
 
 
-def _manifest(
-    args: argparse.Namespace, inputs: Sequence[str], outputs: dict[str, str]
-) -> None:
-    """Write the run's manifest beside its first output, where
-    ``checked_paths`` looks for it. ``outputs`` maps each output path to
-    the SHA-256 its writer returned; inputs are hashed from disk."""
-    manifest = RunManifest(
-        command=args.command,
-        config=_config(args),
-        seed=getattr(args, "seed", None),
-        input_digests={p: _sha256(p) for p in inputs},
-        output_digests=outputs,
+def _paths(args: argparse.Namespace, dests: set[str]) -> list[tuple[str, str]]:
+    """``(flag, path)`` of each path of the set options in ``dests``."""
+    return [(flag, p) for flag, dest, ps in _options(args) if dest in dests for p in ps]
+
+
+def _print_counts(reports: Sequence) -> None:
+    """Print each report as ``name = value (numerator/denominator)``."""
+    for report in reports:
+        print(f"{report.name} = {report.value:.1f} ({report.numerator}/{report.denominator})")
+
+
+def _cmd_convert(args: argparse.Namespace) -> _Outputs:
+    used = (
+        {"to", "src", "tgt", "out"} if args.to == "records"
+        else {"to", "input", "src_out", "tgt_out"}
     )
-    manifest.write(f"{next(iter(outputs))}.manifest.json")
-
-
-def _cmd_convert(args: argparse.Namespace) -> None:
+    for flag, dest, _ in _options(args):
+        if dest not in used:
+            raise ValueError(f"convert --to {args.to} does not use {flag}")
     if args.to == "records":
         if not (args.src and args.tgt and args.out):
             raise ValueError("convert --to records needs --src, --tgt, and --out")
-        ins = [("--src", args.src), ("--tgt", args.tgt)]
-        inputs = checked_paths(ins, [("--out", args.out)])
         corpus = corpus_io.read_doc_text(args.src, args.tgt)
-        digest = corpus_io.write_records(corpus, args.out)
-        _manifest(args, inputs, {args.out: digest})
-    else:
-        if not (args.input and args.src_out and args.tgt_out):
-            raise ValueError(
-                "convert --to doc-text needs --in, --src-out, and --tgt-out"
-            )
-        outs = [("--src-out", args.src_out), ("--tgt-out", args.tgt_out)]
-        inputs = checked_paths([("--in", args.input)], outs)
-        corpus = corpus_io.read_records(args.input)
-        digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
-        _manifest(args, inputs, dict(zip([args.src_out, args.tgt_out], digests)))
+        return {args.out: corpus_io.write_records(corpus, args.out)}
+    if not (args.input and args.src_out and args.tgt_out):
+        raise ValueError("convert --to doc-text needs --in, --src-out, and --tgt-out")
+    corpus = corpus_io.read_records(args.input)
+    digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
+    return dict(zip([args.src_out, args.tgt_out], digests))
 
 
-def _cmd_clean(args: argparse.Namespace) -> None:
+def _cmd_clean(args: argparse.Namespace) -> _Outputs:
     from . import pipeline
-    ins = [("--in", args.input), ("--align-scores", args.align_scores)]
-    inputs = checked_paths(ins, [("--out", args.out), ("--report", args.report)])
     metadata, documents = corpus_io.read_record_stream(args.input)
     report = pipeline.CleanReport()
     cleaned = pipeline.clean_records(
@@ -134,7 +134,6 @@ def _cmd_clean(args: argparse.Namespace) -> None:
         )
     except corpus_io.ScoreError as exc:
         raise ValueError(f"{args.align_scores}: {exc}") from None
-    _manifest(args, inputs, outputs)
     removed = [
         len(report.removed_duplicates),
         len(report.removed_unaligned),
@@ -144,11 +143,11 @@ def _cmd_clean(args: argparse.Namespace) -> None:
         f"kept {kept} of {kept + sum(removed)} documents "
         f"({removed[0]} duplicate, {removed[1]} unaligned, {removed[2]} misaligned)"
     )
+    return outputs
 
 
-def _cmd_mr_split(args: argparse.Namespace) -> None:
+def _cmd_mr_split(args: argparse.Namespace) -> _Outputs:
     from . import mrsplit
-    inputs = checked_paths([("--in", args.input)], [("--out", args.out)])
     metadata, documents = corpus_io.read_record_stream(args.input)
     cfg = mrsplit.MRConfig(
         include_singletons=not args.no_singletons, joiner=args.joiner
@@ -156,22 +155,21 @@ def _cmd_mr_split(args: argparse.Namespace) -> None:
     tally = mrsplit.MRTally()
     segments = mrsplit.mr_records(documents, cfg, tally)
     written, digest = corpus_io.write_record_stream(args.out, metadata, segments)
-    _manifest(args, inputs, {args.out: digest})
     ratio = tally.ratio if written else float("nan")
     print(f"wrote {written} segment pairs (token ratio {ratio:.2f})")
+    return {args.out: digest}
 
 
-def _cmd_oversample(args: argparse.Namespace) -> None:
+def _cmd_oversample(args: argparse.Namespace) -> _Outputs:
     from . import mrsplit
-    inputs = checked_paths([("--in", args.input)], [("--out", args.out)])
     metadata, documents = corpus_io.read_record_stream(args.input)
     replicas = mrsplit.oversample_records(documents, args.factor)
     written, digest = corpus_io.write_record_stream(args.out, metadata, replicas)
-    _manifest(args, inputs, {args.out: digest})
     print(f"wrote {written} documents")
+    return {args.out: digest}
 
 
-def _cmd_bucket(args: argparse.Namespace) -> None:
+def _cmd_bucket(args: argparse.Namespace) -> _Outputs:
     from . import mrsplit
     try:
         budgets = [int(b) for b in args.budgets.split(",") if b]
@@ -179,17 +177,15 @@ def _cmd_bucket(args: argparse.Namespace) -> None:
         raise ValueError(f"--budgets: {exc}") from None
     # Each budget once: bucket_by_length reports a repeated one.
     outs = [f"{args.out_prefix}.b{budget}.jsonl" for budget in dict.fromkeys(budgets)]
-    inputs = checked_paths([("--in", args.input)], [("--out-prefix", out) for out in outs])
+    checked_paths(_paths(args, _READS), [("--out-prefix", out) for out in outs])
     buckets = mrsplit.bucket_by_length(corpus_io.read_records(args.input), budgets)
     outputs = {out: corpus_io.write_records(b, out) for out, b in zip(outs, buckets.values())}
-    _manifest(args, inputs, outputs)
     print(f"wrote {len(outputs)} buckets")
+    return outputs
 
 
-def _cmd_bleu(args: argparse.Namespace) -> None:
+def _cmd_bleu(args: argparse.Namespace) -> _Outputs:
     from . import metrics
-    ins = [("--hyp", args.hyp), ("--ref", args.ref)]
-    inputs = checked_paths(ins, [("--out", args.out)])
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     cfg = metrics.TokenizerConfig(lowercase=not args.cased)
@@ -198,31 +194,20 @@ def _cmd_bleu(args: argparse.Namespace) -> None:
     else:
         report = metrics.d_bleu(hyp, ref, cfg, args.max_n)
     print(f"{report.name} = {report.value:.2f}")
-    if args.out:
-        digest = metrics.write_reports([report], args.out)
-        _manifest(args, inputs, {args.out: digest})
+    return args.out and {args.out: metrics.write_reports([report], args.out)}
 
 
-def _cmd_tcp(args: argparse.Namespace) -> None:
+def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
     from . import metrics
-    ins = [("--hyp", args.hyp), ("--ref", args.ref), ("--labels", args.labels)]
-    inputs = checked_paths(ins, [("--out", args.out)])
     hyp = corpus_io.read_docs(args.hyp)
     ref = corpus_io.read_docs(args.ref)
     labeled = metrics.read_labeled_docs(ref, args.labels)
     reports = metrics.span_metrics(hyp, labeled, metrics.SpanConfig(radius_d=args.radius))
     overall = metrics.tcp(*(r.value for r in reports))
-    for report in reports:
-        print(
-            f"{report.name} = {report.value:.1f} "
-            f"({report.numerator}/{report.denominator})"
-        )
+    _print_counts(reports)
     print(f"TCP = {overall:.1f}")
-    if args.out:
-        digest = metrics.write_reports(
-            reports + [metrics.MetricReport("TCP", overall)], args.out
-        )
-        _manifest(args, inputs, {args.out: digest})
+    reports.append(metrics.MetricReport("TCP", overall))
+    return args.out and {args.out: metrics.write_reports(reports, args.out)}
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
@@ -248,11 +233,8 @@ def _cmd_pearson(args: argparse.Namespace) -> None:
     print(f"pearson = {value:.4f}")
 
 
-def _cmd_shuffle(args: argparse.Namespace) -> None:
+def _cmd_shuffle(args: argparse.Namespace) -> _Outputs:
     from . import harness
-    args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
-    outs = [("--out", args.out), ("--perm-out", args.perm_out)]
-    inputs = checked_paths([("--in", args.input)], outs)
     metadata, documents = corpus_io.read_record_stream(args.input)
     perms = harness.Permutations()
     if args.mode == "local":
@@ -273,14 +255,12 @@ def _cmd_shuffle(args: argparse.Namespace) -> None:
     written, outputs[args.out] = corpus_io.write_record_stream(
         args.out, metadata, shuffled_then_permutations()
     )
-    _manifest(args, inputs, outputs)
     print(f"wrote {written} documents ({args.mode} shuffle, seed {args.seed})")
+    return outputs
 
 
-def _cmd_contrastive(args: argparse.Namespace) -> None:
+def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
     from . import harness, metrics
-    ins = [("--instances", args.instances), ("--scores", args.scores)]
-    inputs = checked_paths(ins, [("--out", args.out)])
     instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
     try:
@@ -289,24 +269,14 @@ def _cmd_contrastive(args: argparse.Namespace) -> None:
         raise ValueError(f"{args.scores}: {exc}") from None
     if not results:
         raise ValueError(f"{args.instances}: no instances")
-    for phenomenon in sorted(k for k in results if k != harness.OVERALL):
-        report = results[phenomenon]
-        print(
-            f"{report.name} = {report.value:.1f} "
-            f"({report.numerator}/{report.denominator})"
-        )
-    overall = results[harness.OVERALL]
-    print(f"overall = {overall.value:.1f} ({overall.numerator}/{overall.denominator})")
-    if args.out:
-        digest = metrics.write_reports(
-            [results[k] for k in sorted(results)], args.out
-        )
-        _manifest(args, inputs, {args.out: digest})
+    reports = [results[k] for k in sorted(results)]
+    _print_counts([r for r in reports if r.name != harness.OVERALL])
+    _print_counts([results[harness.OVERALL]])
+    return args.out and {args.out: metrics.write_reports(reports, args.out)}
 
 
-def _cmd_report(args: argparse.Namespace) -> None:
+def _cmd_report(args: argparse.Namespace) -> _Outputs:
     from . import metrics
-    inputs = checked_paths([("files", f) for f in args.files], [("--out", args.out)])
     rows = []
     for path in args.files:
         by_name = {r.name: r for r in metrics.read_reports(path)}
@@ -331,9 +301,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         lines.append("  ".join(row[h].ljust(widths[h]) for h in headers))
     table = "\n".join(lines)
     print(table)
-    if args.out:
-        digest = corpus_io.write_text(args.out, [table + "\n"])
-        _manifest(args, inputs, {args.out: digest})
+    return args.out and {args.out: corpus_io.write_text(args.out, [table + "\n"])}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,22 +392,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the table to a file")
     p.set_defaults(func=_cmd_report)
 
-    # The manifest config is read off each subcommand's own options;
-    # argparse offers no public accessor for them.
+    # dispatch reads the file options and the manifest config off each
+    # subcommand's own options; argparse offers no public accessor for them.
     for p in sub.choices.values():
         p.set_defaults(actions=p._actions)
     return parser
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    """Parse and run one invocation; returns the process exit code."""
+    """Parse and run one invocation; returns the process exit code.
+
+    Before the handler opens anything, ``checked_paths`` checks the paths
+    of every file option. If the handler returns its outputs, the manifest
+    is written beside the first, where ``checked_paths`` looks for it: its
+    config keys are the long flags with ``-`` as ``_``, a list joined with
+    ``,``; each output's digest is the one its writer returned, and the
+    inputs are hashed from disk."""
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
+        if "perm_out" in vars(args):  # shuffle names its permutations after --out
+            args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
+        inputs = _paths(args, _READS)
+        checked_paths(inputs, _paths(args, _WRITES))
+        outputs = args.func(args)
+        if outputs:
+            RunManifest(
+                command=args.command,
+                config={
+                    flag.lstrip("-").replace("-", "_"): ",".join(map(str, values))
+                    for flag, _, values in _options(args)
+                },
+                seed=getattr(args, "seed", None),
+                input_digests={path: _sha256(path) for _, path in inputs},
+                output_digests=outputs,
+            ).write(f"{next(iter(outputs))}.manifest.json")
     except (ValueError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import threading
@@ -58,6 +59,13 @@ class TestDispatch:
         assert err == f"error: {out}: Is a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "outdir"]
         assert list(out.iterdir()) == []
+
+
+# mode -> its file options, with inputs in the tmp_path of TestConvert
+CONVERT_FILES = {
+    "records": ["--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"],
+    "doc-text": ["--in", "corpus.jsonl", "--src-out", "s2.txt", "--tgt-out", "t2.txt"],
+}
 
 
 class TestConvert:
@@ -135,6 +143,24 @@ class TestConvert:
         ) == 1
         assert "collides with the doc_id header syntax" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    @pytest.mark.parametrize("mode, stray", [
+        pytest.param(mode, CONVERT_FILES[other][i:i + 2], id=f"{mode} {CONVERT_FILES[other][i]}")
+        for mode, other in (("records", "doc-text"), ("doc-text", "records"))
+        for i in (0, 2, 4)
+    ])
+    def test_a_file_option_of_the_other_mode_is_rejected(
+        self, mode, stray, corpus_file, tmp_path, monkeypatch, capsys
+    ):
+        # The manifest would record a file the run never reads or writes.
+        # Every input exists, so the paths pass and convert's own check runs.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.txt").write_text("a b.\n", encoding="utf-8")
+        (tmp_path / "t.txt").write_text("x y.\n", encoding="utf-8")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run("convert", "--to", mode, *CONVERT_FILES[mode], *stray) == 1
+        assert capsys.readouterr().err == f"error: convert --to {mode} does not use {stray[0]}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_a_failed_target_file_leaves_no_source_file(
         self, corpus_file, tmp_path, monkeypatch, capsys
@@ -709,6 +735,11 @@ OUTPUT_CLASHES = {
         ["mr-split", "--in", "o.jsonl.manifest.json", "--out", "o.jsonl"],
         "error: o.jsonl.manifest.json: --in and the manifest name the same file\n",
     ),
+    "shuffle default perm-out over the input": (
+        ["shuffle", "--in", "o.jsonl.perm.jsonl", "--out", "o.jsonl", "--mode", "local",
+         "--seed", "1"],
+        "error: o.jsonl.perm.jsonl: --in and --perm-out name the same file\n",
+    ),
 }
 
 
@@ -740,6 +771,11 @@ def workspace(tmp_path, monkeypatch):
         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":1,"score":0.5}\n',
         "m.jsonl": '{"name":"TC","value":50.0}\n',
         "m2.jsonl": '{"name":"TC","value":60.0}\n',
+        "al.jsonl": "".join(
+            f'{{"doc_id":"{doc}","pair_index":{i},"score":0.9}}\n'
+            for doc, pairs in (("d000", 8), ("d001", 3))
+            for i in range(pairs)
+        ),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -763,10 +799,10 @@ MANIFEST_CONFIGS = {
     ),
     "clean": (
         ["clean", "--in", "corpus.jsonl", "--out", "cl.jsonl", "--dedup",
-         "--report", "rm.jsonl"],
+         "--align-scores", "al.jsonl", "--report", "rm.jsonl"],
         "cl.jsonl",
         {"in": "corpus.jsonl", "out": "cl.jsonl", "dedup": "True", "segment": "False",
-         "align_threshold": "0.4", "report": "rm.jsonl"},
+         "align_scores": "al.jsonl", "align_threshold": "0.4", "report": "rm.jsonl"},
     ),
     "mr-split": (
         ["mr-split", "--in", "corpus.jsonl", "--out", "mr.jsonl", "--no-singletons"],
@@ -784,9 +820,9 @@ MANIFEST_CONFIGS = {
         {"in": "corpus.jsonl", "out_prefix": "b", "budgets": "4,64"},
     ),
     "bleu": (
-        ["bleu", "--hyp", "s.txt", "--ref", "s.txt", "--out", "bleu.jsonl"],
+        ["bleu", "--hyp", "t.txt", "--ref", "s.txt", "--out", "bleu.jsonl"],
         "bleu.jsonl",
-        {"hyp": "s.txt", "ref": "s.txt", "level": "doc", "max_n": "4", "cased": "False",
+        {"hyp": "t.txt", "ref": "s.txt", "level": "doc", "max_n": "4", "cased": "False",
          "out": "bleu.jsonl"},
     ),
     "tcp": (
@@ -817,12 +853,34 @@ MANIFEST_CONFIGS = {
 }
 
 
+# command -> (the inputs, the outputs) its MANIFEST_CONFIGS run records,
+# each in the manifest's sorted key order.
+MANIFEST_FILES = {
+    "convert-records": (["s.txt", "t.txt"], ["c.jsonl"]),
+    "convert-doc-text": (["corpus.jsonl"], ["s2.txt", "t2.txt"]),
+    "clean": (["al.jsonl", "corpus.jsonl"], ["cl.jsonl", "rm.jsonl"]),
+    "mr-split": (["corpus.jsonl"], ["mr.jsonl"]),
+    "oversample": (["corpus.jsonl"], ["os.jsonl"]),
+    "bucket": (["corpus.jsonl"], ["b.b4.jsonl", "b.b64.jsonl"]),
+    "bleu": (["s.txt", "t.txt"], ["bleu.jsonl"]),
+    "tcp": (["labels.jsonl", "ref.txt"], ["tcp.jsonl"]),
+    "shuffle": (["corpus.jsonl"], ["sh.jsonl", "sh.jsonl.perm.jsonl"]),
+    "contrastive": (["inst.jsonl", "sc.jsonl"], ["acc.jsonl"]),
+    "report": (["m.jsonl", "m2.jsonl"], ["table.txt"]),
+}
+
+
 @pytest.mark.parametrize("command", list(MANIFEST_CONFIGS))
 def test_manifest_config_follows_the_flags(command, workspace):
     argv, output, config = MANIFEST_CONFIGS[command]
     assert run(*argv) == 0
     manifest = json.loads((workspace / f"{output}.manifest.json").read_text())
     assert manifest["config"] == config
+    inputs, outputs = MANIFEST_FILES[command]
+    for key, names in (("input_digests", inputs), ("output_digests", outputs)):
+        assert list(manifest[key]) == names
+        for name, digest in manifest[key].items():
+            assert digest == hashlib.sha256((workspace / name).read_bytes()).hexdigest()
 
 
 # command -> the input of its MANIFEST_CONFIGS run that is made a FIFO

@@ -3,7 +3,8 @@ each command imports only the layers it uses, ``statistics`` is imported
 by ``pearson`` alone, and nothing imports ``dataclasses`` or the
 ``inspect`` it needs. Each check runs in a fresh interpreter, so what the
 test process has already imported does not count. And only ``fileio``
-decodes JSON."""
+decodes JSON, and ``cli.py`` stays under the size at which its compile
+memory jumps."""
 
 import ast
 import json
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -185,3 +187,28 @@ def test_only_fileio_decodes_json():
             for name in [alias.name, *alias.name.split(".")]
         }
         assert not used & DECODERS, (path.name, used & DECODERS)
+
+
+# Between 4,076 and 4,126 tokens, the peak memory to compile cli.py jumps
+# from 1.47 to 1.73 MiB, and with no bytecode cached every step pays it
+# (README, "What a command loads"). The guard leaves some margin below it.
+CLI_TOKEN_LIMIT = 4_000
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the cliff was measured on CPython 3.11 only; from 3.12, f-strings "
+    "tokenize into their parts (PEP 701), so the count differs",
+)
+def test_cli_stays_under_the_compile_cliff():
+    path = Path(docmt.__file__).resolve().parent / "cli.py"
+    with open(path, encoding="utf-8") as handle:
+        tokens = [
+            token
+            for token in tokenize.generate_tokens(handle.readline)
+            if token.type not in (tokenize.COMMENT, tokenize.NL)
+        ]
+    assert len(tokens) < CLI_TOKEN_LIMIT, (
+        f"cli.py has {len(tokens)} tokens, at or past {CLI_TOKEN_LIMIT:,}: move a part "
+        "out before adding to it (README, \"What a command loads\")"
+    )
