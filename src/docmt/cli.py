@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -186,22 +187,23 @@ def _cmd_bucket(args: argparse.Namespace) -> _Outputs:
 
 def _cmd_bleu(args: argparse.Namespace) -> _Outputs:
     from . import metrics
-    hyp = corpus_io.read_docs(args.hyp)
-    ref = corpus_io.read_docs(args.ref)
-    cfg = metrics.TokenizerConfig(lowercase=not args.cased)
-    if args.level == "sent":
-        report = metrics.s_bleu(hyp, ref, cfg, args.max_n)
-    else:
-        report = metrics.d_bleu(hyp, ref, cfg, args.max_n)
+    score = metrics.s_bleu if args.level == "sent" else metrics.d_bleu
+    report = score(
+        corpus_io.read_doc_stream(args.hyp),
+        corpus_io.read_doc_stream(args.ref),
+        metrics.TokenizerConfig(lowercase=not args.cased),
+        args.max_n,
+    )
     print(f"{report.name} = {report.value:.2f}")
     return args.out and {args.out: metrics.write_reports([report], args.out)}
 
 
 def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
     from . import metrics
-    hyp = corpus_io.read_docs(args.hyp)
-    ref = corpus_io.read_docs(args.ref)
-    labeled = metrics.read_labeled_docs(ref, args.labels)
+    # The labels are read whole; the references, then the outputs, stream past.
+    ref = corpus_io.read_doc_stream(args.ref)
+    labeled = metrics.labeled_docs(ref, metrics.read_labels(args.labels), args.labels)
+    hyp = corpus_io.read_doc_stream(args.hyp)
     reports = metrics.span_metrics(hyp, labeled, metrics.SpanConfig(radius_d=args.radius))
     overall = metrics.tcp(*(r.value for r in reports))
     _print_counts(reports)
@@ -408,11 +410,15 @@ def dispatch(argv: Sequence[str]) -> int:
     config keys are the long flags with ``-`` as ``_``, a list joined with
     ``,``; each output's digest is the one its writer returned, and the
     inputs are hashed from disk."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The parser's objects form reference cycles: free them now, for the
+    # handler to reuse, rather than at some later collection. The young
+    # generations hold them; a full collection would also empty the
+    # interpreter's free lists, for the handler to fill again.
+    gc.collect(1)
     try:
         if "perm_out" in vars(args):  # shuffle names its permutations after --out
             args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"

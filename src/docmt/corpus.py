@@ -33,7 +33,9 @@ reads a whole corpus with the same reader, building each document
 straight from its line, and ``write_records`` writes one; stages turn
 records back into documents only in ``ParallelCorpus.derive``. Files
 are read and written through ``docmt.fileio``, whose primitives stay
-importable from here.
+importable from here. Doc-text files stream too: ``read_doc_stream``
+yields one ``Document`` at a time, ``read_docs`` is its list, and
+``paired_docs`` pairs two streams as they are read.
 """
 
 from __future__ import annotations
@@ -58,28 +60,31 @@ def _ordinal_id(index: int) -> str:
     return f"{index:06d}"
 
 
-def paired_doc_ids(
-    firsts: Sequence[Document], seconds: Sequence[Document], first: str, second: str
-) -> list[str]:
-    """The doc_id of each pair of two document lists paired by position.
+def paired_docs(
+    firsts: Iterable[Document], seconds: Iterable[Document], first: str, second: str
+) -> Iterator[tuple[str, Document, Document]]:
+    """``(doc_id, a, b)`` for each pair of two document streams paired by
+    position, one pair at a time.
 
     Two ids pair when they are equal, or when one is its block's ordinal
     default and the other then names the pair; anything else is an error.
+    When one stream ends first, the rest of the other is read, so that the
+    count mismatch names both counts.
     """
-    if len(firsts) != len(seconds):
-        raise ValueError(
-            f"document count mismatch: {len(firsts)} {first} vs "
-            f"{len(seconds)} {second}"
-        )
-    ids = []
-    for i, (a, b) in enumerate(zip(firsts, seconds)):
+    pairs = itertools.zip_longest(firsts, seconds)
+    for i, (a, b) in enumerate(pairs):
+        if a is None or b is None:
+            longer = i + 1 + sum(1 for _ in pairs)
+            raise ValueError(
+                f"document count mismatch: {i if a is None else longer} {first} vs "
+                f"{longer if a is None else i} {second}"
+            )
         if a.doc_id != b.doc_id and _ordinal_id(i) not in (a.doc_id, b.doc_id):
             raise ValueError(
                 f"document {i}: {first} doc_id {a.doc_id!r} conflicts with "
                 f"{second} doc_id {b.doc_id!r}"
             )
-        ids.append(b.doc_id if a.doc_id == _ordinal_id(i) else a.doc_id)
-    return ids
+        yield (b.doc_id if a.doc_id == _ordinal_id(i) else a.doc_id), a, b
 
 
 class Value:
@@ -271,14 +276,14 @@ class ParallelCorpus(Value):
         return self.documents[index]
 
 
-def read_docs(path: str | Path) -> list[Document]:
-    """Read one side of the doc-text format into a list of documents.
+def read_doc_stream(path: str | Path) -> Iterator[Document]:
+    """Read one side of the doc-text format one document at a time.
 
     A block is a run of non-blank lines, and its first line is its header
     when it reads ``# doc_id: <id>``. A block of only a header is an
-    error, as is a doc_id given to two blocks (naming both ordinals).
+    error, as is a doc_id given to two blocks (naming both ordinals). Only
+    the ids read so far are held, with their ordinals.
     """
-    docs: list[Document] = []
     ordinals: dict[str, int] = {}
     lines = read_lines(path, "doc-text")
     for blank, block in itertools.groupby(lines, key=lambda line: line[1].isspace()):
@@ -288,7 +293,7 @@ def read_docs(path: str | Path) -> list[Document]:
         sentences = [raw.rstrip("\n") for _, raw in rest]
         header = _HEADER_RE.match(first)
         if header is None:
-            doc_id = _ordinal_id(len(docs))
+            doc_id = _ordinal_id(len(ordinals))
             sentences.insert(0, first.rstrip("\n"))
         elif sentences:
             doc_id = header.group(1)
@@ -300,11 +305,15 @@ def read_docs(path: str | Path) -> list[Document]:
         if doc_id in ordinals:
             raise ValueError(
                 f"{path}: duplicate doc_id {doc_id!r} in blocks "
-                f"{ordinals[doc_id]} and {len(docs)}"
+                f"{ordinals[doc_id]} and {len(ordinals)}"
             )
-        ordinals[doc_id] = len(docs)
-        docs.append(Document(doc_id, tuple(sentences)))
-    return docs
+        ordinals[doc_id] = len(ordinals)
+        yield Document(doc_id, tuple(sentences))
+
+
+def read_docs(path: str | Path) -> list[Document]:
+    """``read_doc_stream`` as a list."""
+    return list(read_doc_stream(path))
 
 
 def _doc_text(docs: Sequence[Document]) -> str:
@@ -340,7 +349,7 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     """Read a parallel doc-text file pair into an aligned corpus.
 
     Errors out (naming the first offending document index) when the two
-    files disagree in block count, doc_id (``paired_doc_ids``) or per-block
+    files disagree in block count, doc_id (``paired_docs``) or per-block
     sentence count; partial alignment is never silently accepted.
     """
     src_docs = read_docs(src_path)
@@ -350,9 +359,9 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
             f"document count mismatch: {src_path} has {len(src_docs)} blocks, "
             f"{tgt_path} has {len(tgt_docs)}"
         )
-    ids = paired_doc_ids(src_docs, tgt_docs, "source", "target")
+    pairs = list(paired_docs(src_docs, tgt_docs, "source", "target"))
     documents = []
-    for i, (doc_id, src, tgt) in enumerate(zip(ids, src_docs, tgt_docs)):
+    for i, (doc_id, src, tgt) in enumerate(pairs):
         if len(src) != len(tgt):
             raise ValueError(
                 f"sentence count mismatch in document {i} (id {doc_id!r}): "

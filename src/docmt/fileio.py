@@ -136,9 +136,9 @@ def _slow(row: dict, key: str, kind: Any) -> Any:
 
 def checked_paths(
     inputs: Sequence[tuple[str, str | None]], outputs: Sequence[tuple[str, str | None]]
-) -> list[str]:
-    """The paths of a run's set ``(flag, path)`` inputs, for the manifest
-    the CLI writes beside its first output, checked before anything is
+) -> None:
+    """Check a run's set ``(flag, path)`` inputs and outputs, for the
+    manifest the CLI writes beside its first output, before anything is
     opened. No two outputs, nor the manifest, nor one of these and an
     input, may be one file (by resolved path). An input must be a regular
     file, which the manifest can hash again after the run; it is only
@@ -146,7 +146,7 @@ def checked_paths(
     manifest, and nothing is checked."""
     outs = [(flag, path) for flag, path in outputs if path is not None]
     if not outs:
-        return []
+        return
     ins = [(flag, path) for flag, path in inputs if path is not None]
     outs.append(("the manifest", f"{outs[0][1]}.manifest.json"))
     flags = {Path(path).resolve(): flag for flag, path in ins}
@@ -160,7 +160,6 @@ def checked_paths(
             raise ValueError(
                 f"{path}: not a regular file, so the manifest cannot record its digest"
             )
-    return [path for _, path in ins]
 
 
 def write_text(path: str | Path, chunks: Iterable[str]) -> str:

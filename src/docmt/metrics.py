@@ -16,9 +16,9 @@ import unicodedata
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Document, Value, paired_doc_ids
+from .corpus import Document, Value, paired_docs
 from .fileio import read_jsonl, write_jsonl
 
 CATEGORIES = ("TENSE", "CONJ", "PRON")
@@ -95,14 +95,14 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
     cfg = cfg or TokenizerConfig()
     if cfg.lowercase:
         text = text.lower()
-    tokens: list[str] = []
+    tokens = []
     for tok in text.split():
         # No alphanumeric character is in a P* category, so a token with
         # alphanumeric edges has no punctuation to detach.
         if tok[0].isalnum() and tok[-1].isalnum():
             tokens.append(tok)
             continue
-        trailing: list[str] = []
+        trailing = []
         while tok and _is_punct(tok[0]):
             tokens.append(tok[0])
             tok = tok[1:]
@@ -115,45 +115,32 @@ def tokenize(text: str, cfg: TokenizerConfig | None = None) -> list[str]:
     return tokens
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
-def _bleu_stats(
-    pairs: Iterable[tuple[Sequence[str], Sequence[str]]], max_n: int
-) -> tuple[list[int], list[int], int, int]:
-    """BLEU's sufficient statistics summed over (hypothesis, reference)
-    token pairs, consumed one pair at a time: clipped n-gram matches and
-    hypothesis n-gram totals per order 1..max_n, then the hypothesis and
-    reference lengths."""
+def _bleu(
+    name: str, pairs: Iterable[tuple[Sequence[str], Sequence[str]]], max_n: int
+) -> MetricReport:
+    """BLEU over (hypothesis, reference) token pairs, consumed one pair at
+    a time. Its sufficient statistics are summed over the pairs: clipped
+    n-gram matches and hypothesis n-gram totals per order 1..max_n, and the
+    hypothesis and reference lengths. Orders with no hypothesis n-grams
+    drop out of the geometric mean."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     correct = [0] * max_n
     total = [0] * max_n
-    hyp_len = 0
-    ref_len = 0
-    units = 0
+    hyp_len = ref_len = units = 0
     for hyp, ref in pairs:
         units += 1
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, min(max_n, len(hyp)) + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
+            hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
+            ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
             total[n - 1] += len(hyp) - n + 1
             correct[n - 1] += sum(
                 min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
             )
     if not units:
         raise ValueError("cannot score an empty corpus")
-    return correct, total, hyp_len, ref_len
-
-
-def _bleu_report(
-    name: str, correct: list[int], total: list[int], hyp_len: int, ref_len: int
-) -> MetricReport:
-    """BLEU from pooled statistics; orders with no hypothesis n-grams drop
-    out of the geometric mean."""
     orders = [(c, t) for c, t in zip(correct, total) if t > 0]
     if not orders or any(c == 0 for c, _ in orders):
         return MetricReport(name, 0.0)
@@ -180,12 +167,12 @@ def corpus_bleu(
             f"hypothesis/reference length mismatch: "
             f"{len(hypotheses)} vs {len(references)}"
         )
-    return _bleu_report("BLEU", *_bleu_stats(zip(hypotheses, references), max_n))
+    return _bleu("BLEU", zip(hypotheses, references), max_n)
 
 
 def s_bleu(
-    hypotheses: Sequence[Document],
-    references: Sequence[Document],
+    hypotheses: Iterable[Document],
+    references: Iterable[Document],
     tok_cfg: TokenizerConfig | None = None,
     max_n: int = 4,
 ) -> MetricReport:
@@ -193,42 +180,43 @@ def s_bleu(
 
     Requires one-to-one sentence correspondence inside every document
     pair; the first structural mismatch is reported by document index.
+    Documents are paired one at a time, as ``corpus.paired_docs`` pairs them.
     """
     cfg = tok_cfg or TokenizerConfig()
-    paired_doc_ids(hypotheses, references, "hypothesis", "reference")
-    for i, (hyp, ref) in enumerate(zip(hypotheses, references)):
-        if len(hyp) != len(ref):
-            raise ValueError(
-                f"sentence count mismatch in document {i} (id {ref.doc_id!r}): "
-                f"{len(hyp)} hypothesis vs {len(ref)} reference"
-            )
-    units = (
-        (tokenize(h, cfg), tokenize(r, cfg))
-        for hyp, ref in zip(hypotheses, references)
-        for h, r in zip(hyp.sentences, ref.sentences)
-    )
-    return _bleu_report("s-BLEU", *_bleu_stats(units, max_n))
+
+    def units():
+        pairs = paired_docs(hypotheses, references, "hypothesis", "reference")
+        for i, (_, hyp, ref) in enumerate(pairs):
+            if len(hyp) != len(ref):
+                raise ValueError(
+                    f"sentence count mismatch in document {i} (id {ref.doc_id!r}): "
+                    f"{len(hyp)} hypothesis vs {len(ref)} reference"
+                )
+            for h, r in zip(hyp.sentences, ref.sentences):
+                yield tokenize(h, cfg), tokenize(r, cfg)
+
+    return _bleu("s-BLEU", units(), max_n)
 
 
 def d_bleu(
-    hypotheses: Sequence[Document],
-    references: Sequence[Document],
+    hypotheses: Iterable[Document],
+    references: Iterable[Document],
     tok_cfg: TokenizerConfig | None = None,
     max_n: int = 4,
 ) -> MetricReport:
-    """Corpus BLEU with each whole flattened document as one unit."""
+    """Corpus BLEU with each whole flattened document as one unit; the
+    documents are paired as for ``s_bleu``."""
     cfg = tok_cfg or TokenizerConfig()
-    paired_doc_ids(hypotheses, references, "hypothesis", "reference")
     units = (
         (tokenize(hyp.text, cfg), tokenize(ref.text, cfg))
-        for hyp, ref in zip(hypotheses, references)
+        for _, hyp, ref in paired_docs(hypotheses, references, "hypothesis", "reference")
     )
-    return _bleu_report("d-BLEU", *_bleu_stats(units, max_n))
+    return _bleu("d-BLEU", units, max_n)
 
 
 def span_metric(
-    outputs: Sequence[Document],
-    refs: Sequence[LabeledTestDoc],
+    outputs: Iterable[Document],
+    refs: Iterable[LabeledTestDoc],
     category: str,
     span_cfg: SpanConfig | None = None,
 ) -> MetricReport:
@@ -239,6 +227,10 @@ def span_metric(
     the output/reference token-count ratio and d the configured radius.
     The label scores a hit when its word occurs at any window index.
     Category TENSE reports TC, CONJ reports CP, PRON reports PT.
+    Outputs join their references by doc id, in any order; outputs
+    without labels are ignored. The first error is, in this order, a
+    label that does not fit its reference (in reference order), a
+    labeled document without an output, or no labels at all.
     """
     if category not in CATEGORIES:
         raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
@@ -246,64 +238,73 @@ def span_metric(
 
 
 def span_metrics(
-    outputs: Sequence[Document],
-    refs: Sequence[LabeledTestDoc],
+    outputs: Iterable[Document],
+    refs: Iterable[LabeledTestDoc],
     span_cfg: SpanConfig | None = None,
 ) -> list[MetricReport]:
     """TC, CP and PT (``span_metric`` of each of ``CATEGORIES``) in one
-    pass, which tokenizes each labeled reference and its output once.
-    On an error it raises what the first failing ``span_metric`` call, in
-    ``CATEGORIES`` order, raises."""
-    try:
-        return _span_reports(outputs, refs, CATEGORIES, span_cfg)
-    except ValueError:  # one category's error, found in document order
-        return [span_metric(outputs, refs, c, span_cfg) for c in CATEGORIES]
+    pass over each input, which tokenizes each labeled reference and its
+    output once. On an error it raises what the first failing
+    ``span_metric`` call, in ``CATEGORIES`` order, raises."""
+    return _span_reports(outputs, refs, CATEGORIES, span_cfg)
 
 
 def _span_reports(
-    outputs: Sequence[Document],
-    refs: Sequence[LabeledTestDoc],
+    outputs: Iterable[Document],
+    refs: Iterable[LabeledTestDoc],
     categories: Sequence[str],
     span_cfg: SpanConfig | None,
 ) -> list[MetricReport]:
-    """``span_metric`` of each of ``categories``, one document at a time."""
-    span_cfg = span_cfg or SpanConfig()
-    by_id = {doc.doc_id: doc for doc in outputs}
-    hits = dict.fromkeys(categories, 0)
-    totals = dict.fromkeys(categories, 0)
+    """``span_metric`` of each of ``categories``. One pass over ``refs``
+    checks the labels against the reference tokens and keeps, by doc id,
+    only the labels and the reference token count; one pass over
+    ``outputs`` counts the window hits. Each category keeps its first
+    error, so neither input is read twice; an error of the first category
+    is final, and ends the pass over ``refs`` at once."""
+    radius = (span_cfg or SpanConfig()).radius_d
+    errors, pending, hits, totals = {}, {}, Counter(), Counter()
     for ref in refs:
-        labels = [label for label in ref.labels if label.category in totals]
+        labels = [label for label in ref.labels if label.category in categories]
         if not labels:
             continue
-        if ref.doc_id not in by_id:
-            raise ValueError(f"missing output for labeled document {ref.doc_id!r}")
-        ref_tokens = tokenize(ref.reference.text)
-        out_tokens = tokenize(by_id[ref.doc_id].text)
-        alpha = len(out_tokens) / len(ref_tokens)
+        tokens = tokenize(ref.reference.text)
         for label in labels:
-            word = label.word.lower()
-            if label.position >= len(ref_tokens):
-                raise ValueError(
+            totals[label.category] += 1
+            if label.position >= len(tokens):
+                errors.setdefault(
+                    label.category,
                     f"label position {label.position} out of range for document "
-                    f"{ref.doc_id!r} ({len(ref_tokens)} tokens)"
+                    f"{ref.doc_id!r} ({len(tokens)} tokens)"
                 )
-            if ref_tokens[label.position] != word:
-                raise ValueError(
+            elif tokens[label.position] != label.word.lower():
+                errors.setdefault(
+                    label.category,
                     f"label word {label.word!r} does not match reference token "
-                    f"{ref_tokens[label.position]!r} at position {label.position} "
+                    f"{tokens[label.position]!r} at position {label.position} "
                     f"of document {ref.doc_id!r}"
                 )
-            totals[label.category] += 1
-            lo = max(0, math.floor(alpha * label.position - span_cfg.radius_d))
-            hi = min(
-                len(out_tokens) - 1,
-                math.ceil(alpha * label.position + span_cfg.radius_d),
-            )
-            if word in out_tokens[lo : hi + 1]:
-                hits[label.category] += 1
+        pending[ref.doc_id] = labels, len(tokens)
+        if categories[0] in errors:
+            break
+    else:
+        for out in outputs:
+            if out.doc_id in pending:
+                labels, ref_len = pending.pop(out.doc_id)
+                tokens = tokenize(out.text)
+                for label in labels:
+                    at = len(tokens) / ref_len * label.position
+                    window = tokens[max(0, math.floor(at - radius)) : math.ceil(at + radius) + 1]
+                    hits[label.category] += label.word.lower() in window
+        for doc_id, (labels, _) in pending.items():
+            for label in labels:
+                errors.setdefault(
+                    label.category, f"missing output for labeled document {doc_id!r}"
+                )
     for category in categories:
-        if totals[category] == 0:
-            raise ValueError(f"no labels of category {category!r} in the test set")
+        if category in errors or not totals[category]:
+            raise ValueError(
+                errors.get(category, f"no labels of category {category!r} in the test set")
+            )
     return [
         MetricReport(_CATEGORY_METRIC[c], 100.0 * hits[c] / totals[c], hits[c], totals[c])
         for c in categories
@@ -339,26 +340,44 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError(f"degenerate input: {exc}")
 
 
-def read_labeled_docs(
-    references: Sequence[Document], labels_path: str | Path
-) -> list[LabeledTestDoc]:
-    """Join a JSON-lines label file (``LABEL_FIELDS``) against its
-    reference documents; labels for unknown documents are an error.
-    Documents without labels are omitted."""
-    def labeled(word: str, position: int, category: object, doc_id: str) -> tuple[str, Label]:
-        return doc_id, Label(word, position, category)
-
-    by_id: dict[str, list[Label]] = {}
-    for doc_id, label in read_jsonl(labels_path, LABEL_FIELDS, labeled, "label"):
+def read_labels(labels_path: str | Path) -> dict[str, list[Label]]:
+    """The labels of a JSON-lines label file (``LABEL_FIELDS``) by doc id,
+    in the order the file first names each document."""
+    by_id = {}
+    rows = read_jsonl(
+        labels_path,
+        LABEL_FIELDS,
+        lambda word, position, category, doc_id: (doc_id, Label(word, position, category)),
+        "label",
+    )
+    for doc_id, label in rows:
         by_id.setdefault(doc_id, []).append(label)
-    refs_by_id = {doc.doc_id: doc for doc in references}
-    unknown = sorted(set(by_id) - set(refs_by_id))
-    if unknown:
-        raise ValueError(f"{labels_path}: labels for unknown documents {unknown}")
-    return [
-        LabeledTestDoc(doc_id, refs_by_id[doc_id], tuple(labels))
-        for doc_id, labels in by_id.items()
-    ]
+    return by_id
+
+
+def labeled_docs(
+    references: Iterable[Document], labels: dict[str, list[Label]], labels_path: str | Path
+) -> Iterator[LabeledTestDoc]:
+    """Join ``labels``, as ``read_labels(labels_path)`` gives them, to
+    reference documents taken one at a time: yields each reference that
+    has labels, with its labels, in reference order. A document's labels
+    leave ``labels`` as it passes; labels left when the references end are
+    for unknown documents, an error that names ``labels_path``."""
+    for doc in references:
+        if doc.doc_id in labels:
+            yield LabeledTestDoc(doc.doc_id, doc, labels.pop(doc.doc_id))
+    if labels:
+        raise ValueError(f"{labels_path}: labels for unknown documents {sorted(labels)}")
+
+
+def read_labeled_docs(
+    references: Iterable[Document], labels_path: str | Path
+) -> list[LabeledTestDoc]:
+    """``labeled_docs`` of the label file, as a list in the order the file
+    first names its documents. Documents without labels are omitted."""
+    labels = read_labels(labels_path)
+    docs = {doc.doc_id: doc for doc in labeled_docs(references, dict(labels), labels_path)}
+    return [docs[doc_id] for doc_id in labels]
 
 
 def write_reports(reports: Iterable[MetricReport], path: str | Path) -> str:

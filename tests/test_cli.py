@@ -705,6 +705,110 @@ def test_malformed_input_is_one_line_diagnostic(case, tmp_path, monkeypatch, cap
     assert err.count("\n") == 1
 
 
+TCP_LABELS = (
+    '{"doc_id":"000000","word":"went","position":1,"category":"TENSE"}\n'
+    '{"doc_id":"000000","word":"and","position":3,"category":"CONJ"}\n' + LABEL
+)
+TCP_ARGV = ["tcp", "--hyp", "hyp.txt", "--ref", "ref.txt", "--labels", "labels.jsonl"]
+BLEU_ARGV = ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"]
+
+# The faults of bleu and tcp: case -> (files besides the default ref.txt
+# and hyp.txt, argv, the whole of stderr). Each command reads its documents
+# one at a time, so the last cases, of two faults, report the one met first
+# (README, the multi-fault orders of the streamed commands); reading the
+# inputs whole reported the other one.
+SCORE_FAULTS = {
+    "label word is not the reference token": (
+        {"labels.jsonl": TCP_LABELS.replace('"went"', '"goes"')}, TCP_ARGV,
+        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        "of document '000000'\n",
+    ),
+    "label position past the reference": (
+        {"labels.jsonl": TCP_LABELS.replace('"position":1', '"position":9')}, TCP_ARGV,
+        "error: label position 9 out of range for document '000000' (6 tokens)\n",
+    ),
+    "labeled document without an output": (
+        {"labels.jsonl": TCP_LABELS, "hyp.txt": "# doc_id: other\n" + TCP_REF}, TCP_ARGV,
+        "error: missing output for labeled document '000000'\n",
+    ),
+    "labels for an unknown document": (
+        {"labels.jsonl": TCP_LABELS + LABEL.replace("000000", "ghost")}, TCP_ARGV,
+        "error: labels.jsonl: labels for unknown documents ['ghost']\n",
+    ),
+    "a category without labels": (
+        {"labels.jsonl": LABEL}, TCP_ARGV,
+        "error: no labels of category 'TENSE' in the test set\n",
+    ),
+    "more hypothesis documents, sentence level": (
+        {"hyp.txt": TCP_REF + "\n" + TCP_REF}, BLEU_ARGV + ["--level", "sent"],
+        "error: document count mismatch: 2 hypothesis vs 1 reference\n",
+    ),
+    "more reference documents, document level": (
+        {"ref.txt": TCP_REF + "\nb.\n\nc.\n"}, BLEU_ARGV + ["--level", "doc"],
+        "error: document count mismatch: 1 hypothesis vs 3 reference\n",
+    ),
+    "bleu id conflict before a later malformed line": (
+        {"ref.txt": "# doc_id: a\na.\n\nb.\n", "hyp.txt": "# doc_id: b\na.\n\nx\ry.\n"},
+        BLEU_ARGV, "error: document 0: hypothesis doc_id 'b' conflicts with reference "
+        "doc_id 'a'\n",
+    ),
+    "bleu sentence count mismatch before a later malformed line": (
+        {"ref.txt": "a.\nb.\n\nc.\n", "hyp.txt": "a.\n\nx\ry.\n"},
+        BLEU_ARGV + ["--level", "sent"],
+        "error: sentence count mismatch in document 0 (id '000000'): 1 hypothesis vs "
+        "2 reference\n",
+    ),
+    "bleu id conflict before a count mismatch": (
+        {"ref.txt": "# doc_id: a\na.\n\nb.\n", "hyp.txt": "# doc_id: b\na.\n"},
+        BLEU_ARGV, "error: document 0: hypothesis doc_id 'b' conflicts with reference "
+        "doc_id 'a'\n",
+    ),
+    "bleu max-n below 1 before a malformed line": (
+        {"hyp.txt": "\ufeff" + TCP_REF}, BLEU_ARGV + ["--max-n", "0"],
+        "error: max_n must be >= 1, got 0\n",
+    ),
+    "tcp label file before the outputs": (
+        {"labels.jsonl": LABEL.replace('"position":0', '"position":"0"'),
+         "hyp.txt": "\ufeff" + TCP_REF}, TCP_ARGV,
+        "error: labels.jsonl: malformed label on line 1: 'position' must be int, got str\n",
+    ),
+    "tcp TENSE label error before a later malformed reference line": (
+        {"labels.jsonl": TCP_LABELS.replace('"went"', '"goes"'),
+         "ref.txt": TCP_REF + "\nx\ry.\n"}, TCP_ARGV,
+        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        "of document '000000'\n",
+    ),
+    "tcp TENSE label error before labels for unknown documents": (
+        {"labels.jsonl": TCP_LABELS.replace('"went"', '"goes"')
+         + LABEL.replace("000000", "ghost")}, TCP_ARGV,
+        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        "of document '000000'\n",
+    ),
+    "tcp label error before an earlier missing output": (
+        {"ref.txt": TCP_REF + "\n" + TCP_REF, "hyp.txt": "# doc_id: 000001\n" + TCP_REF,
+         "labels.jsonl": TCP_LABELS + TCP_LABELS.replace("000000", "000001").replace(
+             '"went"', '"goes"')}, TCP_ARGV,
+        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        "of document '000001'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SCORE_FAULTS))
+def test_score_fault_is_one_line_and_writes_nothing(
+    case, tmp_path, monkeypatch, capsys
+):
+    files, argv, err = SCORE_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    files = {"ref.txt": TCP_REF, "hyp.txt": TCP_REF, **files}
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    assert run(*argv, "--out", "out.jsonl") == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
 # case -> (argv with two outputs, or an output and an input, naming one
 # file, that file's line on stderr)
 OUTPUT_CLASHES = {

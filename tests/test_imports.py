@@ -3,8 +3,8 @@ each command imports only the layers it uses, ``statistics`` is imported
 by ``pearson`` alone, and nothing imports ``dataclasses`` or the
 ``inspect`` it needs. Each check runs in a fresh interpreter, so what the
 test process has already imported does not count. And only ``fileio``
-decodes JSON, and ``cli.py`` stays under the size at which its compile
-memory jumps."""
+decodes JSON, and ``cli.py`` and ``metrics.py`` stay under the size at
+which their compile memory jumps."""
 
 import ast
 import json
@@ -193,22 +193,42 @@ def test_only_fileio_decodes_json():
 # from 1.47 to 1.73 MiB, and with no bytecode cached every step pays it
 # (README, "What a command loads"). The guard leaves some margin below it.
 CLI_TOKEN_LIMIT = 4_000
-
-
-@pytest.mark.skipif(
+# metrics.py, which bleu, tcp, report, pearson and contrastive compile,
+# meets the same cliff: padded with unused statements, its compile peak
+# jumps from 1.54 to 1.76 MiB between 4,096 and 4,104 tokens.
+METRICS_TOKEN_LIMIT = 4_000
+CPYTHON_311 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="the cliff was measured on CPython 3.11 only; from 3.12, f-strings "
     "tokenize into their parts (PEP 701), so the count differs",
 )
-def test_cli_stays_under_the_compile_cliff():
-    path = Path(docmt.__file__).resolve().parent / "cli.py"
+
+
+def tokens_of(name):
+    """The tokens of a module of the package, as ``tokenize`` counts them,
+    comments and blank lines aside."""
+    path = Path(docmt.__file__).resolve().parent / name
     with open(path, encoding="utf-8") as handle:
-        tokens = [
-            token
+        return sum(
+            1
             for token in tokenize.generate_tokens(handle.readline)
             if token.type not in (tokenize.COMMENT, tokenize.NL)
-        ]
-    assert len(tokens) < CLI_TOKEN_LIMIT, (
-        f"cli.py has {len(tokens)} tokens, at or past {CLI_TOKEN_LIMIT:,}: move a part "
+        )
+
+
+@CPYTHON_311
+def test_cli_stays_under_the_compile_cliff():
+    count = tokens_of("cli.py")
+    assert count < CLI_TOKEN_LIMIT, (
+        f"cli.py has {count} tokens, at or past {CLI_TOKEN_LIMIT:,}: move a part "
         "out before adding to it (README, \"What a command loads\")"
+    )
+
+
+@CPYTHON_311
+def test_metrics_stays_under_the_compile_cliff():
+    count = tokens_of("metrics.py")
+    assert count < METRICS_TOKEN_LIMIT, (
+        f"metrics.py has {count} tokens, at or past {METRICS_TOKEN_LIMIT:,}: move a "
+        "part out before adding to it (README, \"What a command loads\")"
     )

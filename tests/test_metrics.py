@@ -242,6 +242,9 @@ class TestStreamedBleu:
             assert d_bleu(hyp, ref, cfg, max_n).value == pytest.approx(
                 naive_bleu(doc_hyps, doc_refs, max_n), abs=1e-9
             )
+            # Documents are taken one at a time, so one-shot iterators do.
+            for level in (s_bleu, d_bleu):
+                assert level(iter(hyp), iter(ref), cfg, max_n) == level(hyp, ref, cfg, max_n)
 
     @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
     def test_errors_survive_streaming(self, max_n):
@@ -360,6 +363,8 @@ class TestSpanMetric:
     def test_one_pass_matches_one_call_per_category(self):
         # span_metrics raises what the first failing span_metric call
         # raises, in CATEGORIES order, and otherwise returns their reports.
+        # It reads each input once, and joins the outputs by id, so
+        # one-shot iterators, with the outputs reversed, give the same.
         def outcome(call):
             try:
                 return call()
@@ -375,6 +380,7 @@ class TestSpanMetric:
                 lambda: [span_metric(outputs, refs, c, cfg) for c in CATEGORIES]
             )
             assert outcome(lambda: span_metrics(outputs, refs, cfg)) == expected
+            assert outcome(lambda: span_metrics(reversed(outputs), iter(refs), cfg)) == expected
             kind = "reports" if isinstance(expected, list) else expected.split(" ")[0]
             kinds[kind] = kinds.get(kind, 0) + 1
         assert kinds.keys() == {"reports", "missing", "label", "no"}, kinds

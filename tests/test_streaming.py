@@ -5,15 +5,22 @@ document, and one doc id per scored document). ``shuffle`` holds one
 document at a time, besides a few numbers per document and, in global
 mode, the source sentences. ``contrastive`` streams its instances: its
 memory does not grow with the candidate texts, and its table takes a few
-hundred bytes per instance."""
+hundred bytes per instance. ``bleu`` holds one document pair at a time
+and ``tcp`` one document besides the labels; each holds the doc ids read
+so far."""
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import docmt
 from docmt import corpus, mrsplit
 from docmt.cli import dispatch
 from docmt.corpus import Document, ParallelDocument
@@ -256,3 +263,82 @@ def test_contrastive_holds_few_bytes_per_instance(tmp_path, monkeypatch):
     write_contrastive(tmp_path, 20_000, 10)
     per_instance = traced_peak(argv) / 20_000
     assert per_instance < 250, per_instance
+
+
+SCORE_STEPS = {
+    "bleu sent": ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt", "--level", "sent"],
+    "bleu doc": ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt", "--level", "doc"],
+    "tcp": ["tcp", "--hyp", "hyp.txt", "--ref", "ref.txt", "--labels", "labels.jsonl"],
+}
+
+
+def write_score_inputs(directory, n_docs):
+    """``n_docs`` documents of 8 sentences of about 4,000 characters, the
+    same as output and as reference, and one label per document."""
+    text = "\n\n".join(
+        "\n".join(f"text {i} {j} {'w' * 4000}." for j in range(8)) for i in range(n_docs)
+    )
+    for name in ("hyp.txt", "ref.txt"):
+        (directory / name).write_text(text + "\n", encoding="utf-8")
+    with open(directory / "labels.jsonl", "w", encoding="utf-8") as handle:
+        for i in range(n_docs):
+            category = ("TENSE", "CONJ", "PRON")[i % 3]
+            row = {"doc_id": f"{i:06d}", "word": "text", "position": 0, "category": category}
+            handle.write(json.dumps(row) + "\n")
+
+
+@pytest.mark.parametrize("command", list(SCORE_STEPS))
+def test_score_peak_memory_does_not_grow_with_the_documents(command, tmp_path, monkeypatch):
+    # Besides one document (64 KB of text here), bleu holds each side's doc
+    # ids and tcp the labels too: some 300 bytes a document. The first run
+    # takes the 400 documents, so that the interpreter's free lists of
+    # small objects are as full in both measured runs.
+    monkeypatch.chdir(tmp_path)
+    write_score_inputs(tmp_path, 400)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(SCORE_STEPS[command]) == 0
+    peaks = []
+    for n_docs in (25, 400):
+        write_score_inputs(tmp_path, n_docs)
+        peaks.append(traced_peak(SCORE_STEPS[command]))
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+DOCS = "".join(f"# doc_id: d{i}\nhe went home and slept.\n\n" for i in range(300))[:-1]
+TENSE_LABEL = '{"doc_id": "d0", "word": "goes", "position": 1, "category": "TENSE"}\n'
+# case -> (hyp.txt, ref.txt, argv besides the files, the whole of stderr)
+LEFT_AT_A_FAULT = {
+    "bleu count mismatch": (
+        "he went home.\n", DOCS, ["bleu"],
+        "error: document count mismatch: 1 hypothesis vs 300 reference\n",
+    ),
+    "bleu id conflict": (
+        DOCS.replace("d0", "x0", 1), DOCS, ["bleu"],
+        "error: document 0: hypothesis doc_id 'x0' conflicts with reference doc_id 'd0'\n",
+    ),
+    "tcp label error": (
+        DOCS, DOCS, ["tcp", "--labels", "labels.jsonl"],
+        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        "of document 'd0'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LEFT_AT_A_FAULT))
+def test_a_fault_part_way_leaves_no_file_open(case, tmp_path):
+    # A document stream left part-way is closed as it is dropped; in
+    # development mode, with unclosed files as errors, one left open would
+    # print its warning to stderr.
+    hyp, ref, argv, err = LEFT_AT_A_FAULT[case]
+    (tmp_path / "hyp.txt").write_text(hyp, encoding="utf-8")
+    (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
+    (tmp_path / "labels.jsonl").write_text(TENSE_LABEL, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "docmt",
+         *argv, "--hyp", "hyp.txt", "--ref", "ref.txt"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(docmt.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", err)
