@@ -22,9 +22,7 @@ from typing import NamedTuple, Sequence
 # Every command reads or writes through corpus; each handler imports the
 # stage module it runs, so a step loads only the layers it uses.
 from . import corpus as corpus_io
-from .fileio import checked_paths
-
-_COLUMNS = ("d-BLEU", "TC", "CP", "PT")
+from .fileio import checked_paths, manifest_path
 
 
 class RunManifest(NamedTuple):
@@ -279,29 +277,22 @@ def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
 
 def _cmd_report(args: argparse.Namespace) -> _Outputs:
     from . import metrics
-    rows = []
+    spans = metrics.SPAN_METRICS.values()
+    rows = [["system", "d-BLEU", *spans, "TCP"]]
     for path in args.files:
-        by_name = {r.name: r for r in metrics.read_reports(path)}
-        cells = {name: by_name.get(name) for name in _COLUMNS}
-        row = {"system": Path(path).stem}
-        row["d-BLEU"] = f"{cells['d-BLEU'].value:.2f}" if cells["d-BLEU"] else "-"
-        for name in ("TC", "CP", "PT"):
-            row[name] = f"{cells[name].value:.1f}" if cells[name] else "-"
-        if all(cells[name] for name in ("TC", "CP", "PT")):
-            value = metrics.tcp(*(cells[name].value for name in ("TC", "CP", "PT")))
-            row["TCP"] = f"{value:.1f}"
-        else:
-            row["TCP"] = "-"
-        rows.append(row)
-    headers = ["system", "d-BLEU", "TC", "CP", "PT", "TCP"]
-    widths = {
-        h: max(len(h), *(len(row[h]) for row in rows)) if rows else len(h)
-        for h in headers
-    }
-    lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
-    for row in rows:
-        lines.append("  ".join(row[h].ljust(widths[h]) for h in headers))
-    table = "\n".join(lines)
+        values = {r.name: r.value for r in metrics.read_reports(path)}
+        bleu = values.get("d-BLEU")
+        cells = [values[name] for name in spans if name in values]
+        rows.append([
+            Path(path).stem,
+            "-" if bleu is None else f"{bleu:.2f}",
+            *(f"{values[name]:.1f}" if name in values else "-" for name in spans),
+            f"{metrics.tcp(*cells):.1f}" if len(cells) == len(spans) else "-",
+        ])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    table = "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows
+    )
     print(table)
     return args.out and {args.out: corpus_io.write_text(args.out, [table + "\n"])}
 
@@ -435,7 +426,7 @@ def dispatch(argv: Sequence[str]) -> int:
                 seed=getattr(args, "seed", None),
                 input_digests={path: _sha256(path) for _, path in inputs},
                 output_digests=outputs,
-            ).write(f"{next(iter(outputs))}.manifest.json")
+            ).write(manifest_path(next(iter(outputs))))
     except (ValueError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:

@@ -34,8 +34,9 @@ straight from its line, and ``write_records`` writes one; stages turn
 records back into documents only in ``ParallelCorpus.derive``. Files
 are read and written through ``docmt.fileio``, whose primitives stay
 importable from here. Doc-text files stream too: ``read_doc_stream``
-yields one ``Document`` at a time, ``read_docs`` is its list, and
-``paired_docs`` pairs two streams as they are read.
+yields one ``Document`` at a time, ``read_docs`` is its list,
+``paired_docs`` pairs two streams as they are read, and ``aligned_pairs``
+checks each pair's sentence counts.
 """
 
 from __future__ import annotations
@@ -85,6 +86,21 @@ def paired_docs(
                 f"{second} doc_id {b.doc_id!r}"
             )
         yield (b.doc_id if a.doc_id == _ordinal_id(i) else a.doc_id), a, b
+
+
+def aligned_pairs(
+    pairs: Iterable[tuple[str, Document, Document]], first: str, second: str
+) -> Iterator[tuple[str, Document, Document]]:
+    """The ``(doc_id, a, b)`` pairs of ``paired_docs``, one at a time, each
+    of which must have as many sentences in ``a`` as in ``b``; a mismatch
+    names the pair's index and its id."""
+    for i, (doc_id, a, b) in enumerate(pairs):
+        if len(a) != len(b):
+            raise ValueError(
+                f"sentence count mismatch in document {i} (id {doc_id!r}): "
+                f"{len(a)} {first} vs {len(b)} {second}"
+            )
+        yield doc_id, a, b
 
 
 class Value:
@@ -350,7 +366,8 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
 
     Errors out (naming the first offending document index) when the two
     files disagree in block count, doc_id (``paired_docs``) or per-block
-    sentence count; partial alignment is never silently accepted.
+    sentence count (``aligned_pairs``), in that order; partial alignment is
+    never silently accepted.
     """
     src_docs = read_docs(src_path)
     tgt_docs = read_docs(tgt_path)
@@ -360,18 +377,12 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
             f"{tgt_path} has {len(tgt_docs)}"
         )
     pairs = list(paired_docs(src_docs, tgt_docs, "source", "target"))
-    documents = []
-    for i, (doc_id, src, tgt) in enumerate(pairs):
-        if len(src) != len(tgt):
-            raise ValueError(
-                f"sentence count mismatch in document {i} (id {doc_id!r}): "
-                f"{len(src)} source vs {len(tgt)} target"
-            )
-        documents.append(
-            ParallelDocument.of(doc_id, src.sentences, tgt.sentences, aligned=True)
-        )
+    documents = [
+        ParallelDocument.of(doc_id, src.sentences, tgt.sentences, aligned=True)
+        for doc_id, src, tgt in aligned_pairs(pairs, "source", "target")
+    ]
     try:
-        return ParallelCorpus(tuple(documents))
+        return ParallelCorpus(documents)
     except ValueError as exc:  # a target id that names a pair can repeat a source id
         raise ValueError(f"{src_path}, {tgt_path}: {exc}") from None
 

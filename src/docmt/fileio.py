@@ -134,27 +134,35 @@ def _slow(row: dict, key: str, kind: Any) -> Any:
     raise TypeError(f"{key!r} must be {name}, got {type(value).__name__}")
 
 
+def manifest_path(output: str) -> str:
+    """The path of the manifest of a run whose first output is ``output``."""
+    return f"{output}.manifest.json"
+
+
 def checked_paths(
     inputs: Sequence[tuple[str, str | None]], outputs: Sequence[tuple[str, str | None]]
 ) -> None:
     """Check a run's set ``(flag, path)`` inputs and outputs, for the
     manifest the CLI writes beside its first output, before anything is
     opened. No two outputs, nor the manifest, nor one of these and an
-    input, may be one file (by resolved path). An input must be a regular
-    file, which the manifest can hash again after the run; it is only
-    ``stat``ed, so a FIFO is not opened. With no output set, there is no
-    manifest, and nothing is checked."""
+    input, may be one file (by resolved path), and no output nor the
+    manifest may be a directory (a symlink is replaced, wherever it
+    points). An input must be a regular file, which the manifest can hash
+    again after the run; it is only ``stat``ed, so a FIFO is not opened.
+    With no output set, there is no manifest, and nothing is checked."""
     outs = [(flag, path) for flag, path in outputs if path is not None]
     if not outs:
         return
     ins = [(flag, path) for flag, path in inputs if path is not None]
-    outs.append(("the manifest", f"{outs[0][1]}.manifest.json"))
+    outs.append(("the manifest", manifest_path(outs[0][1])))
     flags = {Path(path).resolve(): flag for flag, path in ins}
     for flag, path in outs:
         resolved = Path(path).resolve()
         if resolved in flags:
             raise ValueError(f"{path}: {flags[resolved]} and {flag} name the same file")
         flags[resolved] = flag
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise ValueError(f"{path}: Is a directory")
     for _, path in ins:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValueError(

@@ -18,11 +18,11 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Document, Value, paired_docs
+from .corpus import Document, Value, aligned_pairs, paired_docs
 from .fileio import read_jsonl, write_jsonl
 
-CATEGORIES = ("TENSE", "CONJ", "PRON")
-_CATEGORY_METRIC = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}
+SPAN_METRICS = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}  # category -> its metric
+CATEGORIES = tuple(SPAN_METRICS)
 LABEL_FIELDS = (("word", str), ("position", int), ("category", object), ("doc_id", str))
 METRIC_FIELDS = (
     ("name", str), ("value", float), ("numerator", (int, 0)), ("denominator", (int, 0))
@@ -46,19 +46,25 @@ class SpanConfig(Value):
         self.radius_d = radius_d
 
 
+def _category(category: object) -> str:
+    """The entry of ``CATEGORIES`` that equals ``category``, so that labels
+    share three strings rather than hold one each."""
+    if category not in CATEGORIES:
+        raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
+    return CATEGORIES[CATEGORIES.index(category)]
+
+
 class Label(Value):
     """A labeled word at a 0-based token position of a flattened reference."""
 
     __slots__ = ("word", "position", "category")
 
     def __init__(self, word: str, position: int, category: str) -> None:
-        if category not in CATEGORIES:
-            raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
+        self.category = _category(category)
         if position < 0:
             raise ValueError(f"position must be >= 0, got {position}")
         self.word = word
         self.position = position
-        self.category = category
 
 
 class LabeledTestDoc(Value):
@@ -178,20 +184,15 @@ def s_bleu(
 ) -> MetricReport:
     """Corpus BLEU with each sentence pair as one unit.
 
-    Requires one-to-one sentence correspondence inside every document
-    pair; the first structural mismatch is reported by document index.
-    Documents are paired one at a time, as ``corpus.paired_docs`` pairs them.
+    Documents are paired one at a time, as ``corpus.paired_docs`` pairs
+    them, and each pair must have one-to-one sentence correspondence
+    (``corpus.aligned_pairs``).
     """
     cfg = tok_cfg or TokenizerConfig()
 
     def units():
         pairs = paired_docs(hypotheses, references, "hypothesis", "reference")
-        for i, (_, hyp, ref) in enumerate(pairs):
-            if len(hyp) != len(ref):
-                raise ValueError(
-                    f"sentence count mismatch in document {i} (id {ref.doc_id!r}): "
-                    f"{len(hyp)} hypothesis vs {len(ref)} reference"
-                )
+        for _, hyp, ref in aligned_pairs(pairs, "hypothesis", "reference"):
             for h, r in zip(hyp.sentences, ref.sentences):
                 yield tokenize(h, cfg), tokenize(r, cfg)
 
@@ -232,9 +233,7 @@ def span_metric(
     label that does not fit its reference (in reference order), a
     labeled document without an output, or no labels at all.
     """
-    if category not in CATEGORIES:
-        raise ValueError(f"category must be one of {CATEGORIES}, got {category!r}")
-    return _span_reports(outputs, refs, (category,), span_cfg)[0]
+    return _span_reports(outputs, refs, (_category(category),), span_cfg)[0]
 
 
 def span_metrics(
@@ -306,7 +305,7 @@ def _span_reports(
                 errors.get(category, f"no labels of category {category!r} in the test set")
             )
     return [
-        MetricReport(_CATEGORY_METRIC[c], 100.0 * hits[c] / totals[c], hits[c], totals[c])
+        MetricReport(SPAN_METRICS[c], 100.0 * hits[c] / totals[c], hits[c], totals[c])
         for c in categories
     ]
 

@@ -859,6 +859,84 @@ def test_two_outputs_naming_one_file_write_nothing(case, tmp_path, monkeypatch, 
     assert (tmp_path / "corpus.jsonl").read_bytes() == before
 
 
+# case -> (argv, the path it names that is made a directory). Each run has
+# another output, or the manifest, to write besides that path.
+DIRECTORY_OUTPUTS = {
+    "clean --out": (
+        ["clean", "--in", "corpus.jsonl", "--out", "dir", "--report", "r.jsonl"], "dir",
+    ),
+    "shuffle --out": (
+        ["shuffle", "--in", "corpus.jsonl", "--out", "dir", "--mode", "local", "--seed", "1"],
+        "dir",
+    ),
+    "convert --src-out": (
+        ["convert", "--to", "doc-text", "--in", "corpus.jsonl", "--src-out", "dir",
+         "--tgt-out", "t.txt"], "dir",
+    ),
+    "bucket's second bucket": (
+        ["bucket", "--in", "corpus.jsonl", "--out-prefix", "b", "--budgets", "4,8"],
+        "b.b8.jsonl",
+    ),
+    "oversample's manifest": (
+        ["oversample", "--in", "corpus.jsonl", "--out", "o.jsonl", "--factor", "2"],
+        "o.jsonl.manifest.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DIRECTORY_OUTPUTS))
+def test_an_output_that_is_a_directory_writes_nothing(case, tmp_path, monkeypatch, capsys):
+    argv, directory = DIRECTORY_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    write_records(make_corpus([8, 3]), tmp_path / "corpus.jsonl")
+    (tmp_path / directory).mkdir()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {directory}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["corpus.jsonl", directory])
+    assert list((tmp_path / directory).iterdir()) == []
+
+
+def test_an_output_that_is_a_symlink_to_a_directory_replaces_the_link(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    write_records(make_corpus([8, 3]), tmp_path / "corpus.jsonl")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to("dir")
+    assert run("oversample", "--in", "corpus.jsonl", "--out", "link", "--factor", "2") == 0
+    assert not (tmp_path / "link").is_symlink()
+    assert len(read_records(tmp_path / "link")) == 4
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+# A hypothesis or source block with a header and its pair without one: the
+# pair takes the header's id, and a sentence-count mismatch names it.
+MIXED_HEADERS = {
+    "bleu": (
+        ["bleu", "--hyp", "a.txt", "--ref", "b.txt", "--level", "sent"],
+        "error: sentence count mismatch in document 0 (id 'a'): 2 hypothesis vs "
+        "1 reference\n",
+    ),
+    "convert": (
+        ["convert", "--to", "records", "--src", "a.txt", "--tgt", "b.txt", "--out", "r.jsonl"],
+        "error: sentence count mismatch in document 0 (id 'a'): 2 source vs 1 target\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(MIXED_HEADERS))
+def test_a_sentence_count_mismatch_names_the_pair_id(
+    command, tmp_path, monkeypatch, capsys
+):
+    argv, err = MIXED_HEADERS[command]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.txt").write_text("# doc_id: a\nx.\ny.\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("x.\n", encoding="utf-8")
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
 @pytest.fixture
 def workspace(tmp_path, monkeypatch):
     """A cwd holding one input of every kind the file-writing commands read."""

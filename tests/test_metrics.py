@@ -481,3 +481,19 @@ class TestLabelFile:
     def test_bad_category_rejected(self):
         with pytest.raises(ValueError, match="category"):
             Label("w", 0, "VERB")
+
+    def test_labels_share_the_category_strings(self, tmp_path):
+        # json.loads makes a new string for each value it reads; a label
+        # keeps the entry of CATEGORIES instead, so that a label file holds
+        # three category strings, not one per label.
+        (tmp_path / "labels.jsonl").write_text(
+            "".join(
+                f'{{"doc_id": "d{i}", "word": "w", "position": 0, "category": "{category}"}}\n'
+                for i, category in enumerate(CATEGORIES * 2)
+            ),
+            encoding="utf-8",
+        )
+        labels = [label for doc in metrics.read_labels(tmp_path / "labels.jsonl").values()
+                  for label in doc]
+        assert [label.category for label in labels] == list(CATEGORIES * 2)
+        assert all(label.category is CATEGORIES[i % 3] for i, label in enumerate(labels))

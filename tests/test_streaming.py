@@ -128,27 +128,36 @@ def traced_peak(argv):
         tracemalloc.stop()
 
 
+def traced_peaks(argv, write, sizes):
+    """``traced_peak(argv)`` after ``write(size)`` of each of ``sizes``. A
+    first run, not measured, takes the last, largest input, so that the
+    interpreter's free lists of small objects are as full in every measured
+    run, and only what the command holds can grow with the input."""
+    write(sizes[-1])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0
+    peaks = []
+    for size in sizes:
+        write(size)
+        peaks.append(traced_peak(argv))
+    return peaks
+
+
+def write_wide_corpus(n_docs):
+    write_corpus("in.jsonl", n_docs, n_sentences=32, width=40)
+
+
 @pytest.mark.parametrize("command", ["mr-split", "oversample"])
 def test_peak_memory_does_not_grow_with_the_corpus(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write_corpus(tmp_path / "in.jsonl", 3, n_sentences=32, width=40)
-    assert dispatch(BUILD_STEPS[command]) == 0  # first-call allocations are not the corpus's
-    peaks = []
-    for n_docs in (25, 100):
-        write_corpus(tmp_path / "in.jsonl", n_docs, n_sentences=32, width=40)
-        peaks.append(traced_peak(BUILD_STEPS[command]))
+    peaks = traced_peaks(BUILD_STEPS[command], write_wide_corpus, (25, 100))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_clean_peak_memory_does_not_grow_with_the_documents(tmp_path, monkeypatch):
     # Dedup holds a fixed-size digest per document, not its text.
     monkeypatch.chdir(tmp_path)
-    write_corpus(tmp_path / "in.jsonl", 3, n_sentences=32, width=40)
-    assert dispatch(BUILD_STEPS["clean"]) == 0  # first-call allocations are not the corpus's
-    peaks = []
-    for n_docs in (25, 400):
-        write_corpus(tmp_path / "in.jsonl", n_docs, n_sentences=32, width=40)
-        peaks.append(traced_peak(BUILD_STEPS["clean"]))
+    peaks = traced_peaks(BUILD_STEPS["clean"], write_wide_corpus, (25, 400))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -170,13 +179,8 @@ def write_scored_corpus(directory, n_docs, n_pairs, id_width):
 def test_clean_score_table_holds_one_doc_id_per_document(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"]
-    write_scored_corpus(tmp_path, 3, 10, 10)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert dispatch(argv) == 0  # first-call allocations are not the scores'
-    peaks = []
-    for id_width in (10, 1000):
-        write_scored_corpus(tmp_path, 50, 100, id_width)
-        peaks.append(traced_peak(argv))
+    peaks = traced_peaks(argv, lambda width: write_scored_corpus(tmp_path, 50, 100, width),
+                         (10, 1000))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -201,13 +205,8 @@ def test_contrastive_peak_memory_does_not_grow_with_the_candidates(tmp_path, mon
     monkeypatch.chdir(tmp_path)
     argv = ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl",
             "--out", "acc.jsonl"]
-    write_contrastive(tmp_path, 20, 10)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert dispatch(argv) == 0  # first-call allocations are not the instances'
-    peaks = []
-    for width in (10, 2000):
-        write_contrastive(tmp_path, 2000, width)
-        peaks.append(traced_peak(argv))
+    peaks = traced_peaks(argv, lambda width: write_contrastive(tmp_path, 2000, width),
+                         (10, 2000))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -229,12 +228,9 @@ def test_local_shuffle_peak_memory_does_not_grow_with_the_documents(tmp_path, mo
     # id and one number per sentence: some 200 bytes beside the 32 KB of
     # text that each document here has.
     monkeypatch.chdir(tmp_path)
-    write_shuffle_corpus(tmp_path / "in.jsonl", 3, 2000, 2000)
-    assert dispatch(SHUFFLE + ["local"]) == 0  # first-call allocations are not the corpus's
-    peaks = []
-    for n_docs in (25, 400):
-        write_shuffle_corpus(tmp_path / "in.jsonl", n_docs, 2000, 2000)
-        peaks.append(traced_peak(SHUFFLE + ["local"]))
+    peaks = traced_peaks(SHUFFLE + ["local"],
+                         lambda n_docs: write_shuffle_corpus("in.jsonl", n_docs, 2000, 2000),
+                         (25, 400))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -242,12 +238,9 @@ def test_global_shuffle_peak_memory_does_not_grow_with_the_targets(tmp_path, mon
     # A global shuffle holds every source sentence, but reads the targets
     # one document at a time in a second pass.
     monkeypatch.chdir(tmp_path)
-    write_shuffle_corpus(tmp_path / "in.jsonl", 3, 20, 20)
-    assert dispatch(SHUFFLE + ["global"]) == 0  # first-call allocations are not the corpus's
-    peaks = []
-    for tgt_width in (200, 2000):
-        write_shuffle_corpus(tmp_path / "in.jsonl", 400, 20, tgt_width)
-        peaks.append(traced_peak(SHUFFLE + ["global"]))
+    peaks = traced_peaks(SHUFFLE + ["global"],
+                         lambda width: write_shuffle_corpus("in.jsonl", 400, 20, width),
+                         (200, 2000))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -257,11 +250,8 @@ def test_contrastive_holds_few_bytes_per_instance(tmp_path, monkeypatch):
     # instances, where a list of score slots per instance took about 350.
     monkeypatch.chdir(tmp_path)
     argv = ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"]
-    write_contrastive(tmp_path, 20, 10)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert dispatch(argv) == 0  # first-call allocations are not the instances'
-    write_contrastive(tmp_path, 20_000, 10)
-    per_instance = traced_peak(argv) / 20_000
+    (peak,) = traced_peaks(argv, lambda n: write_contrastive(tmp_path, n, 10), (20_000,))
+    per_instance = peak / 20_000
     assert per_instance < 250, per_instance
 
 
@@ -290,17 +280,10 @@ def write_score_inputs(directory, n_docs):
 @pytest.mark.parametrize("command", list(SCORE_STEPS))
 def test_score_peak_memory_does_not_grow_with_the_documents(command, tmp_path, monkeypatch):
     # Besides one document (64 KB of text here), bleu holds each side's doc
-    # ids and tcp the labels too: some 300 bytes a document. The first run
-    # takes the 400 documents, so that the interpreter's free lists of
-    # small objects are as full in both measured runs.
+    # ids and tcp the labels too: some 300 bytes a document.
     monkeypatch.chdir(tmp_path)
-    write_score_inputs(tmp_path, 400)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert dispatch(SCORE_STEPS[command]) == 0
-    peaks = []
-    for n_docs in (25, 400):
-        write_score_inputs(tmp_path, n_docs)
-        peaks.append(traced_peak(SCORE_STEPS[command]))
+    peaks = traced_peaks(SCORE_STEPS[command], lambda n: write_score_inputs(tmp_path, n),
+                         (25, 400))
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
