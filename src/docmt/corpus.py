@@ -157,7 +157,6 @@ class ParallelDocument(Value):
 
     ``aligned`` asserts a one-to-one sentence correspondence; when it is
     left unset it defaults to "the two sides have equal sentence counts".
-    The checks run in ``__post_init__``, as for ``Document``.
     """
 
     __slots__ = ("source", "target", "aligned")
@@ -165,18 +164,13 @@ class ParallelDocument(Value):
     def __init__(
         self, source: Document, target: Document, aligned: bool | None = None
     ) -> None:
+        if source.doc_id != target.doc_id:
+            raise ValueError(
+                f"source doc_id {source.doc_id!r} != target doc_id {target.doc_id!r}"
+            )
         self.source = source
         self.target = target
-        self.aligned = aligned
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.source.doc_id != self.target.doc_id:
-            raise ValueError(
-                f"source doc_id {self.source.doc_id!r} != target doc_id "
-                f"{self.target.doc_id!r}"
-            )
-        self.aligned = aligned_flag(self.doc_id, self.source, self.target, self.aligned)
+        self.aligned = aligned_flag(source.doc_id, source, target, aligned)
 
     @classmethod
     def of(
@@ -413,8 +407,9 @@ def read_record_stream(path: str | Path) -> tuple[dict[str, str], Iterator[Recor
     The first line is read here; every later line is read when the
     iterator reaches it, checked once with the checks the document
     constructors run, and yielded as a ``Record``. Only the ids seen so
-    far are held. A repeated doc_id raises ``ValueError``, ``"{path}:
-    duplicate doc_id 'x' in corpus"``, at the line that repeats it.
+    far are held. A repeated doc_id is malformed at the line that repeats
+    it: ``"{path}: malformed record on line {n}: duplicate doc_id 'x' in
+    corpus"``.
     """
     return _read_rows(path, _checked_record)
 
@@ -431,6 +426,7 @@ def _read_rows(
 ) -> tuple[dict[str, str], Iterator[D]]:
     """``read_record_stream``, with ``make`` building and checking each row."""
     metadata: dict[str, str] = {}
+    seen: set[str] = set()
     first = True
 
     def parse(record: Any) -> D | None:
@@ -442,20 +438,15 @@ def _read_rows(
             metadata.update(zip(values, typed(values, [(key, str) for key in values])))
             return None
         doc_id, aligned, src, tgt = typed(record, RECORD_FIELDS)
-        return make(doc_id, src, tgt, aligned)
+        row = make(doc_id, src, tgt, aligned)
+        if doc_id in seen:
+            raise ValueError(f"duplicate doc_id {doc_id!r} in corpus")
+        seen.add(doc_id)
+        return row
 
     rows = read_jsonl(path, None, parse, "record")
     head = next(rows, None)  # None: a metadata line, or an empty file
-
-    def documents() -> Iterator[D]:
-        seen: set[str] = set()
-        for doc in itertools.chain([] if head is None else [head], rows):
-            if doc.doc_id in seen:
-                raise ValueError(f"{path}: duplicate doc_id {doc.doc_id!r} in corpus")
-            seen.add(doc.doc_id)
-            yield doc
-
-    return metadata, documents()
+    return metadata, itertools.chain([] if head is None else [head], rows)
 
 
 def read_records(path: str | Path) -> ParallelCorpus:

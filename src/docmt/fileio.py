@@ -60,7 +60,8 @@ def read_jsonl(
     file, or ``make(row)`` when ``fields`` is None, one line at a time, as
     the iterator reaches it. This is the one place that decodes JSON.
 
-    A line that is not JSON, that escapes a lone surrogate (``\\ud800``
+    A line that is not JSON, that nests too deeply to decode
+    (``RecursionError``), that escapes a lone surrogate (``\\ud800``
     with no low surrogate after it, or a low one with no high one before
     it), or that ``typed`` or ``make`` rejects with ``TypeError`` or
     ``ValueError``, raises ``ValueError`` with the message
@@ -80,7 +81,7 @@ def read_jsonl(
                 if lone:
                     raise ValueError(f"lone surrogate \\u{ord(lone.group()):04x}")
             row = make(value) if fields is None else make(*typed(value, fields))
-        except (TypeError, ValueError) as exc:  # JSONDecodeError too
+        except (TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError too
             raise ValueError(
                 f"{path}: malformed {what} on line {lineno}: {exc}"
             ) from exc
@@ -177,25 +178,29 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> str:
     The chunks go to a temp file beside ``path``, which replaces ``path``
     only once every chunk is written, so a failure part-way leaves the
     previous content (or no file) and no temp file behind. An error in
-    opening or replacing names ``path``, never the temp file.
+    opening, writing, closing or replacing the temp file names ``path``,
+    never the temp file; an error that ``chunks`` raises is left as it is.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        handle = open(tmp, "wb")
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+
+    def named(call: Callable[..., T], *args: Any) -> T:
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+
+    handle = named(open, tmp, "wb")
     digest = hashlib.sha256()
     try:
-        with handle:
+        try:
             for chunk in chunks:
                 data = chunk.encode("utf-8")
                 digest.update(data)
-                handle.write(data)
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+                named(handle.write, data)
+        finally:
+            named(handle.close)
+        named(os.replace, tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -253,7 +253,7 @@ def contrastive_accuracy(
     phenomena: dict[str, int] = {}
     for inst in instances:
         if inst.instance_id in rows:
-            raise ValueError("duplicate instance_id in instance list")
+            raise ValueError(f"duplicate instance_id {inst.instance_id!r}")
         rows[inst.instance_id] = len(positives)
         positives.append(inst.positive_index)
         codes.append(phenomena.setdefault(inst.phenomenon, len(phenomena)))

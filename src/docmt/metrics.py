@@ -128,11 +128,13 @@ def _bleu(
     a time. Its sufficient statistics are summed over the pairs: clipped
     n-gram matches and hypothesis n-gram totals per order 1..max_n, and the
     hypothesis and reference lengths. Orders with no hypothesis n-grams
-    drop out of the geometric mean."""
+    drop out of the geometric mean. The sums are kept only for the orders
+    that occur, so a huge ``max_n`` costs nothing, and orders enter them in
+    ascending order, the order in which the mean adds them up."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    correct = [0] * max_n
-    total = [0] * max_n
+    correct: Counter = Counter()
+    total: Counter = Counter()
     hyp_len = ref_len = units = 0
     for hyp, ref in pairs:
         units += 1
@@ -141,13 +143,13 @@ def _bleu(
         for n in range(1, min(max_n, len(hyp)) + 1):
             hyp_counts = Counter(zip(*(hyp[i:] for i in range(n))))
             ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
-            total[n - 1] += len(hyp) - n + 1
-            correct[n - 1] += sum(
+            total[n] += len(hyp) - n + 1
+            correct[n] += sum(
                 min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
             )
     if not units:
         raise ValueError("cannot score an empty corpus")
-    orders = [(c, t) for c, t in zip(correct, total) if t > 0]
+    orders = [(correct[n], t) for n, t in total.items()]
     if not orders or any(c == 0 for c, _ in orders):
         return MetricReport(name, 0.0)
     log_precision = sum(math.log(c / t) for c, t in orders) / len(orders)
@@ -337,6 +339,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         return statistics.correlation(xs, ys)
     except statistics.StatisticsError as exc:
         raise ValueError(f"degenerate input: {exc}")
+    except OverflowError as exc:  # finite values whose sums pass the float range
+        raise ValueError(f"values too large to correlate: {exc}") from None
 
 
 def read_labels(labels_path: str | Path) -> dict[str, list[Label]]:

@@ -178,24 +178,20 @@ def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
 ScoreTable = dict[str, dict[int, float]]
 
 
-def _entered(table: ScoreTable, doc_id: str, pair_index: int, score: float) -> bool:
-    """Put ``score`` in ``table``; False, with ``table`` left as it was,
-    when its pair has a score already."""
-    pairs = table.setdefault(doc_id, {})
-    if pair_index in pairs:
-        return False
-    pairs[pair_index] = score
-    return True
+def _entered(table: ScoreTable, score: AlignmentScore) -> AlignmentScore:
+    """``score``, put in ``table``; a pair that has a score already raises
+    ``ScoreError``."""
+    pairs = table.setdefault(score.doc_id, {})
+    if score.pair_index in pairs:
+        raise ScoreError(f"duplicate score for {(score.doc_id, score.pair_index)}")
+    pairs[score.pair_index] = score.score
+    return score
 
 
 def _score_table(scores: Iterable[AlignmentScore]) -> ScoreTable:
     table: ScoreTable = {}
     for score in scores:
-        if not _entered(table, score.doc_id, score.pair_index, score.score):
-            raise ScoreError(
-                f"duplicate score for document {score.doc_id!r}, "
-                f"pair {score.pair_index}"
-            )
+        _entered(table, score)
     return table
 
 
@@ -267,32 +263,25 @@ def filter_by_alignment(
     return corpus.derive(kept), removed
 
 
-def _score_parser(
-    table: ScoreTable, make: Callable[[str, int, float], object]
-) -> Callable[[str, int, float], object]:
-    """A ``read_jsonl`` parser of alignment-score lines: ``make``, which
-    checks the score's fields, then enters the score in ``table``, so a
-    pair scored twice is reported at the line that repeats it."""
-
-    def parse(doc_id: str, pair_index: int, score: float) -> object:
-        made = make(doc_id, pair_index, score)
-        if not _entered(table, doc_id, pair_index, score):
-            raise ValueError(f"duplicate score for {(doc_id, pair_index)}")
-        return made
-
-    return parse
+def _read_scores(path: str | Path, table: ScoreTable) -> Iterator[AlignmentScore]:
+    """The scores of a JSON-lines alignment-score file, each put in
+    ``table`` as its line is read, so a pair scored twice is malformed at
+    the line that repeats it."""
+    return read_jsonl(
+        path, SCORE_FIELDS, lambda *fields: _entered(table, AlignmentScore(*fields)), "score"
+    )
 
 
 def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
     """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
-    return read_jsonl(path, SCORE_FIELDS, _score_parser({}, AlignmentScore), "score")
+    return _read_scores(path, {})
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
     """A JSON-lines alignment-score file as one ``ScoreTable``, read one
     line at a time; the table is the only copy of the scores held."""
     table: ScoreTable = {}
-    for _ in read_jsonl(path, SCORE_FIELDS, _score_parser(table, check_score), "score"):
+    for _ in _read_scores(path, table):
         pass
     return table
 

@@ -29,7 +29,6 @@ from docmt.pipeline import (
     DEFAULT_GUARDS,
     DEFAULT_QUOTE_CLOSERS,
     DEFAULT_TERMINALS,
-    _entered,
     check_score,
 )
 
@@ -175,9 +174,11 @@ def naive_contrastive_accuracy(
     """Reference contrastive accuracy: holds every instance whole and
     every score in one ``(instance_id, candidate_index)`` table, then
     decides each instance from its list of negatives."""
-    by_instance = {inst.instance_id: inst for inst in instances}
-    if len(by_instance) != len(instances):
-        raise ValueError("duplicate instance_id in instance list")
+    by_instance: dict[str, ContrastiveInstance] = {}
+    for inst in instances:
+        if inst.instance_id in by_instance:
+            raise ValueError(f"duplicate instance_id {inst.instance_id!r}")
+        by_instance[inst.instance_id] = inst
     table: dict[tuple[str, int], float] = {}
     for score in scores:
         inst = by_instance.get(score.instance_id)
@@ -305,13 +306,19 @@ def record_parser(metadata: dict, make: Callable) -> Callable:
 
 
 def score_parser(table: dict, make: Callable) -> Callable:
+    """A parser of score lines that puts each score in ``table``, by doc id
+    and pair index, and finds a repeated pair in a set of its own."""
+    keys: set[tuple[str, int]] = set()
+
     def parse(record: dict) -> object:
         doc_id = field_of(record, "doc_id", str)
         pair_index = field_of(record, "pair_index", int)
         score = finite_of(record, "score")
         made = make(doc_id, pair_index, score)
-        if not _entered(table, doc_id, pair_index, score):
+        if (doc_id, pair_index) in keys:
             raise ValueError(f"duplicate score for {(doc_id, pair_index)}")
+        keys.add((doc_id, pair_index))
+        table.setdefault(doc_id, {})[pair_index] = score
         return made
 
     return parse
@@ -456,10 +463,7 @@ def naive_alignment_filtered(
     for score in scores:
         key = (score.doc_id, score.pair_index)
         if key in table:
-            raise ValueError(
-                f"duplicate score for document {score.doc_id!r}, "
-                f"pair {score.pair_index}"
-            )
+            raise ValueError(f"duplicate score for {key}")
         table[key] = score.score
     # A score no document claims is reported before a missing score, and
     # is known only after the last document, so a missing score stops

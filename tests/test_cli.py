@@ -2,10 +2,14 @@ import contextlib
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import docmt
 from docmt import read_records, write_records
 from docmt.cli import dispatch
 from helpers import make_corpus
@@ -330,6 +334,12 @@ class TestMetricsCommands:
         (tmp_path / "y.txt").write_text("1\n3\n2\n", encoding="utf-8")
         assert run("pearson", "--x", tmp_path / "x.txt", "--y", tmp_path / "y.txt") == 0
         assert "0.5000" in capsys.readouterr().out
+
+    def test_pearson_skips_blank_lines(self, tmp_path, capsys):
+        (tmp_path / "x.txt").write_text("1\n\n2\n3\n", encoding="utf-8")
+        (tmp_path / "y.txt").write_text("1\n3\n \n2\n\n", encoding="utf-8")
+        assert run("pearson", "--x", tmp_path / "x.txt", "--y", tmp_path / "y.txt") == 0
+        assert capsys.readouterr() == ("pearson = 0.5000\n", "")
 
 
 class TestShuffleCommand:
@@ -681,6 +691,15 @@ MALFORMED = {
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
         "s.jsonl", "missing score for document 'd0', pair 0",
     ),
+    "record line nests too deeply": (
+        {"in.jsonl": RECORD + "[" * 100_000 + "\n"},
+        ["oversample", "--in", "in.jsonl", "--out", "out.jsonl", "--factor", "4"],
+        "in.jsonl", "malformed record on line 2: maximum recursion depth exceeded",
+    ),
+    "metric record nests too deeply": (
+        {"m.jsonl": "[" * 100_000 + "\n"}, ["report", "m.jsonl"],
+        "m.jsonl", "malformed metric record on line 1: maximum recursion depth exceeded",
+    ),
     "clean pair scored twice": (
         {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
@@ -766,6 +785,10 @@ SCORE_FAULTS = {
     "bleu max-n below 1 before a malformed line": (
         {"hyp.txt": "\ufeff" + TCP_REF}, BLEU_ARGV + ["--max-n", "0"],
         "error: max_n must be >= 1, got 0\n",
+    ),
+    "tcp with a negative radius": (
+        {"labels.jsonl": TCP_LABELS}, TCP_ARGV + ["--radius", "-1"],
+        "error: radius_d must be >= 0, got -1\n",
     ),
     "tcp label file before the outputs": (
         {"labels.jsonl": LABEL.replace('"position":0', '"position":"0"'),
@@ -1152,18 +1175,19 @@ def test_pearson_writes_no_manifest_and_reads_a_pipe(tmp_path, capsys):
 
 
 def test_the_bench_seams_hold(monkeypatch, tmp_path):
-    # The bench's traced run counts documents by patching __post_init__ on
-    # the class, and hashed bytes by patching RunManifest.write, which
-    # reads the manifest's input_digests and output_digests.
+    # The bench's traced run counts documents by patching
+    # Document.__post_init__ on the class, and hashed bytes by patching
+    # RunManifest.write, which reads the manifest's input_digests and
+    # output_digests. A ParallelDocument is counted through its __init__.
     from docmt import Document, ParallelDocument
     from docmt.cli import RunManifest
 
     calls = []
-    for cls in (Document, ParallelDocument):
-        def counted(self, _original=cls.__post_init__):
+    for cls, method in ((Document, "__post_init__"), (ParallelDocument, "__init__")):
+        def counted(self, *args, _original=getattr(cls, method)):
             calls.append(type(self).__name__)
-            _original(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            _original(self, *args)
+        monkeypatch.setattr(cls, method, counted)
     ParallelDocument.of("d0", ["a."], ["b."])
     assert calls == ["Document", "Document", "ParallelDocument"]
     with pytest.raises(ValueError, match="blank sentence"):
@@ -1175,3 +1199,92 @@ def test_the_bench_seams_hold(monkeypatch, tmp_path):
         "command": "mr-split", "config": {}, "seed": None,
         "input_digests": {"in": "1"}, "output_digests": {"out": "2"},
     }
+
+
+# Faults whose lines only these cases reach: case -> (files, argv, the
+# whole of stderr).
+ONE_LINE_FAULTS = {
+    "convert --to doc-text without --tgt-out": (
+        {"in.jsonl": RECORD},
+        ["convert", "--to", "doc-text", "--in", "in.jsonl", "--src-out", "s.txt"],
+        "error: convert --to doc-text needs --in, --src-out, and --tgt-out\n",
+    ),
+    "pearson on a word": (
+        {"x.txt": "1\nabc\n3\n", "y.txt": "1\n2\n3\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"],
+        "error: x.txt: not a finite number on line 2: 'abc\\n'\n",
+    ),
+    "pearson sums past the float range in --x": (
+        {"x.txt": "1e308\n1e308\n-1e308\n", "y.txt": "1\n2\n3\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"],
+        "error: values too large to correlate: intermediate overflow in fsum\n",
+    ),
+    "pearson sums past the float range in --y": (
+        {"x.txt": "1\n2\n3\n", "y.txt": "1e154\n3e154\n2e154\n"},
+        ["pearson", "--x", "x.txt", "--y", "y.txt"],
+        "error: values too large to correlate: intermediate overflow in fsum\n",
+    ),
+    "mr-split with a newline in the joiner": (
+        {"in.jsonl": RECORD},
+        ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl", "--joiner", "a\nb"],
+        "error: joiner must not contain newlines\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_LINE_FAULTS))
+def test_a_fault_is_one_line_and_writes_nothing(case, tmp_path, monkeypatch, capsys):
+    files, argv, err = ONE_LINE_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("level, longest", [("doc", 7), ("sent", 4)])
+def test_a_huge_max_n_scores_as_the_longest_hypothesis(level, longest, tmp_path, capsys):
+    # Orders past the longest hypothesis have no n-grams and drop out, so
+    # any larger max-n gives the same score, and holds nothing per order.
+    (tmp_path / "hyp.txt").write_text(
+        "he went home.\nshe slept.\n\nthe cat sat.\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text(
+        "yes he went home.\nshe slept. then\n\na cat sat down.\n", encoding="utf-8")
+    argv = ["bleu", "--hyp", tmp_path / "hyp.txt", "--ref", tmp_path / "ref.txt",
+            "--level", level, "--max-n"]
+    assert run(*argv, longest) == 0
+    expected = capsys.readouterr()
+    assert expected.err == "" and expected.out.split(" = ")[1] not in ("0.00\n", "100.00\n")
+    assert run(*argv, 10**19) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_a_write_past_the_file_size_limit_names_the_output(tmp_path):
+    # The limit makes write(2) fail with EFBIG part-way through the temp
+    # file, as a full disk fails with ENOSPC.
+    pytest.importorskip("resource")
+    with open(tmp_path / "c.jsonl", "w", encoding="utf-8") as handle:
+        for i in range(300):
+            row = {"doc_id": f"d{i}", "src": [f"source {i} {'w' * 80}."],
+                   "tgt": [f"target {i} {'v' * 80}."]}
+            handle.write(json.dumps(row) + "\n")
+    limited = (
+        "import resource, signal, sys\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "from docmt.cli import main\n"
+        "main()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", limited,
+         "oversample", "--in", "c.jsonl", "--out", "o.jsonl", "--factor", "4"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(docmt.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: o.jsonl: File too large\n"
+    )
+    assert os.listdir(tmp_path) == ["c.jsonl"]

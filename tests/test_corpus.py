@@ -26,6 +26,7 @@ from docmt import (
     write_records,
 )
 from docmt.corpus import Record, encode_record, read_record_stream, write_jsonl
+from docmt.fileio import write_text
 from helpers import make_corpus, make_sentence, naive_read_records, random_corpus
 
 
@@ -245,8 +246,23 @@ class TestRecordsFormat:
             '{"doc_id":"d0","src":["c"],"tgt":["d"]}\n'
             "not json\n",
         )
-        with pytest.raises(ValueError, match="^.*r: duplicate doc_id 'd0' in corpus$"):
+        message = "^.*r: malformed record on line 2: duplicate doc_id 'd0' in corpus$"
+        with pytest.raises(ValueError, match=message):
             read_records(tmp_path / "r")
+        with pytest.raises(ValueError, match=message):
+            list(read_record_stream(tmp_path / "r")[1])
+
+    def test_a_malformed_line_that_repeats_a_doc_id_reports_the_malformation(self, tmp_path):
+        write(
+            tmp_path / "r",
+            '{"doc_id":"d0","src":["a"],"tgt":["b"]}\n'
+            '{"doc_id":"d0","src":[" "],"tgt":["d"]}\n',
+        )
+        message = "^.*r: malformed record on line 2: document 'd0', sentence 0: blank sentence$"
+        with pytest.raises(ValueError, match=message):
+            read_records(tmp_path / "r")
+        with pytest.raises(ValueError, match=message):
+            list(read_record_stream(tmp_path / "r")[1])
 
 
 def sentences_of(rng, row):
@@ -411,6 +427,24 @@ class TestAtomicWrites:
             write_jsonl(path, rows())
         assert path.read_text(encoding="utf-8") == '{"n": 1}\n'
         assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_failed_replace_names_the_target(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            write_text(path, ["a\n"])
+        assert raised.value.filename == str(path)
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_an_error_of_the_chunks_keeps_its_own_name(self, tmp_path):
+        def chunks():
+            yield "a\n"
+            raise FileNotFoundError(2, "No such file or directory", "in.jsonl")
+
+        with pytest.raises(FileNotFoundError) as raised:
+            write_text(tmp_path / "out", chunks())
+        assert raised.value.filename == "in.jsonl"
+        assert os.listdir(tmp_path) == []
 
 
 METADATA = {"langs": "zh-en", "origin": "news"}

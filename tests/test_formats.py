@@ -267,6 +267,18 @@ def test_a_missing_key_is_named(fmt, tmp_path):
     )
 
 
+@pytest.mark.parametrize("fmt", list(READERS))
+@pytest.mark.parametrize("nesting", ["[" * 100_000, '{"a": ' * 100_000],
+                         ids=["arrays", "objects"])
+def test_a_line_nested_too_deeply_is_malformed(fmt, nesting, tmp_path):
+    # The decoder gives up with RecursionError, not ValueError.
+    read, what, valid, _ = READERS[fmt]
+    path = tmp_path / "rows.jsonl"
+    assert message(read, path, f"{valid}\n{nesting}\n").startswith(
+        f"{path}: malformed {what} on line 2: maximum recursion depth exceeded"
+    )
+
+
 def test_aligned_null_is_not_read_as_absent(tmp_path):
     path = tmp_path / "rows.jsonl"
     text = '{"doc_id": "d0", "src": ["a."], "tgt": ["b."], "aligned": null}\n'

@@ -20,6 +20,8 @@ from docmt import cli
 from docmt.corpus import write_jsonl, write_records
 from docmt.harness import (
     PermutationRecord,
+    Permutations,
+    global_shuffle_records,
     read_candidate_scores,
     read_instances,
 )
@@ -104,6 +106,13 @@ class TestGlobalShuffle:
         corpus = make_corpus([4, 3])
         assert global_shuffle(corpus, 6) == global_shuffle(corpus, 6)
 
+    def test_a_longer_second_read_is_rejected(self):
+        corpus = make_corpus([2, 1])
+        again = [*corpus.records(), make_corpus([1, 1, 1])[2].record]
+        shuffled = global_shuffle_records(corpus.records(), again, 1, Permutations(), "in.jsonl")
+        with pytest.raises(ValueError, match=r"^in\.jsonl: document 2 changed between two reads$"):
+            list(shuffled)
+
 
 class TestUnshuffle:
     def test_inverts_local_shuffle(self):
@@ -132,6 +141,13 @@ class TestUnshuffle:
         swapped = [records[1], records[0]]
         with pytest.raises(ValueError):
             unshuffle(shuffled, swapped)
+
+    def test_mapping_of_the_wrong_length_rejected(self):
+        corpus = make_corpus([2])
+        shuffled, records = local_shuffle(corpus, 1)
+        short = [PermutationRecord("d000", records[0].mapping[:1])]
+        with pytest.raises(ValueError, match=r"^record for 'd000' has 1 entries for 2 sentences$"):
+            unshuffle(shuffled, short)
 
     def test_non_bijection_rejected(self):
         corpus = make_corpus([2])
@@ -303,6 +319,11 @@ class TestContrastiveAccuracy:
             contrastive_accuracy(
                 instances, scores_for("i0", [1.0, 0.0]) + [CandidateScore("i0", 5, 1.0)]
             )
+
+    def test_a_repeated_instance_id_is_named(self):
+        instances = [instance("i0", "a", ["b"]), instance("i0", "c", ["d"])]
+        with pytest.raises(ValueError, match=r"^duplicate instance_id 'i0'$"):
+            contrastive_accuracy(instances, [])
 
     def test_instance_validation(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -10,6 +10,7 @@ and ``tcp`` one document besides the labels; each holds the doc ids read
 so far."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -87,8 +88,10 @@ def test_streamed_commands_build_no_document(command, tmp_path, monkeypatch):
             return call(*args, **kwargs)
         return count
 
-    for cls in (Document, ParallelDocument):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(Document, "__post_init__",
+                        counted("Document", Document.__post_init__))
+    monkeypatch.setattr(ParallelDocument, "__init__",
+                        counted("ParallelDocument", ParallelDocument.__init__))
     monkeypatch.setattr(mrsplit, "Segment", counted("Segment", mrsplit.Segment))
     argv = STREAMED.get(command) or ["bucket", "--in", "in.jsonl", "--out-prefix", "b",
                                      "--budgets", "4"]
@@ -118,21 +121,31 @@ def test_each_record_is_checked_once(reader, tmp_path, monkeypatch):
 
 
 def traced_peak(argv):
-    """Peak bytes traced by ``tracemalloc`` while ``argv`` runs in-process."""
+    """The most bytes that ``argv``, run in-process, holds at once above
+    what it leaves behind: the peak that ``tracemalloc`` traces, less what
+    is still traced when the run ends.
+
+    A full collection first empties the interpreter's free lists of small
+    objects, so every object the run makes is traced, whatever ran before
+    in this process. What the run leaves traced is what it put back in
+    those lists, and the caches it filled; both are bounded, but fill up
+    over a longer run, so they are not counted. A command that kept
+    per-document data after it returned would not be caught here."""
+    gc.collect()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert dispatch(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
+        left, peak = tracemalloc.get_traced_memory()
+        return peak - left
     finally:
         tracemalloc.stop()
 
 
 def traced_peaks(argv, write, sizes):
     """``traced_peak(argv)`` after ``write(size)`` of each of ``sizes``. A
-    first run, not measured, takes the last, largest input, so that the
-    interpreter's free lists of small objects are as full in every measured
-    run, and only what the command holds can grow with the input."""
+    first run, not measured, takes the last, largest input, so that every
+    cache the command fills is full before any measured run."""
     write(sizes[-1])
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0
