@@ -11,6 +11,8 @@ checked. The corpus-level functions wrap it.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -173,25 +175,53 @@ def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
     return Document(doc.doc_id, _punctuated(doc.sentences, filler))
 
 
-# Alignment scores by document: doc_id -> pair_index -> score. One doc_id
-# string is held per document, not one per scored pair.
-ScoreTable = dict[str, dict[int, float]]
+class ScoreTable(dict):
+    """Alignment scores by document: doc_id -> an ``array('d')`` of the
+    document's scores, indexed by pair_index, so one doc_id string and 8
+    bytes per pair are held. A slot with no score holds NaN, which no
+    score is. A score that lengthened its array is stored negated, with
+    -0.0 for 0.0 (a score of -0.0 is entered as 0.0), so that the first
+    pair read past a document's end can be found (``_alignment_filtered``).
 
+    ``free`` counts the slots that may still be added: 2**16, plus one per
+    score the table can be given. Valid scores never need more (each fills
+    its own slot), and an absurd pair_index takes no memory."""
 
-def _entered(table: ScoreTable, score: AlignmentScore) -> AlignmentScore:
-    """``score``, put in ``table``; a pair that has a score already raises
-    ``ScoreError``."""
-    pairs = table.setdefault(score.doc_id, {})
-    if score.pair_index in pairs:
-        raise ScoreError(f"duplicate score for {(score.doc_id, score.pair_index)}")
-    pairs[score.pair_index] = score.score
-    return score
+    __slots__ = ("free", "_gap")
+
+    def __init__(self, scores: int = 0) -> None:
+        from array import array  # costly to load; a step that reads no scores does not
+
+        self.free = scores + 2**16
+        self._gap = array("d", [math.nan])
+
+    def enter(self, score: AlignmentScore) -> AlignmentScore:
+        """``score``, put in the table; a pair that has a score already,
+        or one past the free slots, raises ``ScoreError``."""
+        pairs = self.get(score.doc_id)
+        if pairs is None:
+            pairs = self[score.doc_id] = self._gap[:0]
+        i = score.pair_index
+        gap = i - len(pairs)
+        if gap < 0:
+            if pairs[i] == pairs[i]:
+                raise ScoreError(f"duplicate score for {(score.doc_id, i)}")
+            pairs[i] = score.score + 0.0
+            return score
+        if gap >= self.free:
+            raise ScoreError(f"pair_index {i} is too large for the number of scores")
+        self.free -= gap + 1
+        if gap:
+            pairs.extend(self._gap * gap)
+        pairs.append(-(score.score + 0.0))
+        return score
 
 
 def _score_table(scores: Iterable[AlignmentScore]) -> ScoreTable:
-    table: ScoreTable = {}
+    scores = list(scores)  # their count bounds the table
+    table = ScoreTable(len(scores))
     for score in scores:
-        _entered(table, score)
+        table.enter(score)
     return table
 
 
@@ -207,37 +237,41 @@ def _alignment_filtered(
     # A score no document claims is reported before a missing score, and
     # is known only after the last document, so a missing score stops
     # the output but is raised only then. A document leaves the table as
-    # it passes, unless some of its scores are unclaimed; those stay in
-    # place, and ``unclaimed`` keeps the document's pair count.
+    # it passes, unless its array runs past its pairs; then it stays, and
+    # ``unclaimed`` keeps the document's pair count.
     unclaimed: dict[str, int] = {}
     missing: str | None = None
     for record in records:
         n_pairs = len(record.src) if record.aligned else 0
-        pairs = table.get(record.doc_id, {})
-        doc_scores = [pairs.pop(i, None) for i in range(n_pairs)]
-        if pairs:
+        pairs = table.get(record.doc_id, ())
+        if len(pairs) > n_pairs:
             unclaimed[record.doc_id] = n_pairs
         else:
             table.pop(record.doc_id, None)
-        if None in doc_scores:
+        doc_scores = pairs[:n_pairs]
+        gap = next((i for i, s in enumerate(doc_scores) if s != s), len(doc_scores))
+        if gap < n_pairs:
             missing = missing or (
-                f"missing score for document {record.doc_id!r}, "
-                f"pair {doc_scores.index(None)}"
+                f"missing score for document {record.doc_id!r}, pair {gap}"
             )
         elif missing is None:
-            offending = [i for i, score in enumerate(doc_scores) if score < threshold]
+            offending = [i for i, s in enumerate(doc_scores) if abs(s) < threshold]
             if offending:
                 removed[record.doc_id] = offending
             else:
                 yield record
     # The first document, in the order the scores first name them, that
-    # holds an unclaimed score is reported.
+    # holds an unclaimed score is reported, with the first of its
+    # unclaimed pairs read. That pair lengthened the array, since every
+    # pair read before it was claimed, and any later such pair is larger:
+    # it is the first negated slot past the document's pairs.
     for doc_id, pairs in table.items():
         if doc_id not in unclaimed:
             raise ScoreError(f"score for unknown document {doc_id!r}")
+        n_pairs = unclaimed[doc_id]
+        first = next(i for i in range(n_pairs, len(pairs)) if math.copysign(1, pairs[i]) < 0)
         raise ScoreError(
-            f"score for unknown pair {next(iter(pairs))} of document {doc_id!r} "
-            f"({unclaimed[doc_id]} pairs)"
+            f"score for unknown pair {first} of document {doc_id!r} ({n_pairs} pairs)"
         )
     if missing is not None:
         raise ScoreError(missing)
@@ -266,21 +300,24 @@ def filter_by_alignment(
 def _read_scores(path: str | Path, table: ScoreTable) -> Iterator[AlignmentScore]:
     """The scores of a JSON-lines alignment-score file, each put in
     ``table`` as its line is read, so a pair scored twice is malformed at
-    the line that repeats it."""
-    return read_jsonl(
-        path, SCORE_FIELDS, lambda *fields: _entered(table, AlignmentScore(*fields)), "score"
+    the line that repeats it. The table gets a slot for each score the file
+    could hold: its size over the 38 bytes of the shortest score line,
+    ``{"doc_id":"","pair_index":0,"score":0}``."""
+    table.free += os.stat(path).st_size // 38
+    yield from read_jsonl(
+        path, SCORE_FIELDS, lambda *fields: table.enter(AlignmentScore(*fields)), "score"
     )
 
 
 def read_alignment_scores(path: str | Path) -> Iterator[AlignmentScore]:
     """Iterate over a JSON-lines alignment-score file; enforces unique pairs."""
-    return _read_scores(path, {})
+    return _read_scores(path, ScoreTable())
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
     """A JSON-lines alignment-score file as one ``ScoreTable``, read one
     line at a time; the table is the only copy of the scores held."""
-    table: ScoreTable = {}
+    table = ScoreTable()
     for _ in _read_scores(path, table):
         pass
     return table

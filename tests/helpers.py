@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 import unicodedata
@@ -305,10 +306,16 @@ def record_parser(metadata: dict, make: Callable) -> Callable:
     return parse
 
 
-def score_parser(table: dict, make: Callable) -> Callable:
-    """A parser of score lines that puts each score in ``table``, by doc id
-    and pair index, and finds a repeated pair in a set of its own."""
+def score_parser(table: dict, make: Callable, path) -> Callable:
+    """A parser of the score lines of the file at ``path`` that puts each
+    score in ``table``, by doc id and pair index, and finds a repeated
+    pair in a set of its own. Each document spans its highest pair index
+    plus one; a pair that would take the documents' spans, summed, past
+    2**16 plus the file's size over 38 bytes (the shortest score line)
+    is refused."""
     keys: set[tuple[str, int]] = set()
+    spans: dict[str, int] = {}
+    slots = os.stat(path).st_size // 38 + 2**16
 
     def parse(record: dict) -> object:
         doc_id = field_of(record, "doc_id", str)
@@ -317,7 +324,11 @@ def score_parser(table: dict, make: Callable) -> Callable:
         made = make(doc_id, pair_index, score)
         if (doc_id, pair_index) in keys:
             raise ValueError(f"duplicate score for {(doc_id, pair_index)}")
+        span = max(spans.get(doc_id, 0), pair_index + 1)
+        if sum(spans.values()) - spans.get(doc_id, 0) + span > slots:
+            raise ValueError(f"pair_index {pair_index} is too large for the number of scores")
         keys.add((doc_id, pair_index))
+        spans[doc_id] = span
         table.setdefault(doc_id, {})[pair_index] = score
         return made
 
@@ -394,14 +405,30 @@ def naive_read_records(path) -> list[Record]:
 
 
 def naive_read_alignment_scores(path) -> list[AlignmentScore]:
-    return list(read_jsonl(path, naive_parse(score_parser({}, AlignmentScore)), "score"))
+    return list(read_jsonl(path, naive_parse(score_parser({}, AlignmentScore, path)), "score"))
 
 
 def naive_read_score_table(path) -> dict:
+    """Reference score table: ``{doc_id: {pair_index: score}}``, both in
+    the order the file first names them."""
     table: dict = {}
-    for _ in read_jsonl(path, naive_parse(score_parser(table, check_score)), "score"):
+    for _ in read_jsonl(path, naive_parse(score_parser(table, check_score, path)), "score"):
         pass
     return table
+
+
+def score_view(table) -> list[tuple[str, dict[int, float]]]:
+    """A score table's ``(doc_id, {pair_index: score})`` items, documents
+    in table order, to compare tables by what they hold. A ``ScoreTable``
+    keeps a document's scores in an array, with NaN in a slot that has no
+    score (and NaN equals nothing, so two arrays with a gap never compare
+    equal) and a score that lengthened the array negated; a plain dict of
+    dicts, as the reference builds, is taken as it is."""
+    return [
+        (doc_id, pairs if isinstance(pairs, dict)
+         else {i: abs(s) for i, s in enumerate(pairs) if not math.isnan(s)})
+        for doc_id, pairs in table.items()
+    ]
 
 
 def naive_read_labeled_docs(references, labels_path) -> list[LabeledTestDoc]:

@@ -38,6 +38,7 @@ from helpers import (
     naive_split_paragraph,
     random_corpus,
     score_rows,
+    score_view,
 )
 
 
@@ -535,10 +536,67 @@ class TestCompactCleanOracle:
                 continue
             write_jsonl(tmp_path / "s.jsonl", score_rows(scores))
             table = read_score_table(tmp_path / "s.jsonl")
-            assert table == _score_table(scores)
+            # Through the view: arrays with a gap hold NaN, which equals nothing.
+            assert score_view(table) == score_view(_score_table(scores))
             assert list(table) == list(dict.fromkeys(s.doc_id for s in scores))
 
 
 def read_jsonl_rows(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
+
+
+def clean_scored(rows, corpus):
+    """``clean --align-scores`` on ``corpus`` in the working directory, with
+    a score file of ``rows``: the exit code, stdout and stderr."""
+    write_records(corpus, "in.jsonl")
+    write_jsonl("s.jsonl", rows)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["clean", "--in", "in.jsonl", "--out", "out.jsonl",
+                         "--align-scores", "s.jsonl", "--report", "removed.jsonl"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestScoreOrder:
+    """Scores may come in any order; the order changes no output, and of
+    a document's unclaimed pairs the first one read is named."""
+
+    @pytest.mark.parametrize("pairs, named", [
+        ([(0, 0.9), (5, 0.9), (3, 0.9)], 5),
+        # A score of -0.0 in a gap is not taken for a pair that lengthened the table.
+        ([(0, 0.9), (3, 0.9), (2, -0.0)], 3),
+    ])
+    def test_the_first_unclaimed_pair_read_is_named(self, pairs, named, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rows = [{"doc_id": "d0", "pair_index": i, "score": score} for i, score in pairs]
+        assert clean_scored(rows, ParallelCorpus((pair("d0", ("a.",)),))) == (
+            1, "", f"error: s.jsonl: score for unknown pair {named} of document 'd0' "
+                   "(1 pairs)\n",
+        )
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_the_order_of_the_scores_changes_no_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(23)
+        corpus = make_corpus([rng.randint(1, 12) for _ in range(40)], rng)
+        rows = [{"doc_id": d.doc_id, "pair_index": i, "score": rng.choice([0.2, 0.5, 0.9])}
+                for d in corpus for i in range(len(d.source))]
+        shuffled = rng.sample(rows, len(rows))
+        outputs = []
+        for order in (rows, rows[::-1], shuffled):
+            result = clean_scored(order, corpus)
+            outputs.append((result, (tmp_path / "out.jsonl").read_bytes(),
+                            (tmp_path / "removed.jsonl").read_bytes()))
+        assert outputs[0][0] == (0, "kept 9 of 40 documents (0 duplicate, 0 unaligned, "
+                                    "31 misaligned)\n", "")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_a_long_document_scored_backwards_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        n = 100_000
+        rows = ({"doc_id": "d0", "pair_index": i, "score": 0.5} for i in reversed(range(n)))
+        corpus = ParallelCorpus((pair("d0", tuple(f"s{i}." for i in range(n))),))
+        assert clean_scored(rows, corpus) == (
+            0, "kept 1 of 1 documents (0 duplicate, 0 unaligned, 0 misaligned)\n", "")

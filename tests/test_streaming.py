@@ -1,13 +1,13 @@
 """The build commands (clean, mr-split, oversample) stream from reader to
 writer: they fail cleanly part-way through a file, and their memory does
 not grow with the corpus (``clean`` keeps a fixed-size record per
-document, and one doc id per scored document). ``shuffle`` holds one
-document at a time, besides a few numbers per document and, in global
-mode, the source sentences. ``contrastive`` streams its instances: its
-memory does not grow with the candidate texts, and its table takes a few
-hundred bytes per instance. ``bleu`` holds one document pair at a time
-and ``tcp`` one document besides the labels; each holds the doc ids read
-so far."""
+document, one doc id per scored document and a few bytes per scored
+pair). ``shuffle`` holds one document at a time, besides a few numbers
+per document and, in global mode, the source sentences. ``contrastive``
+streams its instances: its memory does not grow with the candidate
+texts, and its table takes a few hundred bytes per instance. ``bleu``
+holds one document pair at a time and ``tcp`` one document besides the
+labels; each holds the doc ids read so far."""
 
 import contextlib
 import gc
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import docmt
-from docmt import corpus, mrsplit
+from docmt import corpus, mrsplit, pipeline
 from docmt.cli import dispatch
 from docmt.corpus import Document, ParallelDocument
 
@@ -195,6 +195,52 @@ def test_clean_score_table_holds_one_doc_id_per_document(tmp_path, monkeypatch):
     peaks = traced_peaks(argv, lambda width: write_scored_corpus(tmp_path, 50, 100, width),
                          (10, 1000))
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("pair_index", [10**12, 2**62])
+def test_clean_refuses_a_pair_index_past_what_the_file_can_score(
+    pair_index, tmp_path, monkeypatch
+):
+    # A document's scores are one array indexed by pair_index; no slot
+    # is made that a file of this size could not fill.
+    monkeypatch.chdir(tmp_path)
+    write_scored_corpus(tmp_path, 1, 1, 2)
+    with open("s.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"doc_id": "00", "pair_index": pair_index, "score": 0.5}) + "\n")
+    argv = ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"]
+    gc.collect()
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert dispatch(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.getvalue() == (
+        f"error: s.jsonl: malformed score on line 2: pair_index {pair_index} is too large "
+        "for the number of scores\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "s.jsonl"]
+    assert peak < 1_000_000, peak
+
+
+def test_score_table_takes_a_few_bytes_per_pair(tmp_path):
+    # Eight bytes per score, and a little spare room in each array; a
+    # dict entry and a float object per pair took 72.
+    sizes = []
+    for n_pairs in (10, 100):
+        write_scored_corpus(tmp_path, 400, n_pairs, 4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = pipeline.read_score_table(tmp_path / "s.jsonl")
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, table.values())) == 400 * n_pairs
+        del table
+    assert (sizes[1] - sizes[0]) / (400 * 90) < 16, sizes
 
 
 def write_contrastive(directory, n_instances, width):
