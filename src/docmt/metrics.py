@@ -231,9 +231,10 @@ def span_metric(
     The label scores a hit when its word occurs at any window index.
     Category TENSE reports TC, CONJ reports CP, PRON reports PT.
     Outputs join their references by doc id, in any order; outputs
-    without labels are ignored. The first error is, in this order, a
-    label that does not fit its reference (in reference order), a
-    labeled document without an output, or no labels at all.
+    without labels are ignored. An error is raised where it is first
+    known: a label that does not fit its reference at once, no labels
+    at all once the references end, and the first labeled document
+    without an output once the outputs end.
     """
     return _span_reports(outputs, refs, (_category(category),), span_cfg)[0]
 
@@ -245,8 +246,7 @@ def span_metrics(
 ) -> list[MetricReport]:
     """TC, CP and PT (``span_metric`` of each of ``CATEGORIES``) in one
     pass over each input, which tokenizes each labeled reference and its
-    output once. On an error it raises what the first failing
-    ``span_metric`` call, in ``CATEGORIES`` order, raises."""
+    output once; it raises as ``span_metric`` does, in any category."""
     return _span_reports(outputs, refs, CATEGORIES, span_cfg)
 
 
@@ -259,11 +259,9 @@ def _span_reports(
     """``span_metric`` of each of ``categories``. One pass over ``refs``
     checks the labels against the reference tokens and keeps, by doc id,
     only the labels and the reference token count; one pass over
-    ``outputs`` counts the window hits. Each category keeps its first
-    error, so neither input is read twice; an error of the first category
-    is final, and ends the pass over ``refs`` at once."""
+    ``outputs`` counts the window hits."""
     radius = (span_cfg or SpanConfig()).radius_d
-    errors, pending, hits, totals = {}, {}, Counter(), Counter()
+    pending, hits, totals = {}, Counter(), Counter()
     for ref in refs:
         labels = [label for label in ref.labels if label.category in categories]
         if not labels:
@@ -272,40 +270,30 @@ def _span_reports(
         for label in labels:
             totals[label.category] += 1
             if label.position >= len(tokens):
-                errors.setdefault(
-                    label.category,
+                raise ValueError(
                     f"label position {label.position} out of range for document "
                     f"{ref.doc_id!r} ({len(tokens)} tokens)"
                 )
-            elif tokens[label.position] != label.word.lower():
-                errors.setdefault(
-                    label.category,
+            if tokens[label.position] != label.word.lower():
+                raise ValueError(
                     f"label word {label.word!r} does not match reference token "
                     f"{tokens[label.position]!r} at position {label.position} "
                     f"of document {ref.doc_id!r}"
                 )
         pending[ref.doc_id] = labels, len(tokens)
-        if categories[0] in errors:
-            break
-    else:
-        for out in outputs:
-            if out.doc_id in pending:
-                labels, ref_len = pending.pop(out.doc_id)
-                tokens = tokenize(out.text)
-                for label in labels:
-                    at = len(tokens) / ref_len * label.position
-                    window = tokens[max(0, math.floor(at - radius)) : math.ceil(at + radius) + 1]
-                    hits[label.category] += label.word.lower() in window
-        for doc_id, (labels, _) in pending.items():
-            for label in labels:
-                errors.setdefault(
-                    label.category, f"missing output for labeled document {doc_id!r}"
-                )
     for category in categories:
-        if category in errors or not totals[category]:
-            raise ValueError(
-                errors.get(category, f"no labels of category {category!r} in the test set")
-            )
+        if not totals[category]:
+            raise ValueError(f"no labels of category {category!r} in the test set")
+    for out in outputs:
+        if out.doc_id in pending:
+            labels, ref_len = pending.pop(out.doc_id)
+            tokens = tokenize(out.text)
+            for label in labels:
+                at = len(tokens) / ref_len * label.position
+                window = tokens[max(0, math.floor(at - radius)) : math.ceil(at + radius) + 1]
+                hits[label.category] += label.word.lower() in window
+    for doc_id in pending:
+        raise ValueError(f"missing output for labeled document {doc_id!r}")
     return [
         MetricReport(SPAN_METRICS[c], 100.0 * hits[c] / totals[c], hits[c], totals[c])
         for c in categories
@@ -335,12 +323,16 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if len(xs) < 2:
         raise ValueError("pearson needs at least two points")
     import statistics  # costly to import, and used only here
+
+    def scaled(values: Sequence[float]) -> list[float]:
+        # Scaled by a power of two, so that no sum leaves the float range.
+        shift = -math.frexp(max(map(abs, values)))[1]
+        return [math.ldexp(v, shift) for v in values]
+
     try:
-        return statistics.correlation(xs, ys)
+        return statistics.correlation(scaled(xs), scaled(ys))
     except statistics.StatisticsError as exc:
         raise ValueError(f"degenerate input: {exc}")
-    except OverflowError as exc:  # finite values whose sums pass the float range
-        raise ValueError(f"values too large to correlate: {exc}") from None
 
 
 def read_labels(labels_path: str | Path) -> dict[str, list[Label]]:

@@ -179,9 +179,9 @@ class ScoreTable(dict):
     """Alignment scores by document: doc_id -> an ``array('d')`` of the
     document's scores, indexed by pair_index, so one doc_id string and 8
     bytes per pair are held. A slot with no score holds NaN, which no
-    score is. A score that lengthened its array is stored negated, with
-    -0.0 for 0.0 (a score of -0.0 is entered as 0.0), so that the first
-    pair read past a document's end can be found (``_alignment_filtered``).
+    score is. A document's scores leave the table as the document passes
+    the filter (``_alignment_filtered``), so a score left in the table at
+    the end is for a document that the records do not hold.
 
     ``free`` counts the slots that may still be added: 2**16, plus one per
     score the table can be given. Valid scores never need more (each fills
@@ -206,14 +206,14 @@ class ScoreTable(dict):
         if gap < 0:
             if pairs[i] == pairs[i]:
                 raise ScoreError(f"duplicate score for {(score.doc_id, i)}")
-            pairs[i] = score.score + 0.0
+            pairs[i] = score.score
             return score
         if gap >= self.free:
             raise ScoreError(f"pair_index {i} is too large for the number of scores")
         self.free -= gap + 1
         if gap:
             pairs.extend(self._gap * gap)
-        pairs.append(-(score.score + 0.0))
+        pairs.append(score.score)
         return score
 
 
@@ -234,47 +234,26 @@ def _alignment_filtered(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold out of [0, 1]: {threshold}")
     table = scores()
-    # A score no document claims is reported before a missing score, and
-    # is known only after the last document, so a missing score stops
-    # the output but is raised only then. A document leaves the table as
-    # it passes, unless its array runs past its pairs; then it stays, and
-    # ``unclaimed`` keeps the document's pair count.
-    unclaimed: dict[str, int] = {}
-    missing: str | None = None
     for record in records:
         n_pairs = len(record.src) if record.aligned else 0
-        pairs = table.get(record.doc_id, ())
-        if len(pairs) > n_pairs:
-            unclaimed[record.doc_id] = n_pairs
-        else:
-            table.pop(record.doc_id, None)
+        pairs = table.pop(record.doc_id, ())
+        for i in range(n_pairs, len(pairs)):
+            if pairs[i] == pairs[i]:  # not NaN: the lowest pair past the document's
+                raise ScoreError(
+                    f"score for unknown pair {i} of document {record.doc_id!r} "
+                    f"({n_pairs} pairs)"
+                )
         doc_scores = pairs[:n_pairs]
         gap = next((i for i, s in enumerate(doc_scores) if s != s), len(doc_scores))
         if gap < n_pairs:
-            missing = missing or (
-                f"missing score for document {record.doc_id!r}, pair {gap}"
-            )
-        elif missing is None:
-            offending = [i for i, s in enumerate(doc_scores) if abs(s) < threshold]
-            if offending:
-                removed[record.doc_id] = offending
-            else:
-                yield record
-    # The first document, in the order the scores first name them, that
-    # holds an unclaimed score is reported, with the first of its
-    # unclaimed pairs read. That pair lengthened the array, since every
-    # pair read before it was claimed, and any later such pair is larger:
-    # it is the first negated slot past the document's pairs.
-    for doc_id, pairs in table.items():
-        if doc_id not in unclaimed:
-            raise ScoreError(f"score for unknown document {doc_id!r}")
-        n_pairs = unclaimed[doc_id]
-        first = next(i for i in range(n_pairs, len(pairs)) if math.copysign(1, pairs[i]) < 0)
-        raise ScoreError(
-            f"score for unknown pair {first} of document {doc_id!r} ({n_pairs} pairs)"
-        )
-    if missing is not None:
-        raise ScoreError(missing)
+            raise ScoreError(f"missing score for document {record.doc_id!r}, pair {gap}")
+        offending = [i for i, s in enumerate(doc_scores) if s < threshold]
+        if offending:
+            removed[record.doc_id] = offending
+        else:
+            yield record
+    for doc_id in table:
+        raise ScoreError(f"score for unknown document {doc_id!r}")
 
 
 def filter_by_alignment(
@@ -285,7 +264,10 @@ def filter_by_alignment(
     """Remove documents containing any pair scored strictly below ``threshold``.
 
     Every aligned pair must have exactly one score; a missing, duplicate,
-    or unknown (doc_id, pair_index) is an error. A pair scoring exactly
+    or unknown (doc_id, pair_index) is an error, raised where it is first
+    known: as a document passes, its lowest unknown pair, then its first
+    missing one; after the last, the first unknown document in the order
+    of the scores. A pair scoring exactly
     ``threshold`` is kept. Returns the surviving corpus (input order
     preserved, documents untouched) and a map of removed doc_id to the
     offending pair indices.

@@ -422,11 +422,11 @@ def score_view(table) -> list[tuple[str, dict[int, float]]]:
     in table order, to compare tables by what they hold. A ``ScoreTable``
     keeps a document's scores in an array, with NaN in a slot that has no
     score (and NaN equals nothing, so two arrays with a gap never compare
-    equal) and a score that lengthened the array negated; a plain dict of
-    dicts, as the reference builds, is taken as it is."""
+    equal); a plain dict of dicts, as the reference builds, is taken as it
+    is."""
     return [
         (doc_id, pairs if isinstance(pairs, dict)
-         else {i: abs(s) for i, s in enumerate(pairs) if not math.isnan(s)})
+         else {i: s for i, s in enumerate(pairs) if not math.isnan(s)})
         for doc_id, pairs in table.items()
     ]
 
@@ -483,7 +483,10 @@ def naive_alignment_filtered(
     removed: dict[str, list[int]],
 ) -> Iterator[Record]:
     """Reference alignment filter: one ``(doc_id, pair_index)`` table of
-    every score, and the pair count of every document that passed."""
+    every score. Each fault is raised where it is first known: as each
+    document passes, its lowest unclaimed pair, then its first missing
+    pair; after the last document, the first unknown document in
+    score-file order."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold out of [0, 1]: {threshold}")
     table: dict[tuple[str, int], float] = {}
@@ -492,35 +495,26 @@ def naive_alignment_filtered(
         if key in table:
             raise ValueError(f"duplicate score for {key}")
         table[key] = score.score
-    # A score no document claims is reported before a missing score, and
-    # is known only after the last document, so a missing score stops
-    # the output but is raised only then.
-    pair_counts: dict[str, int] = {}
-    missing: str | None = None
     for record in records:
         n_pairs = len(record.src) if record.aligned else 0
-        pair_counts[record.doc_id] = n_pairs
+        unclaimed = [i for doc_id, i in table if doc_id == record.doc_id and i >= n_pairs]
+        if unclaimed:
+            raise ValueError(
+                f"score for unknown pair {min(unclaimed)} of document {record.doc_id!r} "
+                f"({n_pairs} pairs)"
+            )
         doc_scores = [table.pop((record.doc_id, i), None) for i in range(n_pairs)]
         if None in doc_scores:
-            missing = missing or (
-                f"missing score for document {record.doc_id!r}, "
-                f"pair {doc_scores.index(None)}"
+            raise ValueError(
+                f"missing score for document {record.doc_id!r}, pair {doc_scores.index(None)}"
             )
-        elif missing is None:
-            offending = [i for i, score in enumerate(doc_scores) if score < threshold]
-            if offending:
-                removed[record.doc_id] = offending
-            else:
-                yield record
-    for doc_id, index in table:
-        if doc_id not in pair_counts:
-            raise ValueError(f"score for unknown document {doc_id!r}")
-        raise ValueError(
-            f"score for unknown pair {index} of document {doc_id!r} "
-            f"({pair_counts[doc_id]} pairs)"
-        )
-    if missing is not None:
-        raise ValueError(missing)
+        offending = [i for i, score in enumerate(doc_scores) if score < threshold]
+        if offending:
+            removed[record.doc_id] = offending
+        else:
+            yield record
+    for doc_id, _ in table:
+        raise ValueError(f"score for unknown document {doc_id!r}")
 
 
 def _naive_substream(seed: int, namespace: str) -> random.Random:

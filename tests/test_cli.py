@@ -335,6 +335,22 @@ class TestMetricsCommands:
         assert run("pearson", "--x", tmp_path / "x.txt", "--y", tmp_path / "y.txt") == 0
         assert "0.5000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("x, y, printed", [
+        pytest.param("1e308\n1e308\n-1e308\n", "1\n2\n3\n", "-0.8660",
+                     id="sums overflow in --x"),
+        pytest.param("1\n2\n3\n", "1e154\n3e154\n2e154\n", "0.5000",
+                     id="sums overflow in --y"),
+        pytest.param("1e200\n-1e200\n0\n", "1\n2\n3\n", "-0.5000",
+                     id="squares overflow"),
+        pytest.param("1e-320\n2e-320\n3e-320\n", "1\n2\n3\n", "1.0000",
+                     id="squares underflow"),
+    ])
+    def test_pearson_at_the_float_limits(self, x, y, printed, tmp_path, capsys):
+        (tmp_path / "x.txt").write_text(x, encoding="utf-8")
+        (tmp_path / "y.txt").write_text(y, encoding="utf-8")
+        assert run("pearson", "--x", tmp_path / "x.txt", "--y", tmp_path / "y.txt") == 0
+        assert capsys.readouterr() == (f"pearson = {printed}\n", "")
+
     def test_pearson_skips_blank_lines(self, tmp_path, capsys):
         (tmp_path / "x.txt").write_text("1\n\n2\n3\n", encoding="utf-8")
         (tmp_path / "y.txt").write_text("1\n3\n \n2\n\n", encoding="utf-8")
@@ -814,6 +830,17 @@ SCORE_FAULTS = {
         "error: label word 'goes' does not match reference token 'went' at position 1 "
         "of document '000001'\n",
     ),
+    "tcp CONJ label error before a later malformed reference line": (
+        {"labels.jsonl": TCP_LABELS.replace('"and"', '"but"'),
+         "ref.txt": TCP_REF + "\nx\ry.\n"}, TCP_ARGV,
+        "error: label word 'but' does not match reference token 'and' at position 3 "
+        "of document '000000'\n",
+    ),
+    "tcp category without labels before a missing output": (
+        {"labels.jsonl": TCP_LABELS.splitlines(keepends=True)[0],
+         "hyp.txt": "# doc_id: other\n" + TCP_REF}, TCP_ARGV,
+        "error: no labels of category 'CONJ' in the test set\n",
+    ),
 }
 
 
@@ -1214,20 +1241,28 @@ ONE_LINE_FAULTS = {
         ["pearson", "--x", "x.txt", "--y", "y.txt"],
         "error: x.txt: not a finite number on line 2: 'abc\\n'\n",
     ),
-    "pearson sums past the float range in --x": (
-        {"x.txt": "1e308\n1e308\n-1e308\n", "y.txt": "1\n2\n3\n"},
-        ["pearson", "--x", "x.txt", "--y", "y.txt"],
-        "error: values too large to correlate: intermediate overflow in fsum\n",
-    ),
-    "pearson sums past the float range in --y": (
-        {"x.txt": "1\n2\n3\n", "y.txt": "1e154\n3e154\n2e154\n"},
-        ["pearson", "--x", "x.txt", "--y", "y.txt"],
-        "error: values too large to correlate: intermediate overflow in fsum\n",
-    ),
     "mr-split with a newline in the joiner": (
         {"in.jsonl": RECORD},
         ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl", "--joiner", "a\nb"],
         "error: joiner must not contain newlines\n",
+    ),
+    # Of several alignment-score faults, clean names the one it knows first.
+    "clean missing score before a score for an unknown document": (
+        {"in.jsonl": RECORD, "s.jsonl": ALIGN.replace("d0", "dX")},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "error: s.jsonl: missing score for document 'd0', pair 0\n",
+    ),
+    "clean missing score before a later malformed record": (
+        {"in.jsonl": RECORD + RECORD.replace("d0", "d1") + "{\n",
+         "s.jsonl": ALIGN.replace("d0", "d1")},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "error: s.jsonl: missing score for document 'd0', pair 0\n",
+    ),
+    "clean lowest unknown pair, not the first read": (
+        {"in.jsonl": RECORD, "s.jsonl": "".join(
+            ALIGN.replace('"pair_index":0', f'"pair_index":{i}') for i in (0, 5, 3))},
+        ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
+        "error: s.jsonl: score for unknown pair 3 of document 'd0' (1 pairs)\n",
     ),
 }
 

@@ -267,7 +267,16 @@ class TestAlignmentFilter:
             )
 
     def test_unknown_document_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown document"):
+        with pytest.raises(ValueError, match=r"^score for unknown document 'dX'$"):
+            filter_by_alignment(
+                ParallelCorpus((pair("d0", ("a",)),)),
+                [AlignmentScore("d0", 0, 0.9), AlignmentScore("dX", 0, 0.9)],
+            )
+
+    def test_a_missing_score_is_named_before_an_unknown_document(self):
+        # d0's missing score is known as d0 passes; dX is known unknown
+        # only after the last document.
+        with pytest.raises(ValueError, match=r"^missing score for document 'd0', pair 0$"):
             filter_by_alignment(
                 ParallelCorpus((pair("d0", ("a",)),)),
                 [AlignmentScore("dX", 0, 0.9)],
@@ -363,7 +372,8 @@ def near_duplicate(rng, src):
 
 def oracle_case(rng):
     """Documents with near-duplicates, a score file written document by
-    document as an aligner writes it, a threshold, and some of these
+    document as an aligner writes it (or, in about 30% of cases, its
+    rows shuffled across documents), a threshold, and some of these
     faults: a pair scored twice, a score for an unknown document or an
     unknown pair, a missing score, a threshold out of [0, 1]; returned
     with the names of the faults put in."""
@@ -408,6 +418,8 @@ def oracle_case(rng):
         del group[rng.randrange(len(group))]
         faults.append("missing")
     rows = [row for group in groups for row in group]
+    if rng.random() < 0.3:
+        rng.shuffle(rows)
     if rng.random() < 0.15 and rows:  # a pair scored twice, the second time anywhere later
         i = rng.randrange(len(rows))
         rows.insert(rng.randint(i + 1, len(rows)), rows[i][:2] + (rng.random(),))
@@ -441,13 +453,7 @@ FAULTS = {
 
 class TestCompactCleanOracle:
     """The digest dedup and the per-document score table against the
-    oracles that kept each normalized text and a key per scored pair.
-
-    Each document's scores are written together, as an aligner writes
-    them: where two documents hold unclaimed scores, the per-document
-    table reports the one whose scores come first, and the oracle the
-    first unclaimed line, so interleaved score files are left to
-    ``test_unclaimed_scores_are_reported_by_document``."""
+    oracles that kept each normalized text and a key per scored pair."""
 
     def test_matches_oracles_on_seeded_cases(self):
         rng = random.Random(11)
@@ -519,8 +525,8 @@ class TestCompactCleanOracle:
             assert not (tmp_path / "out.jsonl").exists()
 
     def test_unclaimed_scores_are_reported_by_document(self):
-        # d0's scores come first, so its unclaimed pair is reported though
-        # the line scoring the unknown dX precedes that pair's line.
+        # d0's unclaimed pair is known as d0 passes, and the unknown dX only
+        # after the last document, though dX's line precedes that pair's.
         scores = [AlignmentScore("d0", 0, 0.9), AlignmentScore("dX", 0, 0.9),
                   AlignmentScore("d0", 1, 0.9)]
         with pytest.raises(ValueError, match=r"^score for unknown pair 1 of document "
@@ -560,15 +566,13 @@ def clean_scored(rows, corpus):
 
 class TestScoreOrder:
     """Scores may come in any order; the order changes no output, and of
-    a document's unclaimed pairs the first one read is named."""
+    a document's unclaimed pairs the lowest is named."""
 
     @pytest.mark.parametrize("pairs, named", [
-        ([(0, 0.9), (5, 0.9), (3, 0.9)], 5),
-        # A score of -0.0 in a gap is not taken for a pair that lengthened the table.
-        ([(0, 0.9), (3, 0.9), (2, -0.0)], 3),
+        ([(0, 0.9), (5, 0.9), (3, 0.9)], 3),
+        ([(0, 0.9), (3, 0.9), (2, -0.0)], 2),
     ])
-    def test_the_first_unclaimed_pair_read_is_named(self, pairs, named, tmp_path,
-                                                    monkeypatch):
+    def test_the_lowest_unclaimed_pair_is_named(self, pairs, named, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rows = [{"doc_id": "d0", "pair_index": i, "score": score} for i, score in pairs]
         assert clean_scored(rows, ParallelCorpus((pair("d0", ("a.",)),))) == (
