@@ -8,7 +8,9 @@ records allow exact inversion or reference realignment. Each document
 draws from its own seed substream, so results do not depend on
 traversal order. Each shuffle takes and yields ``Record``s, as the
 records reader checked them, keeping its permutations flat
-(``Permutations``), under a wrapper over whole corpora.
+(``Permutations``), under a wrapper over whole corpora. The global
+shuffle's pooled sources and the contrastive instance ids are kept with
+no Python object per string (``Strings``, ``IdTable``).
 """
 
 from __future__ import annotations
@@ -115,6 +117,80 @@ class Permutations:
         return self.doc_ids[d], number - self.offsets[d]
 
 
+class Strings:
+    """A list of strings with no Python object per string: their UTF-8
+    bytes in one buffer and where each ends. A string built in code may
+    hold a lone surrogate, so encoding passes surrogates through."""
+
+    def __init__(self) -> None:
+        self.text = bytearray()
+        self.ends = array("q", [0])  # string n is text[ends[n]:ends[n + 1]]
+
+    def __len__(self) -> int:
+        return len(self.ends) - 1
+
+    def __getitem__(self, n: int) -> str:
+        return self.text[self.ends[n] : self.ends[n + 1]].decode("utf-8", "surrogatepass")
+
+    def extend(self, strings: Iterable[str]) -> None:
+        for string in strings:
+            self.text += string.encode("utf-8", "surrogatepass")
+            self.ends.append(len(self.text))
+
+
+class IdTable(Strings):
+    """Distinct strings numbered 0, 1, ... in the order they are added:
+    ``Strings`` with each string's ``hash()`` and an open-addressing
+    array of numbers, at most two-thirds full, that is regrown from the
+    stored hashes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hashes = array("q")
+        self.slots = array("q", [-1]) * 8  # -1 marks an empty slot
+
+    def _slot(self, key: bytes, h: int) -> int:
+        """The slot that holds the number of ``key``, or the empty one
+        where it would go."""
+        slots, hashes, ends, text = self.slots, self.hashes, self.ends, self.text
+        mask = len(slots) - 1
+        i = h & mask
+        while (n := slots[i]) >= 0:
+            if hashes[n] == h and text[ends[n] : ends[n + 1]] == key:
+                break
+            i = (i + 1) & mask
+        return i
+
+    def get(self, string: str) -> int:
+        """The number of ``string``, or -1 if it was never added."""
+        return self.slots[self._slot(string.encode("utf-8", "surrogatepass"), hash(string))]
+
+    def add(self, string: str) -> int:
+        """-1 after giving ``string`` the next number, or the number it
+        was given when it was added before."""
+        key = string.encode("utf-8", "surrogatepass")
+        h = hash(string)
+        i = self._slot(key, h)
+        n = self.slots[i]
+        if n < 0:
+            self.slots[i] = len(self.hashes)
+            self.hashes.append(h)
+            self.text += key
+            self.ends.append(len(self.text))
+            if 3 * len(self.hashes) > 2 * len(self.slots):
+                self._regrow()
+        return n
+
+    def _regrow(self) -> None:
+        self.slots = slots = array("q", [-1]) * (2 * len(self.slots))
+        mask = len(slots) - 1
+        for n, h in enumerate(self.hashes):
+            i = h & mask
+            while slots[i] >= 0:
+                i = (i + 1) & mask
+            slots[i] = n
+
+
 def local_shuffle_records(
     records: Iterable[Record], seed: int, perms: Permutations
 ) -> Iterator[Record]:
@@ -145,10 +221,10 @@ def global_shuffle_records(
 ) -> Iterator[Record]:
     """Pool all source sentences corpus-wide, permute, and redistribute;
     per-document sentence counts are preserved. Of ``records`` only the
-    sources are kept; ``again``, a second read of them, gives the targets
-    one document at a time, and a document that differs raises
-    ``ValueError`` naming ``name``."""
-    sources: list[str] = []
+    sources are kept, as ``Strings``; ``again``, a second read of them,
+    gives the targets one document at a time, and a document that
+    differs raises ``ValueError`` naming ``name``."""
+    sources = Strings()
     for record in records:
         perms.doc_ids.append(record.doc_id)
         sources.extend(record.src)
@@ -163,7 +239,7 @@ def global_shuffle_records(
     for d, doc_id in enumerate(perms.doc_ids):
         start, end = perms.offsets[d], perms.offsets[d + 1]
         record = next(again, None)
-        first_read = (doc_id, sources[start:end])
+        first_read = (doc_id, [sources[number] for number in range(start, end)])
         if record is None or (record.doc_id, list(record.src)) != first_read:
             raise ValueError(changed.format(d))
         shuffled = tuple(sources[number] for number in perms.order[start:end])
@@ -239,30 +315,35 @@ def contrastive_accuracy(
     phenomenon plus an ``"overall"`` entry, on a 0-100 scale.
 
     Both arguments are read once, one item at a time: of each instance
-    only its phenomenon, its positive index and one score slot per
-    candidate are kept, in flat columns (scores as 64-bit floats), and
-    instances are decided in input order once every score is in. A score
-    for an unknown instance or candidate, a second score for a candidate,
-    or a candidate left without one raises ``ScoreError``.
+    only its id (in an ``IdTable``: a reader's stream that has not
+    started hands over its own), its phenomenon, its positive index and
+    one score slot per candidate are kept, in flat columns (scores as
+    64-bit floats), and instances are decided in input order once every
+    score is in. A score for an unknown instance or candidate, a second
+    score for a candidate, or a candidate left without one raises
+    ``ScoreError``.
     """
     from .metrics import MetricReport
-    rows: dict[str, int] = {}  # instance_id -> row, in input order
+    # A stream that has not started numbers the ids as it reads them.
+    checked = isinstance(instances, InstanceStream) and not len(instances.ids)
+    ids = instances.ids if checked else IdTable()
     offsets = array("q", [0])  # row r's score slots are offsets[r]:offsets[r + 1]
     positives = array("q")
     codes = array("q")  # row -> index into phenomena
     phenomena: dict[str, int] = {}
     for inst in instances:
-        if inst.instance_id in rows:
+        if not checked and ids.add(inst.instance_id) >= 0:
             raise ValueError(f"duplicate instance_id {inst.instance_id!r}")
-        rows[inst.instance_id] = len(positives)
         positives.append(inst.positive_index)
         codes.append(phenomena.setdefault(inst.phenomenon, len(phenomena)))
         offsets.append(offsets[-1] + len(inst.candidates))
-    values = array("d", bytes(8 * offsets[-1]))
+    values = array("d", [0.0]) * offsets[-1]
     filled = bytearray(offsets[-1])  # 1 where a slot holds its score
+    last_id, row = None, -1  # a file's scores come instance by instance
     for score in scores:
-        row = rows.get(score.instance_id)
-        if row is None:
+        if score.instance_id != last_id:
+            last_id, row = score.instance_id, ids.get(score.instance_id)
+        if row < 0:
             raise ScoreError(f"score for unknown instance {score.instance_id!r}")
         start = offsets[row]
         if not 0 <= score.candidate_index < offsets[row + 1] - start:
@@ -279,12 +360,12 @@ def contrastive_accuracy(
     names = list(phenomena)
     correct: Counter = Counter()
     total: Counter = Counter()
-    columns = zip(rows, offsets, offsets[1:], positives, codes)
-    for instance_id, start, end, positive_index, code in columns:
+    columns = zip(offsets, offsets[1:], positives, codes)
+    for row, (start, end, positive_index, code) in enumerate(columns):
         if (missing := filled.find(0, start, end)) >= 0:
             raise ScoreError(
                 f"missing score for candidate {missing - start} of instance "
-                f"{instance_id!r}"
+                f"{ids[row]!r}"
             )
         slot = start + positive_index
         hit = all(values[slot] > values[i] for i in range(start, end) if i != slot)
@@ -347,22 +428,31 @@ def reference_scorer(
     ]
 
 
-def read_instance_stream(path: str | Path) -> Iterator[ContrastiveInstance]:
+class InstanceStream:
     """The instances of a JSON-lines file, each read and checked when the
-    iterator reaches its line; an ``instance_id`` that an earlier line
-    gave is an error at the line that repeats it."""
-    # A dict, not a set: below 50,000 entries a set grows 4-fold at each
-    # resize, so 20,000 ids take 2 MiB as a set and 0.4 MiB as a dict.
-    seen: dict[str, None] = {}
+    iteration reaches its line; an ``instance_id`` that an earlier line
+    gave is an error at the line that repeats it. ``ids`` numbers the
+    ids read so far, in input order, for ``contrastive_accuracy``."""
 
-    def unseen(*fields: Any) -> ContrastiveInstance:
-        instance = ContrastiveInstance(*fields)
-        if instance.instance_id in seen:
-            raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
-        seen[instance.instance_id] = None
-        return instance
+    def __init__(self, path: str | Path) -> None:
+        self.ids = ids = IdTable()
 
-    return read_jsonl(path, INSTANCE_FIELDS, unseen, "instance")
+        def unseen(*fields: Any) -> ContrastiveInstance:
+            instance = ContrastiveInstance(*fields)
+            if ids.add(instance.instance_id) >= 0:
+                raise ValueError(f"duplicate instance_id {instance.instance_id!r}")
+            return instance
+
+        # unseen holds the table, not self: a stream dropped part-way is
+        # freed at once, and so is its open file.
+        self._instances = read_jsonl(path, INSTANCE_FIELDS, unseen, "instance")
+
+    def __iter__(self) -> Iterator[ContrastiveInstance]:
+        return self._instances
+
+
+def read_instance_stream(path: str | Path) -> InstanceStream:
+    return InstanceStream(path)
 
 
 def read_instances(path: str | Path) -> list[ContrastiveInstance]:

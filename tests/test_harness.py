@@ -1,9 +1,15 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import docmt
 from docmt import (
     BigramModel,
     CandidateScore,
@@ -19,10 +25,12 @@ from docmt import (
 from docmt import cli
 from docmt.corpus import write_jsonl, write_records
 from docmt.harness import (
+    IdTable,
     PermutationRecord,
     Permutations,
     global_shuffle_records,
     read_candidate_scores,
+    read_instance_stream,
     read_instances,
 )
 from helpers import (
@@ -112,6 +120,78 @@ class TestGlobalShuffle:
         shuffled = global_shuffle_records(corpus.records(), again, 1, Permutations(), "in.jsonl")
         with pytest.raises(ValueError, match=r"^in\.jsonl: document 2 changed between two reads$"):
             list(shuffled)
+
+    def test_round_trips_non_ascii_and_lone_surrogates(self):
+        # The pool holds the sources as UTF-8 bytes; a corpus built in code
+        # may hold a lone surrogate, which no file read could give.
+        src = [
+            ("Grüße aus Köln.", "日本語の文。", "\ud800 alone."),
+            ("emoji \U0001f600.",),
+            ("a\udfffb.", "ça va.", "plain."),
+        ]
+        corpus = ParallelCorpus(
+            ParallelDocument.of(f"d{i}", sentences, [f"t{i}.{j}" for j in range(len(sentences))])
+            for i, sentences in enumerate(src)
+        )
+        for seed in range(10):
+            shuffled, records = global_shuffle(corpus, seed)
+            assert Counter(s for pd in shuffled for s in pd.source.sentences) == Counter(
+                s for sentences in src for s in sentences
+            )
+            assert unshuffle(shuffled, records) == corpus
+        changed = [*corpus.records()]
+        changed[2] = changed[2]._replace(src=("a\udffeb.", "ça va.", "plain."))
+        shuffled = global_shuffle_records(corpus.records(), changed, 1, Permutations(), "in")
+        with pytest.raises(ValueError, match=r"^in: document 2 changed between two reads$"):
+            list(shuffled)
+
+
+class TestIdTable:
+    """``IdTable`` numbers strings as a dict of each string to its
+    insertion order does."""
+
+    @staticmethod
+    def check(ids, absent):
+        table, oracle = IdTable(), {}
+        for string in ids:
+            earlier = oracle.get(string, -1)
+            if earlier < 0:
+                oracle[string] = len(oracle)
+            assert table.add(string) == earlier, string
+            assert 3 * len(table) <= 2 * len(table.slots)
+        assert len(table) == len(oracle)
+        for string, row in oracle.items():
+            assert (table.get(string), table[row]) == (row, string)
+        for string in absent:
+            assert string not in oracle and table.get(string) == -1, string
+        return table
+
+    def test_matches_a_dict_on_seeded_id_sets(self):
+        rng = random.Random(53)
+        alphabet = ["a", "b", "1", "0", "é", "語", "\U0001f600", "\ud800", "\udfff", " "]
+        for _ in range(300):
+            pool = ["", "i1", "i10", "i100", "\ud83d", "é", "e\u0301"]
+            pool += ["".join(rng.choices(alphabet, k=rng.randint(0, 4)))
+                     for _ in range(rng.randint(0, 30))]
+            ids = rng.choices(pool, k=rng.randint(0, 60))
+            absent = [s for s in [*pool, "i", "i1000", "\udc00", "é\x00"] if s not in ids]
+            self.check(ids, absent)
+
+    def test_tells_apart_ids_of_equal_hash(self):
+        class Colliding(str):
+            def __hash__(self):
+                return -7
+
+        ids = [Colliding(s) for s in ["i1", "i10", "", "é", "i1", "\ud800", "i10", "x"]]
+        self.check(ids, [Colliding(s) for s in ["i", "i100", "e"]])
+
+    def test_regrows_from_the_stored_hashes(self):
+        rng = random.Random(59)
+        ids = [f"i{n}" for n in range(5_000)] + ["語" * n for n in range(1, 100)]
+        rng.shuffle(ids)
+        ids += rng.choices(ids, k=2_000)
+        table = self.check(ids, ["i5000", "i-1", "語" * 100, ""])
+        assert len(table.slots) == 8_192  # 8 slots at first, doubled ten times
 
 
 class TestUnshuffle:
@@ -419,6 +499,37 @@ class TestContrastiveOracle:
         assert min(first.values()) > 100, first
 
 
+class TestInstanceStream:
+    def write(self, path, ids):
+        with open(path, "w", encoding="utf-8") as handle:
+            for iid in ids:
+                row = {"instance_id": iid, "source": "s", "candidates": ["a", "b"],
+                       "positive_index": 0, "phenomenon": "deixis"}
+                handle.write(json.dumps(row) + "\n")
+
+    def test_contrastive_accuracy_numbers_rows_in_the_readers_table(self, tmp_path):
+        ids = ["i1", "i10", "", "é"]
+        self.write(tmp_path / "inst.jsonl", ids)
+        scores = [s for k, iid in enumerate(ids) for s in scores_for(iid, [k % 2, 0.5])]
+        expected = contrastive_accuracy(read_instances(tmp_path / "inst.jsonl"), scores)
+        stream = read_instance_stream(tmp_path / "inst.jsonl")
+        assert contrastive_accuracy(stream, scores) == expected
+        assert [stream.ids[row] for row in range(len(stream.ids))] == ids
+        # A stream read part-way before is not handed over: its table
+        # numbers rows that contrastive_accuracy never sees.
+        stream = read_instance_stream(tmp_path / "inst.jsonl")
+        next(iter(stream))
+        assert contrastive_accuracy(stream, scores[2:]) == contrastive_accuracy(
+            read_instances(tmp_path / "inst.jsonl")[1:], scores[2:]
+        )
+
+    def test_a_repeated_id_is_malformed_at_its_line(self, tmp_path):
+        self.write(tmp_path / "inst.jsonl", ["i1", "i10", "i1"])
+        with pytest.raises(ValueError, match=r"malformed instance on line 3: "
+                           r"duplicate instance_id 'i1'$"):
+            list(read_instance_stream(tmp_path / "inst.jsonl"))
+
+
 class TestBigramModel:
     TRAINING = "The cat sat on the mat. The dog ran"  # 10 tokens once tokenized
 
@@ -486,3 +597,41 @@ class TestHarnessFiles:
         scores = scores_for("i0", [0.25, -1.5])
         write_jsonl(tmp_path / "scores.jsonl", (score._asdict() for score in scores))
         assert list(read_candidate_scores(tmp_path / "scores.jsonl")) == scores
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # The instance id table probes by hash(), which PYTHONHASHSEED varies.
+    corpus = make_corpus([3, 1, 4, 1, 5], random.Random(61))
+    write_records(corpus, tmp_path / "in.jsonl")
+    rng = random.Random(67)
+    with open(tmp_path / "inst.jsonl", "w", encoding="utf-8") as inst, open(
+        tmp_path / "sc.jsonl", "w", encoding="utf-8"
+    ) as sc:
+        for n in range(300):
+            row = {"instance_id": f"i{n}", "source": "s", "candidates": ["a", "b", "c"],
+                   "positive_index": n % 3, "phenomenon": ["deixis", "lex.c"][n % 2]}
+            inst.write(json.dumps(row) + "\n")
+            for j in range(3):
+                score = {"instance_id": f"i{n}", "candidate_index": j, "score": rng.random()}
+                sc.write(json.dumps(score) + "\n")
+    steps = [
+        ["shuffle", "--in", "in.jsonl", "--out", "g.jsonl", "--mode", "global", "--seed", "7"],
+        ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl", "--out", "acc.jsonl"],
+    ]
+    outputs = ["g.jsonl", "g.jsonl.perm.jsonl", "g.jsonl.manifest.json",
+               "acc.jsonl", "acc.jsonl.manifest.json"]
+    seen = []
+    for hash_seed in ("0", "1"):
+        for argv in steps:
+            result = subprocess.run(
+                [sys.executable, "-m", "docmt", *argv],
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                     "PYTHONPATH": str(Path(docmt.__file__).resolve().parent.parent)},
+                capture_output=True,
+            )
+            assert (result.returncode, result.stderr) == (0, b"")
+        seen.append([(tmp_path / name).read_bytes() for name in outputs])
+        for name in outputs:
+            os.remove(tmp_path / name)
+    assert seen[0] == seen[1]

@@ -3,9 +3,11 @@ writer: they fail cleanly part-way through a file, and their memory does
 not grow with the corpus (``clean`` keeps a fixed-size record per
 document, one doc id per scored document and a few bytes per scored
 pair). ``shuffle`` holds one document at a time, besides a few numbers
-per document and, in global mode, the source sentences. ``contrastive``
+per document and, in global mode, the source sentences as UTF-8 bytes
+in one buffer, some 80 bytes per short sentence. ``contrastive``
 streams its instances: its memory does not grow with the candidate
-texts, and its table takes a few hundred bytes per instance. ``bleu``
+texts, and its one id table and flat columns take about 100 bytes per
+instance. ``bleu``
 holds one document pair at a time and ``tcp`` one document besides the
 labels; each holds the doc ids read so far."""
 
@@ -303,15 +305,28 @@ def test_global_shuffle_peak_memory_does_not_grow_with_the_targets(tmp_path, mon
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_global_shuffle_holds_few_bytes_per_pooled_sentence(tmp_path, monkeypatch):
+    # The pool keeps each source sentence as its UTF-8 bytes and an 8-byte
+    # end, with an 8-byte number for the permutation: about 80 bytes per
+    # sentence of some 35 characters, where a list of str took about 128.
+    monkeypatch.chdir(tmp_path)
+    peaks = traced_peaks(SHUFFLE + ["global"],
+                         lambda n_docs: write_shuffle_corpus("in.jsonl", n_docs, 20, 20),
+                         (500, 2000))
+    per_sentence = (peaks[1] - peaks[0]) / (1500 * 8)
+    assert per_sentence < 100, per_sentence
+
+
 def test_contrastive_holds_few_bytes_per_instance(tmp_path, monkeypatch):
-    # The table keeps one id and row number per instance and flat columns
-    # of numbers: about 180 bytes per 3-candidate instance at 20,000
-    # instances, where a list of score slots per instance took about 350.
+    # The id table keeps each id's UTF-8 bytes, its end, its hash and a
+    # slot of an open-addressing array, beside flat columns of numbers:
+    # about 96 bytes per 3-candidate instance at 20,000 instances, where
+    # a dict of the ids and a second one in the reader took about 180.
     monkeypatch.chdir(tmp_path)
     argv = ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"]
     (peak,) = traced_peaks(argv, lambda n: write_contrastive(tmp_path, n, 10), (20_000,))
     per_instance = peak / 20_000
-    assert per_instance < 250, per_instance
+    assert per_instance < 130, per_instance
 
 
 SCORE_STEPS = {
