@@ -238,7 +238,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> _Outputs:
     metadata, documents = corpus_io.read_record_stream(args.input)
     perms = harness.Permutations()
     if args.mode == "local":
-        shuffled = harness.local_shuffle_records(documents, args.seed, perms)
+        shuffled = harness.local_shuffle_records(documents, args.seed, perms, args.input)
     else:
         again = corpus_io.read_record_stream(args.input)[1]
         shuffled = harness.global_shuffle_records(

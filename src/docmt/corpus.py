@@ -358,19 +358,11 @@ def write_docs(docs: Sequence[Document], path: str | Path) -> str:
 def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     """Read a parallel doc-text file pair into an aligned corpus.
 
-    Errors out (naming the first offending document index) when the two
-    files disagree in block count, doc_id (``paired_docs``) or per-block
-    sentence count (``aligned_pairs``), in that order; partial alignment is
-    never silently accepted.
+    The files are read in step and paired as ``bleu`` pairs them
+    (``paired_docs``, then ``aligned_pairs``), so the first faulty pair or
+    malformed block is reported; partial alignment is never accepted.
     """
-    src_docs = read_docs(src_path)
-    tgt_docs = read_docs(tgt_path)
-    if len(src_docs) != len(tgt_docs):
-        raise ValueError(
-            f"document count mismatch: {src_path} has {len(src_docs)} blocks, "
-            f"{tgt_path} has {len(tgt_docs)}"
-        )
-    pairs = list(paired_docs(src_docs, tgt_docs, "source", "target"))
+    pairs = paired_docs(read_doc_stream(src_path), read_doc_stream(tgt_path), "source", "target")
     documents = [
         ParallelDocument.of(doc_id, src.sentences, tgt.sentences, aligned=True)
         for doc_id, src, tgt in aligned_pairs(pairs, "source", "target")

@@ -192,11 +192,11 @@ class IdTable(Strings):
 
 
 def local_shuffle_records(
-    records: Iterable[Record], seed: int, perms: Permutations
+    records: Iterable[Record], seed: int, perms: Permutations, name: str
 ) -> Iterator[Record]:
-    """Each record with its source sentences permuted, one at a time;
-    the permutations go to ``perms``. Documents with at least two
-    sentences never receive the identity permutation (it is redrawn)."""
+    """Each record with its source sentences permuted, one at a time, and
+    two or more never left in order (the draw is redone); the permutations
+    go to ``perms``. No records at all raise ``ValueError`` naming ``name``."""
     for ordinal, (doc_id, src, tgt, aligned) in enumerate(records):
         perm = list(range(len(src)))
         if len(perm) >= 2:
@@ -209,7 +209,7 @@ def local_shuffle_records(
         perms.offsets.append(len(perms.order))
         yield Record(doc_id, tuple(src[j] for j in perm), tgt, aligned)
     if not perms.doc_ids:
-        raise ValueError("cannot shuffle an empty corpus")
+        raise ValueError(f"{name}: cannot shuffle an empty corpus")
 
 
 def global_shuffle_records(
@@ -223,14 +223,14 @@ def global_shuffle_records(
     per-document sentence counts are preserved. Of ``records`` only the
     sources are kept, as ``Strings``; ``again``, a second read of them,
     gives the targets one document at a time, and a document that
-    differs raises ``ValueError`` naming ``name``."""
+    differs, or no records at all, raises ``ValueError`` naming ``name``."""
     sources = Strings()
     for record in records:
         perms.doc_ids.append(record.doc_id)
         sources.extend(record.src)
         perms.offsets.append(len(sources))
     if not perms.doc_ids:
-        raise ValueError("cannot shuffle an empty corpus")
+        raise ValueError(f"{name}: cannot shuffle an empty corpus")
     perms.order = array("q", range(len(sources)))
     # Shuffling the numbers draws exactly what shuffling the pool would.
     _substream(seed, "global").shuffle(perms.order)
@@ -251,7 +251,7 @@ def global_shuffle_records(
 def local_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
     """``local_shuffle_records`` over a whole corpus."""
     perms = Permutations()
-    shuffled = corpus.derive(local_shuffle_records(corpus.records(), seed, perms))
+    shuffled = corpus.derive(local_shuffle_records(corpus.records(), seed, perms, "corpus"))
     return shuffled, list(perms.records())
 
 

@@ -14,6 +14,7 @@ import hashlib
 import math
 import os
 import re
+from array import array
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,6 +35,7 @@ _BOUNDARY_RE = re.compile(
     r"(?=\s|\Z)"
 )
 SCORE_FIELDS = (("doc_id", str), ("pair_index", int), ("score", float))
+_NAN = array("d", [math.nan])  # a score table's slot with no score
 
 
 def check_score(doc_id: str, pair_index: int, score: float) -> None:
@@ -187,33 +189,28 @@ class ScoreTable(dict):
     score the table can be given. Valid scores never need more (each fills
     its own slot), and an absurd pair_index takes no memory."""
 
-    __slots__ = ("free", "_gap")
+    __slots__ = ("free",)
 
     def __init__(self, scores: int = 0) -> None:
-        from array import array  # costly to load; a step that reads no scores does not
-
         self.free = scores + 2**16
-        self._gap = array("d", [math.nan])
 
     def enter(self, score: AlignmentScore) -> AlignmentScore:
-        """``score``, put in the table; a pair that has a score already,
-        or one past the free slots, raises ``ScoreError``."""
+        """``score``, written to its slot: past the end of the array, a
+        slot within the free ones (NaN fills the gap); inside, an empty
+        one. Any other slot raises ``ScoreError``."""
         pairs = self.get(score.doc_id)
         if pairs is None:
-            pairs = self[score.doc_id] = self._gap[:0]
+            pairs = self[score.doc_id] = _NAN[:0]
         i = score.pair_index
         gap = i - len(pairs)
-        if gap < 0:
-            if pairs[i] == pairs[i]:
-                raise ScoreError(f"duplicate score for {(score.doc_id, i)}")
-            pairs[i] = score.score
-            return score
-        if gap >= self.free:
-            raise ScoreError(f"pair_index {i} is too large for the number of scores")
-        self.free -= gap + 1
-        if gap:
-            pairs.extend(self._gap * gap)
-        pairs.append(score.score)
+        if gap >= 0:
+            if gap >= self.free:
+                raise ScoreError(f"pair_index {i} is too large for the number of scores")
+            self.free -= gap + 1
+            pairs.extend(_NAN * (gap + 1))
+        elif pairs[i] == pairs[i]:
+            raise ScoreError(f"duplicate score for {(score.doc_id, i)}")
+        pairs[i] = score.score
         return score
 
 

@@ -537,12 +537,12 @@ def naive_rearrange(
 
 
 def naive_local_shuffle(
-    corpus: ParallelCorpus, seed: int
+    corpus: ParallelCorpus, seed: int, name: str = "corpus"
 ) -> tuple[ParallelCorpus, list[PermutationRecord]]:
     """Reference local shuffle: holds the whole corpus and rebuilds it
     from one list of (doc_id, index) slots per document."""
     if not corpus.documents:
-        raise ValueError("cannot shuffle an empty corpus")
+        raise ValueError(f"{name}: cannot shuffle an empty corpus")
     mappings = []
     for ordinal, pd in enumerate(corpus):
         m = len(pd.source)
@@ -557,12 +557,12 @@ def naive_local_shuffle(
 
 
 def naive_global_shuffle(
-    corpus: ParallelCorpus, seed: int
+    corpus: ParallelCorpus, seed: int, name: str = "corpus"
 ) -> tuple[ParallelCorpus, list[PermutationRecord]]:
     """Reference global shuffle: shuffles the pool of (doc_id, index)
     slots itself and deals it out by the documents' sentence counts."""
     if not corpus.documents:
-        raise ValueError("cannot shuffle an empty corpus")
+        raise ValueError(f"{name}: cannot shuffle an empty corpus")
     pool = [(pd.doc_id, i) for pd in corpus for i in range(len(pd.source))]
     _naive_substream(seed, "global").shuffle(pool)
     slots = iter(pool)
@@ -579,7 +579,7 @@ def naive_cmd_shuffle(args) -> dict[str, str]:
 
     corpus = read_records(args.input)
     shuffle = naive_local_shuffle if args.mode == "local" else naive_global_shuffle
-    shuffled, records = shuffle(corpus, args.seed)
+    shuffled, records = shuffle(corpus, args.seed, args.input)
     outputs = {args.out: write_records(shuffled, args.out)}
     outputs[args.perm_out] = write_permutation_records(records, args.perm_out)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")

@@ -630,6 +630,16 @@ MALFORMED = {
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
         "inst.jsonl", "no instances",
     ),
+    "local shuffle of an empty corpus": (
+        {"in.jsonl": ""},
+        ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl", "--mode", "local", "--seed", "1"],
+        "in.jsonl", "cannot shuffle an empty corpus",
+    ),
+    "global shuffle of an empty corpus": (
+        {"in.jsonl": '{"metadata": {"k": "v"}}\n'},
+        ["shuffle", "--in", "in.jsonl", "--out", "out.jsonl", "--mode", "global", "--seed", "1"],
+        "in.jsonl", "cannot shuffle an empty corpus",
+    ),
     "score for an unknown instance": (
         {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE.replace("i0", "zz")},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
@@ -985,6 +995,39 @@ def test_a_sentence_count_mismatch_names_the_pair_id(
     assert run(*argv) == 1
     assert capsys.readouterr() == ("", err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+CONFLICT_AT_BLOCK_0 = "error: document 0: source doc_id 'a' conflicts with target doc_id 'b'\n"
+# convert --to records pairs its two files as it reads them, as bleu does:
+# case -> (s.txt, t.txt, the whole of stderr). An id conflict at block 0
+# comes before a block-count mismatch and before a later malformed block.
+CONVERT_PAIR_FAULTS = {
+    "id conflict before a count mismatch": (
+        "# doc_id: a\na.\n\nb.\n", "# doc_id: b\na.\n", CONFLICT_AT_BLOCK_0,
+    ),
+    "id conflict before a later malformed source block": (
+        "# doc_id: a\na.\n\nx\ry.\n", "# doc_id: b\na.\n\nb.\n", CONFLICT_AT_BLOCK_0,
+    ),
+    "id conflict before a later malformed target block": (
+        "# doc_id: a\na.\n\nb.\n", "# doc_id: b\na.\n\n# doc_id: c\n", CONFLICT_AT_BLOCK_0,
+    ),
+    "count mismatch names both counts": (
+        "a.\n\nb.\n\nc.\n", "a.\n\nb.\n",
+        "error: document count mismatch: 3 source vs 2 target\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONVERT_PAIR_FAULTS))
+def test_convert_reports_the_first_pair_fault_it_reads(case, tmp_path, monkeypatch, capsys):
+    src, tgt, err = CONVERT_PAIR_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.txt").write_text(src, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(tgt, encoding="utf-8")
+    argv = ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt", "--out", "r.jsonl"]
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt", "t.txt"]
 
 
 @pytest.fixture

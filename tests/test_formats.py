@@ -287,3 +287,16 @@ def test_aligned_null_is_not_read_as_absent(tmp_path):
     assert message(read_records, path, text) == (
         f"{path}: malformed record on line 1: 'aligned' must be bool, got NoneType"
     )
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+def test_a_whitespace_only_line_is_skipped_and_still_counted(fmt, tmp_path):
+    read, what, valid, _ = READERS[fmt]
+    path = tmp_path / "rows.jsonl"
+    alone = tmp_path / "alone.jsonl"
+    alone.write_text(f"{valid}\n", encoding="utf-8")
+    path.write_text(f" \t\n{valid}\n\n", encoding="utf-8")
+    assert outcome(read, path) == outcome(read, alone)
+    assert message(read, path, f"{valid}\n \t\n{{not json\n").startswith(
+        f"{path}: malformed {what} on line 3: "
+    )
