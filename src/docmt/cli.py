@@ -51,8 +51,8 @@ def _sha256(path: str | Path) -> str:
 
 # The options that name files, by argparse dest: dispatch checks their paths
 # before a handler opens anything, and the manifest hashes the inputs.
-_READS = {"input", "src", "tgt", "align_scores", "hyp", "ref", "labels", "instances",
-          "scores", "files"}
+_READS = {"input", "src", "tgt", "align_scores", "hyp", "ref", "labels", "x", "y",
+          "instances", "scores", "files"}
 _WRITES = {"out", "report", "src_out", "tgt_out", "perm_out"}
 # What a handler returns: {output path: digest} in output order, or a falsy
 # value when it writes no file, and so no manifest.
@@ -127,12 +127,9 @@ def _cmd_clean(args: argparse.Namespace) -> _Outputs:
         if args.report:
             outputs[args.report] = corpus_io.write_jsonl(args.report, report.records())
 
-    try:
-        kept, outputs[args.out] = corpus_io.write_record_stream(
-            args.out, metadata, cleaned_then_report()
-        )
-    except corpus_io.ScoreError as exc:
-        raise ValueError(f"{args.align_scores}: {exc}") from None
+    kept, outputs[args.out] = corpus_io.write_record_stream(
+        args.out, metadata, cleaned_then_report()
+    )
     removed = [
         len(report.removed_duplicates),
         len(report.removed_unaligned),
@@ -200,7 +197,7 @@ def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
     from . import metrics
     # The labels are read whole; the references, then the outputs, stream past.
     ref = corpus_io.read_doc_stream(args.ref)
-    labeled = metrics.labeled_docs(ref, metrics.read_labels(args.labels), args.labels)
+    labeled = metrics.labeled_docs(ref, metrics.read_labels(args.labels))
     hyp = corpus_io.read_doc_stream(args.hyp)
     reports = metrics.span_metrics(hyp, labeled, metrics.SpanConfig(radius_d=args.radius))
     overall = metrics.tcp(*(r.value for r in reports))
@@ -238,12 +235,10 @@ def _cmd_shuffle(args: argparse.Namespace) -> _Outputs:
     metadata, documents = corpus_io.read_record_stream(args.input)
     perms = harness.Permutations()
     if args.mode == "local":
-        shuffled = harness.local_shuffle_records(documents, args.seed, perms, args.input)
+        shuffled = harness.local_shuffle_records(documents, args.seed, perms)
     else:
         again = corpus_io.read_record_stream(args.input)[1]
-        shuffled = harness.global_shuffle_records(
-            documents, again, args.seed, perms, args.input
-        )
+        shuffled = harness.global_shuffle_records(documents, again, args.seed, perms)
     outputs = dict.fromkeys([args.out, args.perm_out], "")
 
     def shuffled_then_permutations():
@@ -263,12 +258,7 @@ def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
     from . import harness, metrics
     instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
-    try:
-        results = harness.contrastive_accuracy(instances, scores)
-    except corpus_io.ScoreError as exc:
-        raise ValueError(f"{args.scores}: {exc}") from None
-    if not results:
-        raise ValueError(f"{args.instances}: no instances")
+    results = harness.contrastive_accuracy(instances, scores)
     reports = [results[k] for k in sorted(results)]
     _print_counts([r for r in reports if r.name != harness.OVERALL])
     _print_counts([results[harness.OVERALL]])
@@ -400,7 +390,9 @@ def dispatch(argv: Sequence[str]) -> int:
     is written beside the first, where ``checked_paths`` looks for it: its
     config keys are the long flags with ``-`` as ``_``, a list joined with
     ``,``; each output's digest is the one its writer returned, and the
-    inputs are hashed from disk."""
+    inputs are hashed from disk. An ``InputError``, a fault that only the
+    inputs together show, is prefixed with the paths of every input, in
+    parser order: ``error: hyp.txt, ref.txt: document count mismatch: ...``."""
     try:
         args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
@@ -431,6 +423,8 @@ def dispatch(argv: Sequence[str]) -> int:
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:
             message = f"{exc.filename}: {exc.strerror}"  # the shape of every diagnostic
+        elif isinstance(exc, corpus_io.InputError):  # a fault of the inputs together
+            message = f"{', '.join(path for _, path in inputs)}: {message}"
         print(f"error: {message}", file=sys.stderr)
         return 1
     return 0

@@ -57,6 +57,12 @@ RECORD_FIELDS = (("doc_id", str), ("aligned", (bool, None)), ("src", tuple), ("t
 METADATA_FIELDS = (("metadata", dict),)
 
 
+class InputError(ValueError):
+    """A fault in the data a function was given that no reader of one file
+    can see, such as two inputs that do not fit each other; the CLI names
+    every input of the run before the message."""
+
+
 def _ordinal_id(index: int) -> str:
     return f"{index:06d}"
 
@@ -76,12 +82,12 @@ def paired_docs(
     for i, (a, b) in enumerate(pairs):
         if a is None or b is None:
             longer = i + 1 + sum(1 for _ in pairs)
-            raise ValueError(
+            raise InputError(
                 f"document count mismatch: {i if a is None else longer} {first} vs "
                 f"{longer if a is None else i} {second}"
             )
         if a.doc_id != b.doc_id and _ordinal_id(i) not in (a.doc_id, b.doc_id):
-            raise ValueError(
+            raise InputError(
                 f"document {i}: {first} doc_id {a.doc_id!r} conflicts with "
                 f"{second} doc_id {b.doc_id!r}"
             )
@@ -96,7 +102,7 @@ def aligned_pairs(
     names the pair's index and its id."""
     for i, (doc_id, a, b) in enumerate(pairs):
         if len(a) != len(b):
-            raise ValueError(
+            raise InputError(
                 f"sentence count mismatch in document {i} (id {doc_id!r}): "
                 f"{len(a)} {first} vs {len(b)} {second}"
             )
@@ -236,15 +242,10 @@ def aligned_flag(doc_id: str, src: Sized, tgt: Sized, aligned: bool | None) -> b
     return aligned
 
 
-class ScoreError(ValueError):
-    """Scores that do not fit what they score: a score for an unknown
-    item, a second score for one item, or an item left without a score."""
-
-
 def require_aligned(doc: D) -> D:
     """``doc``, a document or a record, which must be sentence-aligned."""
     if not doc.aligned:
-        raise ValueError(f"document {doc.doc_id!r} is not sentence-aligned")
+        raise InputError(f"document {doc.doc_id!r} is not sentence-aligned")
     return doc
 
 
@@ -263,7 +264,7 @@ class ParallelCorpus(Value):
         seen: set[str] = set()
         for doc in self.documents:
             if doc.doc_id in seen:
-                raise ValueError(f"duplicate doc_id {doc.doc_id!r} in corpus")
+                raise InputError(f"duplicate doc_id {doc.doc_id!r} in corpus")
             seen.add(doc.doc_id)
 
     def derive(self, records: Iterable[Record], **metadata: str) -> ParallelCorpus:
@@ -338,7 +339,7 @@ def _doc_text(docs: Sequence[Document]) -> str:
         if doc.doc_id != _ordinal_id(i):
             lines.append(f"# doc_id: {doc.doc_id}")
         elif _HEADER_RE.match(doc.sentences[0]):
-            raise ValueError(
+            raise InputError(
                 f"document {doc.doc_id!r}: first sentence collides with the "
                 "doc_id header syntax; give the document an explicit id"
             )
@@ -363,14 +364,12 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     malformed block is reported; partial alignment is never accepted.
     """
     pairs = paired_docs(read_doc_stream(src_path), read_doc_stream(tgt_path), "source", "target")
-    documents = [
+    # A target id that names a pair can repeat a source id: ParallelCorpus
+    # refuses it.
+    return ParallelCorpus(
         ParallelDocument.of(doc_id, src.sentences, tgt.sentences, aligned=True)
         for doc_id, src, tgt in aligned_pairs(pairs, "source", "target")
-    ]
-    try:
-        return ParallelCorpus(documents)
-    except ValueError as exc:  # a target id that names a pair can repeat a source id
-        raise ValueError(f"{src_path}, {tgt_path}: {exc}") from None
+    )
 
 
 def write_doc_text(

@@ -23,7 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import ParallelCorpus, Record, ScoreError, Value
+from .corpus import InputError, ParallelCorpus, Record, Value
 from .fileio import read_jsonl, write_jsonl
 
 # metrics is imported where it is used, so a shuffle does not load it.
@@ -192,11 +192,11 @@ class IdTable(Strings):
 
 
 def local_shuffle_records(
-    records: Iterable[Record], seed: int, perms: Permutations, name: str
+    records: Iterable[Record], seed: int, perms: Permutations
 ) -> Iterator[Record]:
     """Each record with its source sentences permuted, one at a time, and
     two or more never left in order (the draw is redone); the permutations
-    go to ``perms``. No records at all raise ``ValueError`` naming ``name``."""
+    go to ``perms``. No records at all raise ``InputError``."""
     for ordinal, (doc_id, src, tgt, aligned) in enumerate(records):
         perm = list(range(len(src)))
         if len(perm) >= 2:
@@ -209,49 +209,45 @@ def local_shuffle_records(
         perms.offsets.append(len(perms.order))
         yield Record(doc_id, tuple(src[j] for j in perm), tgt, aligned)
     if not perms.doc_ids:
-        raise ValueError(f"{name}: cannot shuffle an empty corpus")
+        raise InputError("cannot shuffle an empty corpus")
 
 
 def global_shuffle_records(
-    records: Iterable[Record],
-    again: Iterable[Record],
-    seed: int,
-    perms: Permutations,
-    name: str,
+    records: Iterable[Record], again: Iterable[Record], seed: int, perms: Permutations
 ) -> Iterator[Record]:
     """Pool all source sentences corpus-wide, permute, and redistribute;
     per-document sentence counts are preserved. Of ``records`` only the
     sources are kept, as ``Strings``; ``again``, a second read of them,
     gives the targets one document at a time, and a document that
-    differs, or no records at all, raises ``ValueError`` naming ``name``."""
+    differs, or no records at all, raises ``InputError``."""
     sources = Strings()
     for record in records:
         perms.doc_ids.append(record.doc_id)
         sources.extend(record.src)
         perms.offsets.append(len(sources))
     if not perms.doc_ids:
-        raise ValueError(f"{name}: cannot shuffle an empty corpus")
+        raise InputError("cannot shuffle an empty corpus")
     perms.order = array("q", range(len(sources)))
     # Shuffling the numbers draws exactly what shuffling the pool would.
     _substream(seed, "global").shuffle(perms.order)
-    changed = f"{name}: document {{}} changed between two reads"
+    changed = "document {} changed between two reads"
     again = iter(again)
     for d, doc_id in enumerate(perms.doc_ids):
         start, end = perms.offsets[d], perms.offsets[d + 1]
         record = next(again, None)
         first_read = (doc_id, [sources[number] for number in range(start, end)])
         if record is None or (record.doc_id, list(record.src)) != first_read:
-            raise ValueError(changed.format(d))
+            raise InputError(changed.format(d))
         shuffled = tuple(sources[number] for number in perms.order[start:end])
         yield Record(doc_id, shuffled, record.tgt, record.aligned)
     if next(again, None) is not None:
-        raise ValueError(changed.format(len(perms.doc_ids)))
+        raise InputError(changed.format(len(perms.doc_ids)))
 
 
 def local_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
     """``local_shuffle_records`` over a whole corpus."""
     perms = Permutations()
-    shuffled = corpus.derive(local_shuffle_records(corpus.records(), seed, perms, "corpus"))
+    shuffled = corpus.derive(local_shuffle_records(corpus.records(), seed, perms))
     return shuffled, list(perms.records())
 
 
@@ -259,7 +255,7 @@ def global_shuffle(corpus: ParallelCorpus, seed: int) -> Shuffled:
     """``global_shuffle_records`` over a whole corpus."""
     perms = Permutations()
     again = corpus.records()
-    shuffled = global_shuffle_records(corpus.records(), again, seed, perms, "corpus")
+    shuffled = global_shuffle_records(corpus.records(), again, seed, perms)
     return corpus.derive(shuffled), list(perms.records())
 
 
@@ -320,8 +316,8 @@ def contrastive_accuracy(
     one score slot per candidate are kept, in flat columns (scores as
     64-bit floats), and instances are decided in input order once every
     score is in. A score for an unknown instance or candidate, a second
-    score for a candidate, or a candidate left without one raises
-    ``ScoreError``.
+    score for a candidate, a candidate left without one, or no instances
+    at all raises ``InputError``.
     """
     from .metrics import MetricReport
     # A stream that has not started numbers the ids as it reads them.
@@ -344,17 +340,17 @@ def contrastive_accuracy(
         if score.instance_id != last_id:
             last_id, row = score.instance_id, ids.get(score.instance_id)
         if row < 0:
-            raise ScoreError(f"score for unknown instance {score.instance_id!r}")
+            raise InputError(f"score for unknown instance {score.instance_id!r}")
         start = offsets[row]
         if not 0 <= score.candidate_index < offsets[row + 1] - start:
-            raise ScoreError(
+            raise InputError(
                 f"score for unknown candidate {score.candidate_index} of instance "
                 f"{score.instance_id!r}"
             )
         slot = start + score.candidate_index
         if filled[slot]:
             key = (score.instance_id, score.candidate_index)
-            raise ScoreError(f"duplicate score for {key}")
+            raise InputError(f"duplicate score for {key}")
         filled[slot] = 1
         values[slot] = score.score
     names = list(phenomena)
@@ -363,7 +359,7 @@ def contrastive_accuracy(
     columns = zip(offsets, offsets[1:], positives, codes)
     for row, (start, end, positive_index, code) in enumerate(columns):
         if (missing := filled.find(0, start, end)) >= 0:
-            raise ScoreError(
+            raise InputError(
                 f"missing score for candidate {missing - start} of instance "
                 f"{ids[row]!r}"
             )
@@ -375,6 +371,8 @@ def contrastive_accuracy(
         if hit:
             correct[phenomenon] += 1
             correct[OVERALL] += 1
+    if not total:
+        raise InputError("no instances")
     return {
         phenomenon: MetricReport(
             phenomenon, 100.0 * correct[phenomenon] / count, correct[phenomenon], count

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import unicodedata
-import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Document, Value, aligned_pairs, paired_docs
+from .corpus import Document, InputError, Value, aligned_pairs, paired_docs
 from .fileio import read_jsonl, write_jsonl
 
 SPAN_METRICS = {"TENSE": "TC", "CONJ": "CP", "PRON": "PT"}  # category -> its metric
@@ -148,7 +147,7 @@ def _bleu(
                 min(count, ref_counts.get(gram, 0)) for gram, count in hyp_counts.items()
             )
     if not units:
-        raise ValueError("cannot score an empty corpus")
+        raise InputError("cannot score an empty corpus")
     orders = [(correct[n], t) for n, t in total.items()]
     if not orders or any(c == 0 for c, _ in orders):
         return MetricReport(name, 0.0)
@@ -270,12 +269,12 @@ def _span_reports(
         for label in labels:
             totals[label.category] += 1
             if label.position >= len(tokens):
-                raise ValueError(
+                raise InputError(
                     f"label position {label.position} out of range for document "
                     f"{ref.doc_id!r} ({len(tokens)} tokens)"
                 )
             if tokens[label.position] != label.word.lower():
-                raise ValueError(
+                raise InputError(
                     f"label word {label.word!r} does not match reference token "
                     f"{tokens[label.position]!r} at position {label.position} "
                     f"of document {ref.doc_id!r}"
@@ -283,7 +282,7 @@ def _span_reports(
         pending[ref.doc_id] = labels, len(tokens)
     for category in categories:
         if not totals[category]:
-            raise ValueError(f"no labels of category {category!r} in the test set")
+            raise InputError(f"no labels of category {category!r} in the test set")
     for out in outputs:
         if out.doc_id in pending:
             labels, ref_len = pending.pop(out.doc_id)
@@ -293,7 +292,7 @@ def _span_reports(
                 window = tokens[max(0, math.floor(at - radius)) : math.ceil(at + radius) + 1]
                 hits[label.category] += label.word.lower() in window
     for doc_id in pending:
-        raise ValueError(f"missing output for labeled document {doc_id!r}")
+        raise InputError(f"missing output for labeled document {doc_id!r}")
     return [
         MetricReport(SPAN_METRICS[c], 100.0 * hits[c] / totals[c], hits[c], totals[c])
         for c in categories
@@ -301,27 +300,20 @@ def _span_reports(
 
 
 def tcp(tc: float, cp: float, pt: float) -> float:
-    """Geometric mean of the three span metrics.
-
-    A non-positive input degenerates the mean; it is reported as 0 with
-    a warning instead of aborting batch evaluation.
-    """
-    if min(tc, cp, pt) <= 0.0:
-        warnings.warn(
-            f"tcp inputs must be positive, got ({tc}, {cp}, {pt}); reporting 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
+    """Geometric mean of the three span metrics: 0 when one of them is 0,
+    the mean's value there. No span metric is negative, so a negative
+    input raises ``InputError``."""
+    if min(tc, cp, pt) < 0.0:
+        raise InputError(f"tcp inputs must not be negative, got ({tc}, {cp}, {pt})")
     return (tc * cp * pt) ** (1.0 / 3.0)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient."""
     if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+        raise InputError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
-        raise ValueError("pearson needs at least two points")
+        raise InputError("pearson needs at least two points")
     import statistics  # costly to import, and used only here
 
     def scaled(values: Sequence[float]) -> list[float]:
@@ -332,7 +324,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     try:
         return statistics.correlation(scaled(xs), scaled(ys))
     except statistics.StatisticsError as exc:
-        raise ValueError(f"degenerate input: {exc}")
+        raise InputError(f"degenerate input: {exc}")
 
 
 def read_labels(labels_path: str | Path) -> dict[str, list[Label]]:
@@ -351,18 +343,18 @@ def read_labels(labels_path: str | Path) -> dict[str, list[Label]]:
 
 
 def labeled_docs(
-    references: Iterable[Document], labels: dict[str, list[Label]], labels_path: str | Path
+    references: Iterable[Document], labels: dict[str, list[Label]]
 ) -> Iterator[LabeledTestDoc]:
-    """Join ``labels``, as ``read_labels(labels_path)`` gives them, to
-    reference documents taken one at a time: yields each reference that
-    has labels, with its labels, in reference order. A document's labels
-    leave ``labels`` as it passes; labels left when the references end are
-    for unknown documents, an error that names ``labels_path``."""
+    """Join ``labels``, as ``read_labels`` gives them, to reference
+    documents taken one at a time: yields each reference that has labels,
+    with its labels, in reference order. A document's labels leave
+    ``labels`` as it passes; labels left when the references end are for
+    unknown documents, an ``InputError``."""
     for doc in references:
         if doc.doc_id in labels:
             yield LabeledTestDoc(doc.doc_id, doc, labels.pop(doc.doc_id))
     if labels:
-        raise ValueError(f"{labels_path}: labels for unknown documents {sorted(labels)}")
+        raise InputError(f"labels for unknown documents {sorted(labels)}")
 
 
 def read_labeled_docs(
@@ -371,7 +363,7 @@ def read_labeled_docs(
     """``labeled_docs`` of the label file, as a list in the order the file
     first names its documents. Documents without labels are omitted."""
     labels = read_labels(labels_path)
-    docs = {doc.doc_id: doc for doc in labeled_docs(references, dict(labels), labels_path)}
+    docs = {doc.doc_id: doc for doc in labeled_docs(references, dict(labels))}
     return [docs[doc_id] for doc_id in labels]
 
 
@@ -380,4 +372,14 @@ def write_reports(reports: Iterable[MetricReport], path: str | Path) -> str:
 
 
 def read_reports(path: str | Path) -> list[MetricReport]:
-    return list(read_jsonl(path, METRIC_FIELDS, MetricReport, "metric record"))
+    """The records of a metric file; a name that an earlier line gave is
+    an error at the line that repeats it."""
+    names: set[str] = set()
+
+    def unique(*fields) -> MetricReport:
+        if fields[0] in names:
+            raise ValueError(f"duplicate name {fields[0]!r}")
+        names.add(fields[0])
+        return MetricReport(*fields)
+
+    return list(read_jsonl(path, METRIC_FIELDS, unique, "metric record"))

@@ -18,7 +18,7 @@ from array import array
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import Document, ParallelCorpus, Record, ScoreError, Value
+from .corpus import Document, InputError, ParallelCorpus, Record, Value
 from .fileio import read_jsonl
 
 DEFAULT_TERMINALS = frozenset({".", "!", "?", "。", "！", "？", "…"})
@@ -197,7 +197,7 @@ class ScoreTable(dict):
     def enter(self, score: AlignmentScore) -> AlignmentScore:
         """``score``, written to its slot: past the end of the array, a
         slot within the free ones (NaN fills the gap); inside, an empty
-        one. Any other slot raises ``ScoreError``."""
+        one. Any other slot raises ``InputError``."""
         pairs = self.get(score.doc_id)
         if pairs is None:
             pairs = self[score.doc_id] = _NAN[:0]
@@ -205,11 +205,11 @@ class ScoreTable(dict):
         gap = i - len(pairs)
         if gap >= 0:
             if gap >= self.free:
-                raise ScoreError(f"pair_index {i} is too large for the number of scores")
+                raise InputError(f"pair_index {i} is too large for the number of scores")
             self.free -= gap + 1
             pairs.extend(_NAN * (gap + 1))
         elif pairs[i] == pairs[i]:
-            raise ScoreError(f"duplicate score for {(score.doc_id, i)}")
+            raise InputError(f"duplicate score for {(score.doc_id, i)}")
         pairs[i] = score.score
         return score
 
@@ -236,21 +236,21 @@ def _alignment_filtered(
         pairs = table.pop(record.doc_id, ())
         for i in range(n_pairs, len(pairs)):
             if pairs[i] == pairs[i]:  # not NaN: the lowest pair past the document's
-                raise ScoreError(
+                raise InputError(
                     f"score for unknown pair {i} of document {record.doc_id!r} "
                     f"({n_pairs} pairs)"
                 )
         doc_scores = pairs[:n_pairs]
         gap = next((i for i, s in enumerate(doc_scores) if s != s), len(doc_scores))
         if gap < n_pairs:
-            raise ScoreError(f"missing score for document {record.doc_id!r}, pair {gap}")
+            raise InputError(f"missing score for document {record.doc_id!r}, pair {gap}")
         offending = [i for i, s in enumerate(doc_scores) if s < threshold]
         if offending:
             removed[record.doc_id] = offending
         else:
             yield record
     for doc_id in table:
-        raise ScoreError(f"score for unknown document {doc_id!r}")
+        raise InputError(f"score for unknown document {doc_id!r}")
 
 
 def filter_by_alignment(
@@ -325,7 +325,7 @@ def clean_records(
     called once, after ``threshold`` is checked, when the first record is
     asked for. The scores must cover the documents as they stand after
     the earlier stages exactly; a score that does not fit raises
-    ``ScoreError``.
+    ``InputError``.
     """
     stream: Iterator[Record] = iter(records)
     if dedup:

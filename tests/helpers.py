@@ -22,7 +22,7 @@ from docmt import (
     ParallelDocument,
     TokenizerConfig,
 )
-from docmt.corpus import Record
+from docmt.corpus import InputError, Record
 from docmt.fileio import read_lines
 from docmt.harness import OVERALL, PermutationRecord
 from docmt.metrics import Label, LabeledTestDoc
@@ -184,15 +184,15 @@ def naive_contrastive_accuracy(
     for score in scores:
         inst = by_instance.get(score.instance_id)
         if inst is None:
-            raise ValueError(f"score for unknown instance {score.instance_id!r}")
+            raise InputError(f"score for unknown instance {score.instance_id!r}")
         if not 0 <= score.candidate_index < len(inst.candidates):
-            raise ValueError(
+            raise InputError(
                 f"score for unknown candidate {score.candidate_index} of instance "
                 f"{score.instance_id!r}"
             )
         key = (score.instance_id, score.candidate_index)
         if key in table:
-            raise ValueError(f"duplicate score for {key}")
+            raise InputError(f"duplicate score for {key}")
         table[key] = score.score
     correct: Counter = Counter()
     total: Counter = Counter()
@@ -201,7 +201,7 @@ def naive_contrastive_accuracy(
         for i in range(len(inst.candidates)):
             key = (inst.instance_id, i)
             if key not in table:
-                raise ValueError(
+                raise InputError(
                     f"missing score for candidate {i} of instance "
                     f"{inst.instance_id!r}"
                 )
@@ -216,6 +216,8 @@ def naive_contrastive_accuracy(
         if hit:
             correct[inst.phenomenon] += 1
             correct[OVERALL] += 1
+    if not total:
+        raise InputError("no instances")
     return {
         phenomenon: MetricReport(
             phenomenon, 100.0 * correct[phenomenon] / count, correct[phenomenon], count
@@ -438,7 +440,7 @@ def naive_read_labeled_docs(references, labels_path) -> list[LabeledTestDoc]:
     refs_by_id = {doc.doc_id: doc for doc in references}
     unknown = sorted(set(by_id) - set(refs_by_id))
     if unknown:
-        raise ValueError(f"{labels_path}: labels for unknown documents {unknown}")
+        raise InputError(f"labels for unknown documents {unknown}")
     return [
         LabeledTestDoc(doc_id, refs_by_id[doc_id], tuple(labels))
         for doc_id, labels in by_id.items()
@@ -454,7 +456,18 @@ def naive_read_candidate_scores(path) -> list[CandidateScore]:
 
 
 def naive_read_reports(path) -> list[MetricReport]:
-    return list(read_jsonl(path, naive_parse(parse_metric_record), "metric record"))
+    """Reference metric-file reader: a name given twice is malformed at
+    the line that repeats it, once the line is typed."""
+    names: set[str] = set()
+
+    def parse(record: dict) -> MetricReport:
+        report = parse_metric_record(record)
+        if report.name in names:
+            raise ValueError(f"duplicate name {report.name!r}")
+        names.add(report.name)
+        return report
+
+    return list(read_jsonl(path, naive_parse(parse), "metric record"))
 
 
 def score_rows(scores: Iterable[AlignmentScore]) -> Iterator[dict]:
@@ -493,19 +506,19 @@ def naive_alignment_filtered(
     for score in scores:
         key = (score.doc_id, score.pair_index)
         if key in table:
-            raise ValueError(f"duplicate score for {key}")
+            raise InputError(f"duplicate score for {key}")
         table[key] = score.score
     for record in records:
         n_pairs = len(record.src) if record.aligned else 0
         unclaimed = [i for doc_id, i in table if doc_id == record.doc_id and i >= n_pairs]
         if unclaimed:
-            raise ValueError(
+            raise InputError(
                 f"score for unknown pair {min(unclaimed)} of document {record.doc_id!r} "
                 f"({n_pairs} pairs)"
             )
         doc_scores = [table.pop((record.doc_id, i), None) for i in range(n_pairs)]
         if None in doc_scores:
-            raise ValueError(
+            raise InputError(
                 f"missing score for document {record.doc_id!r}, pair {doc_scores.index(None)}"
             )
         offending = [i for i, score in enumerate(doc_scores) if score < threshold]
@@ -514,7 +527,7 @@ def naive_alignment_filtered(
         else:
             yield record
     for doc_id, _ in table:
-        raise ValueError(f"score for unknown document {doc_id!r}")
+        raise InputError(f"score for unknown document {doc_id!r}")
 
 
 def _naive_substream(seed: int, namespace: str) -> random.Random:
@@ -537,12 +550,12 @@ def naive_rearrange(
 
 
 def naive_local_shuffle(
-    corpus: ParallelCorpus, seed: int, name: str = "corpus"
+    corpus: ParallelCorpus, seed: int
 ) -> tuple[ParallelCorpus, list[PermutationRecord]]:
     """Reference local shuffle: holds the whole corpus and rebuilds it
     from one list of (doc_id, index) slots per document."""
     if not corpus.documents:
-        raise ValueError(f"{name}: cannot shuffle an empty corpus")
+        raise InputError("cannot shuffle an empty corpus")
     mappings = []
     for ordinal, pd in enumerate(corpus):
         m = len(pd.source)
@@ -557,12 +570,12 @@ def naive_local_shuffle(
 
 
 def naive_global_shuffle(
-    corpus: ParallelCorpus, seed: int, name: str = "corpus"
+    corpus: ParallelCorpus, seed: int
 ) -> tuple[ParallelCorpus, list[PermutationRecord]]:
     """Reference global shuffle: shuffles the pool of (doc_id, index)
     slots itself and deals it out by the documents' sentence counts."""
     if not corpus.documents:
-        raise ValueError(f"{name}: cannot shuffle an empty corpus")
+        raise InputError("cannot shuffle an empty corpus")
     pool = [(pd.doc_id, i) for pd in corpus for i in range(len(pd.source))]
     _naive_substream(seed, "global").shuffle(pool)
     slots = iter(pool)
@@ -579,7 +592,7 @@ def naive_cmd_shuffle(args) -> dict[str, str]:
 
     corpus = read_records(args.input)
     shuffle = naive_local_shuffle if args.mode == "local" else naive_global_shuffle
-    shuffled, records = shuffle(corpus, args.seed, args.input)
+    shuffled, records = shuffle(corpus, args.seed)
     outputs = {args.out: write_records(shuffled, args.out)}
     outputs[args.perm_out] = write_permutation_records(records, args.perm_out)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")

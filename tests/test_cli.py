@@ -132,7 +132,8 @@ class TestConvert:
             "convert", "--to", "doc-text", "--in", records,
             "--src-out", tmp_path / "s.txt", "--tgt-out", tmp_path / "t.txt",
         ) == 1
-        assert capsys.readouterr().err == "error: document 'x' is not sentence-aligned\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {records}: document 'x' is not sentence-aligned\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
     def test_doc_text_checks_both_sides_before_writing_either(self, tmp_path, capsys):
@@ -628,7 +629,7 @@ MALFORMED = {
     "instance file is empty": (
         {"inst.jsonl": "", "sc.jsonl": ""},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
-        "inst.jsonl", "no instances",
+        "inst.jsonl, sc.jsonl", "no instances",
     ),
     "local shuffle of an empty corpus": (
         {"in.jsonl": ""},
@@ -643,23 +644,23 @@ MALFORMED = {
     "score for an unknown instance": (
         {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE.replace("i0", "zz")},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
-        "sc.jsonl", "score for unknown instance 'zz'",
+        "inst.jsonl, sc.jsonl", "score for unknown instance 'zz'",
     ),
     "score for an unknown candidate": (
         {"inst.jsonl": INSTANCES,
          "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":5,"score":0.0}\n'},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
-        "sc.jsonl", "score for unknown candidate 5 of instance 'i0'",
+        "inst.jsonl, sc.jsonl", "score for unknown candidate 5 of instance 'i0'",
     ),
     "second score for a candidate": (
         {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE + SCORE},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
-        "sc.jsonl", "duplicate score for ('i0', 0)",
+        "inst.jsonl, sc.jsonl", "duplicate score for ('i0', 0)",
     ),
     "candidate without a score": (
         {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE},
         ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"],
-        "sc.jsonl", "missing score for candidate 1 of instance 'i0'",
+        "inst.jsonl, sc.jsonl", "missing score for candidate 1 of instance 'i0'",
     ),
     "number line holds a bare CR": (
         {"x.txt": "0\n1\r2\n", "y.txt": "1\n2\n"},
@@ -705,17 +706,17 @@ MALFORMED = {
     "clean score for an unknown document": (
         {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN.replace("d0", "dX")},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
-        "s.jsonl", "score for unknown document 'dX'",
+        "in.jsonl, s.jsonl", "score for unknown document 'dX'",
     ),
     "clean score for an unknown pair": (
         {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN.replace('"pair_index":0', '"pair_index":1')},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
-        "s.jsonl", "score for unknown pair 1 of document 'd0' (1 pairs)",
+        "in.jsonl, s.jsonl", "score for unknown pair 1 of document 'd0' (1 pairs)",
     ),
     "clean pair without a score": (
         {"in.jsonl": RECORD, "s.jsonl": ""},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
-        "s.jsonl", "missing score for document 'd0', pair 0",
+        "in.jsonl, s.jsonl", "missing score for document 'd0', pair 0",
     ),
     "record line nests too deeply": (
         {"in.jsonl": RECORD + "[" * 100_000 + "\n"},
@@ -756,6 +757,9 @@ TCP_LABELS = (
 )
 TCP_ARGV = ["tcp", "--hyp", "hyp.txt", "--ref", "ref.txt", "--labels", "labels.jsonl"]
 BLEU_ARGV = ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"]
+# A fault that only the inputs together show names every input of the run.
+TCP_ERROR = "error: hyp.txt, ref.txt, labels.jsonl: "
+BLEU_ERROR = "error: hyp.txt, ref.txt: "
 
 # The faults of bleu and tcp: case -> (files besides the default ref.txt
 # and hyp.txt, argv, the whole of stderr). Each command reads its documents
@@ -765,47 +769,47 @@ BLEU_ARGV = ["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt"]
 SCORE_FAULTS = {
     "label word is not the reference token": (
         {"labels.jsonl": TCP_LABELS.replace('"went"', '"goes"')}, TCP_ARGV,
-        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        TCP_ERROR + "label word 'goes' does not match reference token 'went' at position 1 "
         "of document '000000'\n",
     ),
     "label position past the reference": (
         {"labels.jsonl": TCP_LABELS.replace('"position":1', '"position":9')}, TCP_ARGV,
-        "error: label position 9 out of range for document '000000' (6 tokens)\n",
+        TCP_ERROR + "label position 9 out of range for document '000000' (6 tokens)\n",
     ),
     "labeled document without an output": (
         {"labels.jsonl": TCP_LABELS, "hyp.txt": "# doc_id: other\n" + TCP_REF}, TCP_ARGV,
-        "error: missing output for labeled document '000000'\n",
+        TCP_ERROR + "missing output for labeled document '000000'\n",
     ),
     "labels for an unknown document": (
         {"labels.jsonl": TCP_LABELS + LABEL.replace("000000", "ghost")}, TCP_ARGV,
-        "error: labels.jsonl: labels for unknown documents ['ghost']\n",
+        TCP_ERROR + "labels for unknown documents ['ghost']\n",
     ),
     "a category without labels": (
         {"labels.jsonl": LABEL}, TCP_ARGV,
-        "error: no labels of category 'TENSE' in the test set\n",
+        TCP_ERROR + "no labels of category 'TENSE' in the test set\n",
     ),
     "more hypothesis documents, sentence level": (
         {"hyp.txt": TCP_REF + "\n" + TCP_REF}, BLEU_ARGV + ["--level", "sent"],
-        "error: document count mismatch: 2 hypothesis vs 1 reference\n",
+        BLEU_ERROR + "document count mismatch: 2 hypothesis vs 1 reference\n",
     ),
     "more reference documents, document level": (
         {"ref.txt": TCP_REF + "\nb.\n\nc.\n"}, BLEU_ARGV + ["--level", "doc"],
-        "error: document count mismatch: 1 hypothesis vs 3 reference\n",
+        BLEU_ERROR + "document count mismatch: 1 hypothesis vs 3 reference\n",
     ),
     "bleu id conflict before a later malformed line": (
         {"ref.txt": "# doc_id: a\na.\n\nb.\n", "hyp.txt": "# doc_id: b\na.\n\nx\ry.\n"},
-        BLEU_ARGV, "error: document 0: hypothesis doc_id 'b' conflicts with reference "
+        BLEU_ARGV, BLEU_ERROR + "document 0: hypothesis doc_id 'b' conflicts with reference "
         "doc_id 'a'\n",
     ),
     "bleu sentence count mismatch before a later malformed line": (
         {"ref.txt": "a.\nb.\n\nc.\n", "hyp.txt": "a.\n\nx\ry.\n"},
         BLEU_ARGV + ["--level", "sent"],
-        "error: sentence count mismatch in document 0 (id '000000'): 1 hypothesis vs "
+        BLEU_ERROR + "sentence count mismatch in document 0 (id '000000'): 1 hypothesis vs "
         "2 reference\n",
     ),
     "bleu id conflict before a count mismatch": (
         {"ref.txt": "# doc_id: a\na.\n\nb.\n", "hyp.txt": "# doc_id: b\na.\n"},
-        BLEU_ARGV, "error: document 0: hypothesis doc_id 'b' conflicts with reference "
+        BLEU_ARGV, BLEU_ERROR + "document 0: hypothesis doc_id 'b' conflicts with reference "
         "doc_id 'a'\n",
     ),
     "bleu max-n below 1 before a malformed line": (
@@ -824,32 +828,32 @@ SCORE_FAULTS = {
     "tcp TENSE label error before a later malformed reference line": (
         {"labels.jsonl": TCP_LABELS.replace('"went"', '"goes"'),
          "ref.txt": TCP_REF + "\nx\ry.\n"}, TCP_ARGV,
-        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        TCP_ERROR + "label word 'goes' does not match reference token 'went' at position 1 "
         "of document '000000'\n",
     ),
     "tcp TENSE label error before labels for unknown documents": (
         {"labels.jsonl": TCP_LABELS.replace('"went"', '"goes"')
          + LABEL.replace("000000", "ghost")}, TCP_ARGV,
-        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        TCP_ERROR + "label word 'goes' does not match reference token 'went' at position 1 "
         "of document '000000'\n",
     ),
     "tcp label error before an earlier missing output": (
         {"ref.txt": TCP_REF + "\n" + TCP_REF, "hyp.txt": "# doc_id: 000001\n" + TCP_REF,
          "labels.jsonl": TCP_LABELS + TCP_LABELS.replace("000000", "000001").replace(
              '"went"', '"goes"')}, TCP_ARGV,
-        "error: label word 'goes' does not match reference token 'went' at position 1 "
+        TCP_ERROR + "label word 'goes' does not match reference token 'went' at position 1 "
         "of document '000001'\n",
     ),
     "tcp CONJ label error before a later malformed reference line": (
         {"labels.jsonl": TCP_LABELS.replace('"and"', '"but"'),
          "ref.txt": TCP_REF + "\nx\ry.\n"}, TCP_ARGV,
-        "error: label word 'but' does not match reference token 'and' at position 3 "
+        TCP_ERROR + "label word 'but' does not match reference token 'and' at position 3 "
         "of document '000000'\n",
     ),
     "tcp category without labels before a missing output": (
         {"labels.jsonl": TCP_LABELS.splitlines(keepends=True)[0],
          "hyp.txt": "# doc_id: other\n" + TCP_REF}, TCP_ARGV,
-        "error: no labels of category 'CONJ' in the test set\n",
+        TCP_ERROR + "no labels of category 'CONJ' in the test set\n",
     ),
 }
 
@@ -974,12 +978,13 @@ def test_an_output_that_is_a_symlink_to_a_directory_replaces_the_link(
 MIXED_HEADERS = {
     "bleu": (
         ["bleu", "--hyp", "a.txt", "--ref", "b.txt", "--level", "sent"],
-        "error: sentence count mismatch in document 0 (id 'a'): 2 hypothesis vs "
+        "error: a.txt, b.txt: sentence count mismatch in document 0 (id 'a'): 2 hypothesis vs "
         "1 reference\n",
     ),
     "convert": (
         ["convert", "--to", "records", "--src", "a.txt", "--tgt", "b.txt", "--out", "r.jsonl"],
-        "error: sentence count mismatch in document 0 (id 'a'): 2 source vs 1 target\n",
+        "error: a.txt, b.txt: sentence count mismatch in document 0 (id 'a'): 2 source vs "
+        "1 target\n",
     ),
 }
 
@@ -997,7 +1002,9 @@ def test_a_sentence_count_mismatch_names_the_pair_id(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
 
 
-CONFLICT_AT_BLOCK_0 = "error: document 0: source doc_id 'a' conflicts with target doc_id 'b'\n"
+CONFLICT_AT_BLOCK_0 = (
+    "error: s.txt, t.txt: document 0: source doc_id 'a' conflicts with target doc_id 'b'\n"
+)
 # convert --to records pairs its two files as it reads them, as bleu does:
 # case -> (s.txt, t.txt, the whole of stderr). An id conflict at block 0
 # comes before a block-count mismatch and before a later malformed block.
@@ -1013,7 +1020,7 @@ CONVERT_PAIR_FAULTS = {
     ),
     "count mismatch names both counts": (
         "a.\n\nb.\n\nc.\n", "a.\n\nb.\n",
-        "error: document count mismatch: 3 source vs 2 target\n",
+        "error: s.txt, t.txt: document count mismatch: 3 source vs 2 target\n",
     ),
 }
 
@@ -1293,19 +1300,19 @@ ONE_LINE_FAULTS = {
     "clean missing score before a score for an unknown document": (
         {"in.jsonl": RECORD, "s.jsonl": ALIGN.replace("d0", "dX")},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
-        "error: s.jsonl: missing score for document 'd0', pair 0\n",
+        "error: in.jsonl, s.jsonl: missing score for document 'd0', pair 0\n",
     ),
     "clean missing score before a later malformed record": (
         {"in.jsonl": RECORD + RECORD.replace("d0", "d1") + "{\n",
          "s.jsonl": ALIGN.replace("d0", "d1")},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
-        "error: s.jsonl: missing score for document 'd0', pair 0\n",
+        "error: in.jsonl, s.jsonl: missing score for document 'd0', pair 0\n",
     ),
     "clean lowest unknown pair, not the first read": (
         {"in.jsonl": RECORD, "s.jsonl": "".join(
             ALIGN.replace('"pair_index":0', f'"pair_index":{i}') for i in (0, 5, 3))},
         ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"],
-        "error: s.jsonl: score for unknown pair 3 of document 'd0' (1 pairs)\n",
+        "error: in.jsonl, s.jsonl: score for unknown pair 3 of document 'd0' (1 pairs)\n",
     ),
 }
 
@@ -1313,6 +1320,160 @@ ONE_LINE_FAULTS = {
 @pytest.mark.parametrize("case", list(ONE_LINE_FAULTS))
 def test_a_fault_is_one_line_and_writes_nothing(case, tmp_path, monkeypatch, capsys):
     files, argv, err = ONE_LINE_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    assert run(*argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+UNALIGNED = '{"doc_id":"d0","src":["a.","b."],"tgt":["c."]}\n'
+CLEAN_ARGV = ["clean", "--in", "in.jsonl", "--out", "out.jsonl", "--align-scores", "s.jsonl"]
+CONTRASTIVE_ARGV = ["contrastive", "--instances", "inst.jsonl", "--scores", "sc.jsonl"]
+PEARSON_ARGV = ["pearson", "--x", "x.txt", "--y", "y.txt"]
+TO_DOC_TEXT_ARGV = ["convert", "--to", "doc-text", "--in", "in.jsonl", "--src-out", "s.txt",
+                    "--tgt-out", "t.txt"]
+TO_RECORDS_ARGV = ["convert", "--to", "records", "--src", "s.txt", "--tgt", "t.txt",
+                   "--out", "r.jsonl"]
+# One case for each kind of fault that only the inputs together show
+# (``InputError``): the line names every input of the run, in parser order,
+# before the library's message. case -> (files, argv, the whole of stderr).
+# A global shuffle's input that changes between its two reads is
+# test_global_shuffle_rejects_an_input_that_changes_between_reads.
+DATA_FAULTS = {
+    "doc-text pair count mismatch": (
+        {"s.txt": "a.\n\nb.\n", "t.txt": "c.\n"}, TO_RECORDS_ARGV,
+        "error: s.txt, t.txt: document count mismatch: 2 source vs 1 target\n",
+    ),
+    "doc-text pair id conflict": (
+        {"hyp.txt": "# doc_id: b\na.\n", "ref.txt": "# doc_id: a\na.\n"}, BLEU_ARGV,
+        BLEU_ERROR + "document 0: hypothesis doc_id 'b' conflicts with reference doc_id 'a'\n",
+    ),
+    "doc-text pair sentence count mismatch": (
+        {"hyp.txt": "a.\nb.\n", "ref.txt": "a.\n"}, BLEU_ARGV + ["--level", "sent"],
+        BLEU_ERROR + "sentence count mismatch in document 0 (id '000000'): 2 hypothesis vs "
+        "1 reference\n",
+    ),
+    "mr-split of an unaligned record": (
+        {"in.jsonl": UNALIGNED}, ["mr-split", "--in", "in.jsonl", "--out", "out.jsonl"],
+        "error: in.jsonl: document 'd0' is not sentence-aligned\n",
+    ),
+    "bucket of an unaligned record": (
+        {"in.jsonl": UNALIGNED},
+        ["bucket", "--in", "in.jsonl", "--out-prefix", "b", "--budgets", "4"],
+        "error: in.jsonl: document 'd0' is not sentence-aligned\n",
+    ),
+    "doc-text of an unaligned record": (
+        {"in.jsonl": UNALIGNED}, TO_DOC_TEXT_ARGV,
+        "error: in.jsonl: document 'd0' is not sentence-aligned\n",
+    ),
+    "doc-text of a sentence that reads as a header": (
+        {"in.jsonl": '{"doc_id":"000000","src":["# doc_id: x"],"tgt":["b."]}\n'},
+        TO_DOC_TEXT_ARGV,
+        "error: in.jsonl: document '000000': first sentence collides with the doc_id header "
+        "syntax; give the document an explicit id\n",
+    ),
+    "doc-text pair ids that repeat": (
+        {"s.txt": "a.\n\n# doc_id: x\nb.\n", "t.txt": "# doc_id: x\nc.\n\nd.\n"},
+        TO_RECORDS_ARGV, "error: s.txt, t.txt: duplicate doc_id 'x' in corpus\n",
+    ),
+    "alignment score for an unknown document": (
+        {"in.jsonl": RECORD, "s.jsonl": ALIGN + ALIGN.replace("d0", "dX")}, CLEAN_ARGV,
+        "error: in.jsonl, s.jsonl: score for unknown document 'dX'\n",
+    ),
+    "alignment score for an unknown pair": (
+        {"in.jsonl": RECORD,
+         "s.jsonl": ALIGN + ALIGN.replace('"pair_index":0', '"pair_index":1')}, CLEAN_ARGV,
+        "error: in.jsonl, s.jsonl: score for unknown pair 1 of document 'd0' (1 pairs)\n",
+    ),
+    "alignment pair without a score": (
+        {"in.jsonl": RECORD, "s.jsonl": ""}, CLEAN_ARGV,
+        "error: in.jsonl, s.jsonl: missing score for document 'd0', pair 0\n",
+    ),
+    "contrastive score for an unknown instance": (
+        {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE.replace("i0", "zz")}, CONTRASTIVE_ARGV,
+        "error: inst.jsonl, sc.jsonl: score for unknown instance 'zz'\n",
+    ),
+    "contrastive score for an unknown candidate": (
+        {"inst.jsonl": INSTANCES,
+         "sc.jsonl": SCORE + '{"instance_id":"i0","candidate_index":5,"score":0.0}\n'},
+        CONTRASTIVE_ARGV,
+        "error: inst.jsonl, sc.jsonl: score for unknown candidate 5 of instance 'i0'\n",
+    ),
+    "contrastive candidate scored twice": (
+        {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE + SCORE}, CONTRASTIVE_ARGV,
+        "error: inst.jsonl, sc.jsonl: duplicate score for ('i0', 0)\n",
+    ),
+    "contrastive candidate without a score": (
+        {"inst.jsonl": INSTANCES, "sc.jsonl": SCORE}, CONTRASTIVE_ARGV,
+        "error: inst.jsonl, sc.jsonl: missing score for candidate 1 of instance 'i0'\n",
+    ),
+    "contrastive without instances": (
+        {"inst.jsonl": "", "sc.jsonl": ""}, CONTRASTIVE_ARGV,
+        "error: inst.jsonl, sc.jsonl: no instances\n",
+    ),
+    "label word that is not the reference token": (
+        {"hyp.txt": TCP_REF, "ref.txt": TCP_REF,
+         "labels.jsonl": TCP_LABELS.replace('"went"', '"goes"')}, TCP_ARGV,
+        TCP_ERROR + "label word 'goes' does not match reference token 'went' at position 1 "
+        "of document '000000'\n",
+    ),
+    "label position past the reference": (
+        {"hyp.txt": TCP_REF, "ref.txt": TCP_REF,
+         "labels.jsonl": TCP_LABELS.replace('"position":1', '"position":9')}, TCP_ARGV,
+        TCP_ERROR + "label position 9 out of range for document '000000' (6 tokens)\n",
+    ),
+    "category without labels": (
+        {"hyp.txt": TCP_REF, "ref.txt": TCP_REF, "labels.jsonl": LABEL}, TCP_ARGV,
+        TCP_ERROR + "no labels of category 'TENSE' in the test set\n",
+    ),
+    "labeled document without an output": (
+        {"hyp.txt": "# doc_id: other\n" + TCP_REF, "ref.txt": TCP_REF,
+         "labels.jsonl": TCP_LABELS}, TCP_ARGV,
+        TCP_ERROR + "missing output for labeled document '000000'\n",
+    ),
+    "labels for an unknown document": (
+        {"hyp.txt": TCP_REF, "ref.txt": TCP_REF,
+         "labels.jsonl": TCP_LABELS + LABEL.replace("000000", "ghost")}, TCP_ARGV,
+        TCP_ERROR + "labels for unknown documents ['ghost']\n",
+    ),
+    "pearson columns of unequal length": (
+        {"x.txt": "1\n2\n3\n", "y.txt": "1\n2\n"}, PEARSON_ARGV,
+        "error: x.txt, y.txt: length mismatch: 3 vs 2\n",
+    ),
+    "pearson of one point": (
+        {"x.txt": "1\n", "y.txt": "2\n"}, PEARSON_ARGV,
+        "error: x.txt, y.txt: pearson needs at least two points\n",
+    ),
+    "pearson of a constant column": (
+        {"x.txt": "1\n1\n1\n", "y.txt": "1\n2\n3\n"}, PEARSON_ARGV,
+        "error: x.txt, y.txt: degenerate input: at least one of the inputs is constant\n",
+    ),
+    "bleu of no documents": (
+        {"hyp.txt": "", "ref.txt": ""}, BLEU_ARGV, BLEU_ERROR + "cannot score an empty corpus\n",
+    ),
+    "local shuffle of no documents": (
+        {"in.jsonl": ""},
+        ["shuffle", "--in", "in.jsonl", "--out", "o.jsonl", "--mode", "local", "--seed", "1"],
+        "error: in.jsonl: cannot shuffle an empty corpus\n",
+    ),
+    "global shuffle of no documents": (
+        {"in.jsonl": '{"metadata": {"k": "v"}}\n'},
+        ["shuffle", "--in", "in.jsonl", "--out", "o.jsonl", "--mode", "global", "--seed", "1"],
+        "error: in.jsonl: cannot shuffle an empty corpus\n",
+    ),
+    "report of a negative span metric": (
+        {"m.jsonl": '{"name":"TC","value":-1.0}\n{"name":"CP","value":50.0}\n'
+                    '{"name":"PT","value":50.0}\n'}, ["report", "m.jsonl"],
+        "error: m.jsonl: tcp inputs must not be negative, got (-1.0, 50.0, 50.0)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DATA_FAULTS))
+def test_a_data_fault_names_every_input(case, tmp_path, monkeypatch, capsys):
+    files, argv, err = DATA_FAULTS[case]
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
         (tmp_path / name).write_text(content, encoding="utf-8")
@@ -1366,3 +1527,25 @@ def test_a_write_past_the_file_size_limit_names_the_output(tmp_path):
         1, "", "error: o.jsonl: File too large\n"
     )
     assert os.listdir(tmp_path) == ["c.jsonl"]
+
+
+def test_a_category_without_hits_scores_zero_without_a_warning(tmp_path):
+    # TC is 0 when no TENSE label is found in its window, so TCP is 0, the
+    # geometric mean's value: a score, not a fault. With every warning an
+    # error, tcp and report still exit 0 and print nothing to stderr.
+    (tmp_path / "ref.txt").write_text(TCP_REF, encoding="utf-8")
+    (tmp_path / "hyp.txt").write_text("he goes home and slept.\n", encoding="utf-8")
+    (tmp_path / "labels.jsonl").write_text(TCP_LABELS, encoding="utf-8")
+    outputs = []
+    for argv in (TCP_ARGV + ["--out", "m.jsonl"], ["report", "m.jsonl"]):
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "docmt", *argv],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(docmt.__file__).resolve().parent.parent)},
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), argv
+        outputs.append(result.stdout)
+    assert outputs[0] == "TC = 0.0 (0/1)\nCP = 100.0 (1/1)\nPT = 100.0 (1/1)\nTCP = 0.0\n"
+    assert outputs[1].splitlines()[1].split() == ["m", "-", "0.0", "100.0", "100.0", "0.0"]

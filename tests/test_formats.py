@@ -57,7 +57,7 @@ def candidate_row(rng, i):
 
 
 def metric_row(rng, i):
-    row = {"name": rng.choice(["TC", "d-BLEU"]), "value": rng.uniform(0, 100)}
+    row = {"name": ["TC", "d-BLEU", "CP", "PT", "s-BLEU"][i], "value": rng.uniform(0, 100)}
     if rng.random() < 0.7:
         row.update(numerator=rng.randrange(9), denominator=rng.randrange(9, 20))
     return row
@@ -124,7 +124,9 @@ FORMATS = {
         candidate_row, lambda p: list(read_candidate_scores(p)), naive_read_candidate_scores,
         {},
     ),
-    "metric records": (metric_row, read_reports, naive_read_reports, {}),
+    "metric records": (metric_row, read_reports, naive_read_reports, {
+        "name given twice": lambda rng, rows, row: {**row, "name": rng.choice(rows)["name"]},
+    }),
 }
 
 # Every kind of JSON value, each given to every key in turn, and values

@@ -23,7 +23,7 @@ from docmt import (
     unshuffle,
 )
 from docmt import cli
-from docmt.corpus import write_jsonl, write_records
+from docmt.corpus import InputError, write_jsonl, write_records
 from docmt.harness import (
     IdTable,
     PermutationRecord,
@@ -117,8 +117,8 @@ class TestGlobalShuffle:
     def test_a_longer_second_read_is_rejected(self):
         corpus = make_corpus([2, 1])
         again = [*corpus.records(), make_corpus([1, 1, 1])[2].record]
-        shuffled = global_shuffle_records(corpus.records(), again, 1, Permutations(), "in.jsonl")
-        with pytest.raises(ValueError, match=r"^in\.jsonl: document 2 changed between two reads$"):
+        shuffled = global_shuffle_records(corpus.records(), again, 1, Permutations())
+        with pytest.raises(InputError, match=r"^document 2 changed between two reads$"):
             list(shuffled)
 
     def test_round_trips_non_ascii_and_lone_surrogates(self):
@@ -141,8 +141,8 @@ class TestGlobalShuffle:
             assert unshuffle(shuffled, records) == corpus
         changed = [*corpus.records()]
         changed[2] = changed[2]._replace(src=("a\udffeb.", "ça va.", "plain."))
-        shuffled = global_shuffle_records(corpus.records(), changed, 1, Permutations(), "in")
-        with pytest.raises(ValueError, match=r"^in: document 2 changed between two reads$"):
+        shuffled = global_shuffle_records(corpus.records(), changed, 1, Permutations())
+        with pytest.raises(InputError, match=r"^document 2 changed between two reads$"):
             list(shuffled)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import unicodedata
+import warnings
 
 import pytest
 
@@ -19,6 +20,7 @@ from docmt import (
     tokenize,
 )
 from docmt import metrics
+from docmt.corpus import InputError
 from docmt.metrics import CATEGORIES, read_labeled_docs, span_metrics
 from helpers import VOCAB, naive_bleu, naive_tokenize
 
@@ -446,11 +448,20 @@ class TestTcp:
             range(3), key=scaled.__getitem__
         )
 
-    def test_nonpositive_input_degenerates_to_zero_with_warning(self):
-        with pytest.warns(RuntimeWarning):
-            assert tcp(0.0, 50.0, 50.0) == 0.0
-        with pytest.warns(RuntimeWarning):
-            assert tcp(50.0, -1.0, 50.0) == 0.0
+    def test_a_zero_input_gives_zero_without_a_warning(self):
+        # Zero is the geometric mean's value when one factor is 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in [(0.0, 50.0, 50.0), (50.0, 0.0, 50.0), (50.0, 50.0, 0.0),
+                           (0.0, 0.0, 0.0), (-0.0, 50.0, 50.0)]:
+                assert tcp(*values) == 0.0
+
+    def test_a_negative_input_is_a_data_fault(self):
+        # No span metric is negative: a negative value is refused, never
+        # reinterpreted.
+        with pytest.raises(InputError, match=r"^tcp inputs must not be negative, got "
+                                             r"\(50\.0, -1\.0, 50\.0\)$"):
+            tcp(50.0, -1.0, 50.0)
 
 
 class TestPearson:
@@ -501,7 +512,7 @@ class TestLabelFile:
             '{"doc_id": "ghost", "word": "x", "position": 0, "category": "CONJ"}\n',
             encoding="utf-8",
         )
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(InputError, match=r"^labels for unknown documents \['ghost'\]$"):
             read_labeled_docs([Document("d0", ("a.",))], tmp_path / "labels.jsonl")
 
     def test_bad_category_rejected(self):

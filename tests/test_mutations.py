@@ -14,14 +14,13 @@ allowed there, but an exit 1 must still be one clean line.
 
 A fault inside one file's lines is reported by a line that names that
 file (``error: <file>: ...``), and any other fault by a line that names
-one of the command's inputs, except for the faults that only two inputs
-together show, listed in ``UNNAMED``.
+one of the command's inputs: a fault that only the inputs together show
+names them all (``error: <file>, <file>: ...``).
 """
 
 import json
 import os
 import random
-import re
 import zlib
 from typing import Callable, NamedTuple
 
@@ -78,8 +77,8 @@ FORMATS = {
     "x.txt": "number", "y.txt": "number",
 }
 # The JSON-lines files that a repeated row makes faulty, by its repeated
-# id or pair. A label or metric record may repeat.
-IDS = {"in.jsonl", "s.jsonl", "inst.jsonl", "sc.jsonl"}
+# id, pair or metric name. A label may repeat.
+IDS = {"in.jsonl", "s.jsonl", "inst.jsonl", "sc.jsonl", "m.jsonl"}
 
 # command -> (argv, the inputs it reads, the outputs it writes). Every
 # command but pearson writes a file, and so a manifest.
@@ -115,17 +114,6 @@ COMMANDS = {
     "pearson": (["pearson", "--x", "x.txt", "--y", "y.txt"], ["x.txt", "y.txt"], []),
 }
 TARGETS = [(command, name) for command, (_, ins, _) in COMMANDS.items() for name in ins]
-
-# The lines that name no file, each for a fault that two inputs show
-# together: a doc-text pair fault names the two sides (README, the doc-id
-# pairing rule); a label that the references do not bear out, or a
-# labeled document without an output, names its document; and pearson's
-# two columns of unequal length name neither.
-UNNAMED = re.compile(
-    r"error: (document count mismatch: |document \d+: \w+ doc_id |sentence count mismatch "
-    r"|label word |label position |missing output for labeled document "
-    r"|no labels of category |length mismatch: )"
-)
 
 # Values of the wrong kind for each kind of key. A number key also
 # refuses an integer beyond the float range; a category must be one of
@@ -282,8 +270,8 @@ def setup(work, command):
 
 def check(work, argv, monkeypatch, capsys, fails, named):
     """Run ``argv`` in ``work``; ``fails`` True, False or None (either).
-    A failure is one ``error: `` line that names a file of ``named``,
-    unless ``UNNAMED`` matches it, and leaves every file as it was."""
+    A failure is one ``error: `` line that names a file of ``named`` and
+    leaves every file as it was."""
     before = files_of(work)
     monkeypatch.chdir(work)
     code = dispatch(argv)  # any exception here is a traceback
@@ -295,8 +283,7 @@ def check(work, argv, monkeypatch, capsys, fails, named):
         return
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), case
     assert files_of(work) == before, case
-    if not UNNAMED.match(err):
-        assert set(named) & set(err[len("error: "):].split(": ")[0].split(", ")), case
+    assert set(named) & set(err[len("error: "):].split(": ")[0].split(", ")), case
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

@@ -520,7 +520,7 @@ class TestCompactCleanOracle:
                 expected = (f"error: s.jsonl: malformed score on line {line}: "
                             f"duplicate score for {keys[line - 1]}\n")
             else:
-                expected = f"error: s.jsonl: {message}\n"
+                expected = f"error: in.jsonl, s.jsonl: {message}\n"
             assert (code, out.getvalue(), err.getvalue()) == (1, "", expected)
             assert not (tmp_path / "out.jsonl").exists()
 
@@ -576,8 +576,8 @@ class TestScoreOrder:
         monkeypatch.chdir(tmp_path)
         rows = [{"doc_id": "d0", "pair_index": i, "score": score} for i, score in pairs]
         assert clean_scored(rows, ParallelCorpus((pair("d0", ("a.",)),))) == (
-            1, "", f"error: s.jsonl: score for unknown pair {named} of document 'd0' "
-                   "(1 pairs)\n",
+            1, "", f"error: in.jsonl, s.jsonl: score for unknown pair {named} of document "
+                   "'d0' (1 pairs)\n",
         )
         assert not (tmp_path / "out.jsonl").exists()
 

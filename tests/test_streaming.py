@@ -367,16 +367,17 @@ TENSE_LABEL = '{"doc_id": "d0", "word": "goes", "position": 1, "category": "TENS
 LEFT_AT_A_FAULT = {
     "bleu count mismatch": (
         "he went home.\n", DOCS, ["bleu"],
-        "error: document count mismatch: 1 hypothesis vs 300 reference\n",
+        "error: hyp.txt, ref.txt: document count mismatch: 1 hypothesis vs 300 reference\n",
     ),
     "bleu id conflict": (
         DOCS.replace("d0", "x0", 1), DOCS, ["bleu"],
-        "error: document 0: hypothesis doc_id 'x0' conflicts with reference doc_id 'd0'\n",
+        "error: hyp.txt, ref.txt: document 0: hypothesis doc_id 'x0' conflicts with "
+        "reference doc_id 'd0'\n",
     ),
     "tcp label error": (
         DOCS, DOCS, ["tcp", "--labels", "labels.jsonl"],
-        "error: label word 'goes' does not match reference token 'went' at position 1 "
-        "of document 'd0'\n",
+        "error: hyp.txt, ref.txt, labels.jsonl: label word 'goes' does not match reference "
+        "token 'went' at position 1 of document 'd0'\n",
     ),
 }
 
