@@ -2,17 +2,16 @@
 
 Every file-writing run leaves a ``<output>.manifest.json`` next to its
 primary output recording the command, the subcommand's options, seed,
-and SHA-256 digests of all inputs and outputs, so reruns can be checked
-for byte-identical behavior. Exit codes: 0 success, 1 validation or IO
-error (diagnostics name the offending file/document/index), 2 usage
-error.
+and SHA-256 digests of all inputs and outputs, read from disk once the
+run's handler has returned, so reruns can be checked for byte-identical
+behavior. Exit codes: 0 success, 1 validation or IO error (diagnostics
+name the offending file/document/index), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import math
 import sys
@@ -27,7 +26,8 @@ from .fileio import checked_paths, manifest_path
 
 class RunManifest(NamedTuple):
     """Reproducibility record for one CLI run; ``write`` serializes its
-    fields."""
+    fields. Each digest is ``_sha256`` of a file as it is on disk after
+    the handler returned."""
 
     command: str
     config: dict[str, str]
@@ -41,7 +41,10 @@ class RunManifest(NamedTuple):
 
 
 def _sha256(path: str | Path) -> str:
-    """SHA-256 of a file, read in 64 KiB blocks to bound memory."""
+    """SHA-256 of a file, read in 64 KiB blocks to bound memory: the one
+    hash of the manifest, called only once the handler has returned."""
+    import hashlib  # maps OpenSSL's libcrypto: not while the handler's data is alive
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 16), b""):
@@ -54,9 +57,9 @@ def _sha256(path: str | Path) -> str:
 _READS = {"input", "src", "tgt", "align_scores", "hyp", "ref", "labels", "x", "y",
           "instances", "scores", "files"}
 _WRITES = {"out", "report", "src_out", "tgt_out", "perm_out"}
-# What a handler returns: {output path: digest} in output order, or a falsy
+# What a handler returns: the paths it wrote, in output order, or a falsy
 # value when it writes no file, and so no manifest.
-_Outputs = dict[str, str] | None
+_Outputs = list[str] | None
 
 
 def _options(args: argparse.Namespace):
@@ -93,13 +96,12 @@ def _cmd_convert(args: argparse.Namespace) -> _Outputs:
     if args.to == "records":
         if not (args.src and args.tgt and args.out):
             raise ValueError("convert --to records needs --src, --tgt, and --out")
-        corpus = corpus_io.read_doc_text(args.src, args.tgt)
-        return {args.out: corpus_io.write_records(corpus, args.out)}
+        corpus_io.write_records(corpus_io.read_doc_text(args.src, args.tgt), args.out)
+        return [args.out]
     if not (args.input and args.src_out and args.tgt_out):
         raise ValueError("convert --to doc-text needs --in, --src-out, and --tgt-out")
-    corpus = corpus_io.read_records(args.input)
-    digests = corpus_io.write_doc_text(corpus, args.src_out, args.tgt_out)
-    return dict(zip([args.src_out, args.tgt_out], digests))
+    corpus_io.write_doc_text(corpus_io.read_records(args.input), args.src_out, args.tgt_out)
+    return [args.src_out, args.tgt_out]
 
 
 def _cmd_clean(args: argparse.Namespace) -> _Outputs:
@@ -119,17 +121,14 @@ def _cmd_clean(args: argparse.Namespace) -> _Outputs:
         ),
         threshold=args.align_threshold,
     )
-    outputs = dict.fromkeys(filter(None, [args.out, args.report]), "")
 
     def cleaned_then_report():
         yield from cleaned
         # --out replaces its file only after this returns: a failure leaves neither.
         if args.report:
-            outputs[args.report] = corpus_io.write_jsonl(args.report, report.records())
+            corpus_io.write_jsonl(args.report, report.records())
 
-    kept, outputs[args.out] = corpus_io.write_record_stream(
-        args.out, metadata, cleaned_then_report()
-    )
+    kept = corpus_io.write_record_stream(args.out, metadata, cleaned_then_report())
     removed = [
         len(report.removed_duplicates),
         len(report.removed_unaligned),
@@ -139,7 +138,7 @@ def _cmd_clean(args: argparse.Namespace) -> _Outputs:
         f"kept {kept} of {kept + sum(removed)} documents "
         f"({removed[0]} duplicate, {removed[1]} unaligned, {removed[2]} misaligned)"
     )
-    return outputs
+    return list(filter(None, [args.out, args.report]))
 
 
 def _cmd_mr_split(args: argparse.Namespace) -> _Outputs:
@@ -150,19 +149,19 @@ def _cmd_mr_split(args: argparse.Namespace) -> _Outputs:
     )
     tally = mrsplit.MRTally()
     segments = mrsplit.mr_records(documents, cfg, tally)
-    written, digest = corpus_io.write_record_stream(args.out, metadata, segments)
+    written = corpus_io.write_record_stream(args.out, metadata, segments)
     ratio = tally.ratio if written else float("nan")
     print(f"wrote {written} segment pairs (token ratio {ratio:.2f})")
-    return {args.out: digest}
+    return [args.out]
 
 
 def _cmd_oversample(args: argparse.Namespace) -> _Outputs:
     from . import mrsplit
     metadata, documents = corpus_io.read_record_stream(args.input)
     replicas = mrsplit.oversample_records(documents, args.factor)
-    written, digest = corpus_io.write_record_stream(args.out, metadata, replicas)
+    written = corpus_io.write_record_stream(args.out, metadata, replicas)
     print(f"wrote {written} documents")
-    return {args.out: digest}
+    return [args.out]
 
 
 def _cmd_bucket(args: argparse.Namespace) -> _Outputs:
@@ -175,9 +174,10 @@ def _cmd_bucket(args: argparse.Namespace) -> _Outputs:
     outs = [f"{args.out_prefix}.b{budget}.jsonl" for budget in dict.fromkeys(budgets)]
     checked_paths(_paths(args, _READS), [("--out-prefix", out) for out in outs])
     buckets = mrsplit.bucket_by_length(corpus_io.read_records(args.input), budgets)
-    outputs = {out: corpus_io.write_records(b, out) for out, b in zip(outs, buckets.values())}
-    print(f"wrote {len(outputs)} buckets")
-    return outputs
+    for out, bucket in zip(outs, buckets.values()):
+        corpus_io.write_records(bucket, out)
+    print(f"wrote {len(outs)} buckets")
+    return outs
 
 
 def _cmd_bleu(args: argparse.Namespace) -> _Outputs:
@@ -190,7 +190,9 @@ def _cmd_bleu(args: argparse.Namespace) -> _Outputs:
         args.max_n,
     )
     print(f"{report.name} = {report.value:.2f}")
-    return args.out and {args.out: metrics.write_reports([report], args.out)}
+    if args.out:
+        metrics.write_reports([report], args.out)
+        return [args.out]
 
 
 def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
@@ -204,7 +206,9 @@ def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
     _print_counts(reports)
     print(f"TCP = {overall:.1f}")
     reports.append(metrics.MetricReport("TCP", overall))
-    return args.out and {args.out: metrics.write_reports(reports, args.out)}
+    if args.out:
+        metrics.write_reports(reports, args.out)
+        return [args.out]
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
@@ -239,19 +243,15 @@ def _cmd_shuffle(args: argparse.Namespace) -> _Outputs:
     else:
         again = corpus_io.read_record_stream(args.input)[1]
         shuffled = harness.global_shuffle_records(documents, again, args.seed, perms)
-    outputs = dict.fromkeys([args.out, args.perm_out], "")
 
     def shuffled_then_permutations():
         yield from shuffled
         # --out replaces its file only after this returns: a failure leaves neither.
-        records = perms.records()
-        outputs[args.perm_out] = harness.write_permutation_records(records, args.perm_out)
+        harness.write_permutation_records(perms.records(), args.perm_out)
 
-    written, outputs[args.out] = corpus_io.write_record_stream(
-        args.out, metadata, shuffled_then_permutations()
-    )
+    written = corpus_io.write_record_stream(args.out, metadata, shuffled_then_permutations())
     print(f"wrote {written} documents ({args.mode} shuffle, seed {args.seed})")
-    return outputs
+    return [args.out, args.perm_out]
 
 
 def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
@@ -262,7 +262,9 @@ def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
     reports = [results[k] for k in sorted(results)]
     _print_counts([r for r in reports if r.name != harness.OVERALL])
     _print_counts([results[harness.OVERALL]])
-    return args.out and {args.out: metrics.write_reports(reports, args.out)}
+    if args.out:
+        metrics.write_reports(reports, args.out)
+        return [args.out]
 
 
 def _cmd_report(args: argparse.Namespace) -> _Outputs:
@@ -284,7 +286,9 @@ def _cmd_report(args: argparse.Namespace) -> _Outputs:
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows
     )
     print(table)
-    return args.out and {args.out: corpus_io.write_text(args.out, [table + "\n"])}
+    if args.out:
+        corpus_io.write_text(args.out, [table + "\n"])
+        return [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,10 +393,11 @@ def dispatch(argv: Sequence[str]) -> int:
     of every file option. If the handler returns its outputs, the manifest
     is written beside the first, where ``checked_paths`` looks for it: its
     config keys are the long flags with ``-`` as ``_``, a list joined with
-    ``,``; each output's digest is the one its writer returned, and the
-    inputs are hashed from disk. An ``InputError``, a fault that only the
-    inputs together show, is prefixed with the paths of every input, in
-    parser order: ``error: hyp.txt, ref.txt: document count mismatch: ...``."""
+    ``,``; every input and output is hashed from disk by ``_sha256`` once
+    the handler has returned and its data is freed. An ``InputError``, a
+    fault that only the inputs together show, is prefixed with the paths
+    of every input, in parser order: ``error: hyp.txt, ref.txt: document
+    count mismatch: ...``."""
     try:
         args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
@@ -417,8 +422,8 @@ def dispatch(argv: Sequence[str]) -> int:
                 },
                 seed=getattr(args, "seed", None),
                 input_digests={path: _sha256(path) for _, path in inputs},
-                output_digests=outputs,
-            ).write(manifest_path(next(iter(outputs))))
+                output_digests={path: _sha256(path) for path in outputs},
+            ).write(manifest_path(outputs[0]))
     except (ValueError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:

@@ -351,9 +351,9 @@ def _doc_text(docs: Sequence[Document]) -> str:
     return content
 
 
-def write_docs(docs: Sequence[Document], path: str | Path) -> str:
-    """Write one side of the doc-text format; returns the file's SHA-256."""
-    return write_text(path, [_doc_text(docs)])
+def write_docs(docs: Sequence[Document], path: str | Path) -> None:
+    """Write one side of the doc-text format."""
+    write_text(path, [_doc_text(docs)])
 
 
 def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
@@ -374,22 +374,20 @@ def read_doc_text(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
 
 def write_doc_text(
     corpus: ParallelCorpus, src_path: str | Path, tgt_path: str | Path
-) -> tuple[str, str]:
-    """Write a corpus as a parallel doc-text file pair; returns the two
-    files' SHA-256 digests. Every document must be sentence-aligned, and
-    both sides are checked before either file is written, and the target
-    is written before the source replaces its file, so a fault writes
-    neither."""
+) -> None:
+    """Write a corpus as a parallel doc-text file pair. Every document
+    must be sentence-aligned, and both sides are checked before either
+    file is written, and the target is written before the source replaces
+    its file, so a fault writes neither."""
     documents = [require_aligned(doc) for doc in corpus]
     src = _doc_text([doc.source for doc in documents])
     tgt = _doc_text([doc.target for doc in documents])
-    tgt_digest: list[str] = []
 
     def source_then_target() -> Iterator[str]:
         yield src
-        tgt_digest.append(write_text(tgt_path, [tgt]))
+        write_text(tgt_path, [tgt])
 
-    return write_text(src_path, source_then_target()), tgt_digest[0]
+    write_text(src_path, source_then_target())
 
 
 def read_record_stream(path: str | Path) -> tuple[dict[str, str], Iterator[Record]]:
@@ -465,9 +463,9 @@ def encode_record(record: Record) -> str:
 
 def write_record_stream(
     path: str | Path, metadata: dict[str, str], records: Iterable[Record]
-) -> tuple[int, str]:
+) -> int:
     """Write the records format from ``records``, taken one at a time,
-    atomically; returns the number of records and the file's SHA-256."""
+    atomically; returns the number of records."""
     count = 0
 
     def lines() -> Iterator[str]:
@@ -478,11 +476,10 @@ def write_record_stream(
             count += 1
             yield encode_record(record)
 
-    digest = write_text(path, lines())
-    return count, digest
+    write_text(path, lines())
+    return count
 
 
-def write_records(corpus: ParallelCorpus, path: str | Path) -> str:
-    """Write the JSON-lines records format (UTF-8, one document per line);
-    returns the file's SHA-256."""
-    return write_record_stream(path, corpus.metadata, corpus.records())[1]
+def write_records(corpus: ParallelCorpus, path: str | Path) -> None:
+    """Write the JSON-lines records format (UTF-8, one document per line)."""
+    write_record_stream(path, corpus.metadata, corpus.records())

@@ -1,11 +1,10 @@
 """The file primitives every layer reads and writes through: line-numbered
 reads of text and JSON-lines files typed by a table per format, the check
-of a run's paths, and atomic writes hashed as they are written. They live
-apart to keep ``corpus`` and ``cli`` small (see "What a command loads")."""
+of a run's paths, and atomic writes. They live apart to keep ``corpus``
+and ``cli`` small (see "What a command loads")."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -171,15 +170,16 @@ def checked_paths(
             )
 
 
-def write_text(path: str | Path, chunks: Iterable[str]) -> str:
-    """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines);
-    returns the SHA-256 hex digest of the bytes written.
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` atomically (UTF-8, ``\n`` newlines).
 
     The chunks go to a temp file beside ``path``, which replaces ``path``
     only once every chunk is written, so a failure part-way leaves the
     previous content (or no file) and no temp file behind. An error in
     opening, writing, closing or replacing the temp file names ``path``,
     never the temp file; an error that ``chunks`` raises is left as it is.
+    Nothing is hashed here: the CLI hashes each output from disk once its
+    run's handler returns.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -191,22 +191,18 @@ def write_text(path: str | Path, chunks: Iterable[str]) -> str:
             raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
     handle = named(open, tmp, "wb")
-    digest = hashlib.sha256()
     try:
         try:
             for chunk in chunks:
-                data = chunk.encode("utf-8")
-                digest.update(data)
-                named(handle.write, data)
+                named(handle.write, chunk.encode("utf-8"))
         finally:
             named(handle.close)
         named(os.replace, tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return digest.hexdigest()
 
 
-def write_jsonl(path: str | Path, rows: Iterable[object]) -> str:
-    """Write one JSON object per line, atomically; returns the SHA-256."""
-    return write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+def write_jsonl(path: str | Path, rows: Iterable[object]) -> None:
+    """Write one JSON object per line, atomically."""
+    write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))

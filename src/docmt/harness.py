@@ -463,5 +463,5 @@ def read_candidate_scores(path: str | Path) -> Iterator[CandidateScore]:
 
 def write_permutation_records(
     records: Iterable[PermutationRecord], path: str | Path
-) -> str:
-    return write_jsonl(path, (record._asdict() for record in records))
+) -> None:
+    write_jsonl(path, (record._asdict() for record in records))

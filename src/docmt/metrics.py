@@ -367,8 +367,8 @@ def read_labeled_docs(
     return [docs[doc_id] for doc_id in labels]
 
 
-def write_reports(reports: Iterable[MetricReport], path: str | Path) -> str:
-    return write_jsonl(path, (report._asdict() for report in reports))
+def write_reports(reports: Iterable[MetricReport], path: str | Path) -> None:
+    write_jsonl(path, (report._asdict() for report in reports))
 
 
 def read_reports(path: str | Path) -> list[MetricReport]:

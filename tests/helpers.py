@@ -582,18 +582,19 @@ def naive_global_shuffle(
     return naive_rearrange(corpus, [list(islice(slots, len(pd.source))) for pd in corpus])
 
 
-def naive_cmd_shuffle(args) -> dict[str, str]:
+def naive_cmd_shuffle(args) -> list[str]:
     """Reference ``shuffle`` command: reads the whole corpus, shuffles it
     with the reference shuffles, then writes the output and the permutation
-    records one after the other. Like every handler, it returns its outputs,
-    and ``cli.dispatch`` checks the paths and writes the manifest."""
+    records one after the other. Like every handler, it returns the paths it
+    wrote, and ``cli.dispatch`` checks the paths, hashes the files and writes
+    the manifest."""
     from docmt.corpus import read_records, write_records
     from docmt.harness import write_permutation_records
 
     corpus = read_records(args.input)
     shuffle = naive_local_shuffle if args.mode == "local" else naive_global_shuffle
     shuffled, records = shuffle(corpus, args.seed)
-    outputs = {args.out: write_records(shuffled, args.out)}
-    outputs[args.perm_out] = write_permutation_records(records, args.perm_out)
+    write_records(shuffled, args.out)
+    write_permutation_records(records, args.perm_out)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")
-    return outputs
+    return [args.out, args.perm_out]

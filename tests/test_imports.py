@@ -1,10 +1,10 @@
 """A step loads only what it runs: ``import docmt`` imports no submodule,
 each command imports only the layers it uses, ``statistics`` is imported
-by ``pearson`` alone, and nothing imports ``dataclasses`` or the
-``inspect`` it needs. Each check runs in a fresh interpreter, so what the
-test process has already imported does not count. And only ``fileio``
-decodes JSON, and every module stays under the size at which its
-compile memory jumps."""
+by ``pearson`` alone, OpenSSL only once the handler has returned, and
+nothing imports ``dataclasses`` or the ``inspect`` it needs. Each check
+runs in a fresh interpreter, so what the test process has already
+imported does not count. And only ``fileio`` decodes JSON, and every
+module stays under the size at which its compile memory jumps."""
 
 import ast
 import json
@@ -77,7 +77,7 @@ def inputs(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "argv, runs",
     [
         pytest.param(["convert", "--to", "records", "--src", "doc.txt", "--tgt", "doc.txt",
@@ -110,12 +110,50 @@ def inputs(tmp_path):
                       "align.jsonl"], {"pipeline"}, id="clean-align-scores-pipeline"),
     ],
 )
+
+
+@COMMANDS
 def test_a_command_loads_only_the_layer_it_runs(argv, runs, inputs):
     loaded = loaded_after(
         f"from docmt.cli import dispatch\nassert dispatch({argv!r}) == 0", inputs
     )
     assert loaded & LAYERS == {"docmt.corpus", *(f"docmt.{layer}" for layer in runs)}
     assert not loaded & UNUSED
+
+
+@COMMANDS
+def test_openssl_loads_only_once_the_handler_returns(argv, runs, inputs):
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MiB), so a step that held
+    # its data while it is mapped would pay for both at once. The manifest
+    # hashes every file through cli._sha256, after the handler returns;
+    # only clean loads it before, for pipeline's BLAKE2b dedup.
+    writes = any(arg.startswith("--out") or arg.endswith("-out") for arg in argv)
+    loaded = loaded_after(
+        f"""
+        import sys
+        from docmt import cli
+        sha256, openssl_at_each_hash = cli._sha256, []
+
+        def seen_sha256(path):
+            openssl_at_each_hash.append("_hashlib" in sys.modules)
+            return sha256(path)
+
+        cli._sha256 = seen_sha256
+        assert cli.dispatch({argv!r}) == 0
+        assert openssl_at_each_hash[:1] in ([], [{"pipeline" in runs}]), openssl_at_each_hash
+        assert bool(openssl_at_each_hash) == {writes}
+        """,
+        inputs,
+    )
+    # A run that writes no file, and so no manifest, never maps OpenSSL.
+    assert ("_hashlib" in loaded) == writes
+
+
+def test_no_layer_but_pipeline_imports_hashlib(tmp_path):
+    layers = ", ".join(sorted(LAYERS - {"docmt.pipeline"}))
+    loaded = loaded_after(f"import docmt.cli, docmt.fileio, {layers}", tmp_path)
+    assert {"docmt.cli", "docmt.fileio", *LAYERS} - loaded == {"docmt.pipeline"}
+    assert not loaded & {"hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize(

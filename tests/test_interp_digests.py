@@ -1,5 +1,8 @@
 """``interp_digests.py``, the script that CI runs on every supported Python
-and whose lists must agree, run once here on this interpreter."""
+and whose lists must agree, run once here on this interpreter. Its list is
+pinned in ``interp_digests.txt``: every input, output and manifest of the
+three chains must stay byte-identical, and a change that means to alter
+one writes the file again, in the same change."""
 
 import re
 import subprocess
@@ -7,6 +10,7 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).with_name("interp_digests.py")
+PINNED = SCRIPT.with_suffix(".txt")
 
 # Every input, output and manifest of the three chains, by relative path.
 FILES = {
@@ -34,3 +38,4 @@ def test_the_script_lists_every_input_output_and_manifest():
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     paths = [line.split("  ")[1] for line in lines]
     assert paths == [f"{where}/{name}" for where, names in FILES.items() for name in names]
+    assert result.stdout == PINNED.read_text(encoding="utf-8")
