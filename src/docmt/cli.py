@@ -57,9 +57,6 @@ def _sha256(path: str | Path) -> str:
 _READS = {"input", "src", "tgt", "align_scores", "hyp", "ref", "labels", "x", "y",
           "instances", "scores", "files"}
 _WRITES = {"out", "report", "src_out", "tgt_out", "perm_out"}
-# What a handler returns: the paths it wrote, in output order, or a falsy
-# value when it writes no file, and so no manifest.
-_Outputs = list[str] | None
 
 
 def _options(args: argparse.Namespace):
@@ -85,7 +82,7 @@ def _print_counts(reports: Sequence) -> None:
         print(f"{report.name} = {report.value:.1f} ({report.numerator}/{report.denominator})")
 
 
-def _cmd_convert(args: argparse.Namespace) -> _Outputs:
+def _cmd_convert(args: argparse.Namespace) -> None:
     used = (
         {"to", "src", "tgt", "out"} if args.to == "records"
         else {"to", "input", "src_out", "tgt_out"}
@@ -97,14 +94,13 @@ def _cmd_convert(args: argparse.Namespace) -> _Outputs:
         if not (args.src and args.tgt and args.out):
             raise ValueError("convert --to records needs --src, --tgt, and --out")
         corpus_io.write_records(corpus_io.read_doc_text(args.src, args.tgt), args.out)
-        return [args.out]
+        return
     if not (args.input and args.src_out and args.tgt_out):
         raise ValueError("convert --to doc-text needs --in, --src-out, and --tgt-out")
     corpus_io.write_doc_text(corpus_io.read_records(args.input), args.src_out, args.tgt_out)
-    return [args.src_out, args.tgt_out]
 
 
-def _cmd_clean(args: argparse.Namespace) -> _Outputs:
+def _cmd_clean(args: argparse.Namespace) -> None:
     from . import pipeline
     metadata, documents = corpus_io.read_record_stream(args.input)
     report = pipeline.CleanReport()
@@ -138,10 +134,9 @@ def _cmd_clean(args: argparse.Namespace) -> _Outputs:
         f"kept {kept} of {kept + sum(removed)} documents "
         f"({removed[0]} duplicate, {removed[1]} unaligned, {removed[2]} misaligned)"
     )
-    return list(filter(None, [args.out, args.report]))
 
 
-def _cmd_mr_split(args: argparse.Namespace) -> _Outputs:
+def _cmd_mr_split(args: argparse.Namespace) -> None:
     from . import mrsplit
     metadata, documents = corpus_io.read_record_stream(args.input)
     cfg = mrsplit.MRConfig(
@@ -152,26 +147,25 @@ def _cmd_mr_split(args: argparse.Namespace) -> _Outputs:
     written = corpus_io.write_record_stream(args.out, metadata, segments)
     ratio = tally.ratio if written else float("nan")
     print(f"wrote {written} segment pairs (token ratio {ratio:.2f})")
-    return [args.out]
 
 
-def _cmd_oversample(args: argparse.Namespace) -> _Outputs:
+def _cmd_oversample(args: argparse.Namespace) -> None:
     from . import mrsplit
     metadata, documents = corpus_io.read_record_stream(args.input)
     replicas = mrsplit.oversample_records(documents, args.factor)
     written = corpus_io.write_record_stream(args.out, metadata, replicas)
     print(f"wrote {written} documents")
-    return [args.out]
 
 
-def _cmd_bucket(args: argparse.Namespace) -> _Outputs:
+def _cmd_bucket(args: argparse.Namespace) -> list[str]:
     from . import mrsplit
     try:
-        budgets = [int(b) for b in args.budgets.split(",") if b]
+        budgets = [int(b) for b in args.budgets.split(",")]
     except ValueError as exc:
         raise ValueError(f"--budgets: {exc}") from None
-    # Each budget once: bucket_by_length reports a repeated one.
-    outs = [f"{args.out_prefix}.b{budget}.jsonl" for budget in dict.fromkeys(budgets)]
+    mrsplit.check_budgets(budgets)
+    # No file option names these outputs: the one handler that checks and returns its own.
+    outs = [f"{args.out_prefix}.b{budget}.jsonl" for budget in budgets]
     checked_paths(_paths(args, _READS), [("--out-prefix", out) for out in outs])
     buckets = mrsplit.bucket_by_length(corpus_io.read_records(args.input), budgets)
     for out, bucket in zip(outs, buckets.values()):
@@ -180,7 +174,7 @@ def _cmd_bucket(args: argparse.Namespace) -> _Outputs:
     return outs
 
 
-def _cmd_bleu(args: argparse.Namespace) -> _Outputs:
+def _cmd_bleu(args: argparse.Namespace) -> None:
     from . import metrics
     score = metrics.s_bleu if args.level == "sent" else metrics.d_bleu
     report = score(
@@ -192,10 +186,9 @@ def _cmd_bleu(args: argparse.Namespace) -> _Outputs:
     print(f"{report.name} = {report.value:.2f}")
     if args.out:
         metrics.write_reports([report], args.out)
-        return [args.out]
 
 
-def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
+def _cmd_tcp(args: argparse.Namespace) -> None:
     from . import metrics
     # The labels are read whole; the references, then the outputs, stream past.
     ref = corpus_io.read_doc_stream(args.ref)
@@ -208,7 +201,6 @@ def _cmd_tcp(args: argparse.Namespace) -> _Outputs:
     reports.append(metrics.MetricReport("TCP", overall))
     if args.out:
         metrics.write_reports(reports, args.out)
-        return [args.out]
 
 
 def _cmd_pearson(args: argparse.Namespace) -> None:
@@ -234,7 +226,7 @@ def _cmd_pearson(args: argparse.Namespace) -> None:
     print(f"pearson = {value:.4f}")
 
 
-def _cmd_shuffle(args: argparse.Namespace) -> _Outputs:
+def _cmd_shuffle(args: argparse.Namespace) -> None:
     from . import harness
     metadata, documents = corpus_io.read_record_stream(args.input)
     perms = harness.Permutations()
@@ -251,10 +243,9 @@ def _cmd_shuffle(args: argparse.Namespace) -> _Outputs:
 
     written = corpus_io.write_record_stream(args.out, metadata, shuffled_then_permutations())
     print(f"wrote {written} documents ({args.mode} shuffle, seed {args.seed})")
-    return [args.out, args.perm_out]
 
 
-def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
+def _cmd_contrastive(args: argparse.Namespace) -> None:
     from . import harness, metrics
     instances = harness.read_instance_stream(args.instances)
     scores = harness.read_candidate_scores(args.scores)
@@ -264,10 +255,9 @@ def _cmd_contrastive(args: argparse.Namespace) -> _Outputs:
     _print_counts([results[harness.OVERALL]])
     if args.out:
         metrics.write_reports(reports, args.out)
-        return [args.out]
 
 
-def _cmd_report(args: argparse.Namespace) -> _Outputs:
+def _cmd_report(args: argparse.Namespace) -> None:
     from . import metrics
     spans = metrics.SPAN_METRICS.values()
     rows = [["system", "d-BLEU", *spans, "TCP"]]
@@ -288,7 +278,6 @@ def _cmd_report(args: argparse.Namespace) -> _Outputs:
     print(table)
     if args.out:
         corpus_io.write_text(args.out, [table + "\n"])
-        return [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,14 +379,15 @@ def dispatch(argv: Sequence[str]) -> int:
     """Parse and run one invocation; returns the process exit code.
 
     Before the handler opens anything, ``checked_paths`` checks the paths
-    of every file option. If the handler returns its outputs, the manifest
-    is written beside the first, where ``checked_paths`` looks for it: its
-    config keys are the long flags with ``-`` as ``_``, a list joined with
-    ``,``; every input and output is hashed from disk by ``_sha256`` once
-    the handler has returned and its data is freed. An ``InputError``, a
-    fault that only the inputs together show, is prefixed with the paths
-    of every input, in parser order: ``error: hyp.txt, ref.txt: document
-    count mismatch: ...``."""
+    of every file option that is set. The outputs among them, in parser
+    order, then any paths the handler returns (``bucket``'s alone), are
+    hashed from disk by ``_sha256`` once the handler has returned and its
+    data is freed, as are the inputs; the manifest is written beside the
+    first output, where ``checked_paths`` looks for it. Its config keys
+    are the long flags with ``-`` as ``_``, a list joined with ``,``. An
+    ``InputError``, a fault that only the inputs together show, is
+    prefixed with the paths of every input, in parser order: ``error:
+    hyp.txt, ref.txt: document count mismatch: ...``."""
     try:
         args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
@@ -410,10 +400,10 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         if "perm_out" in vars(args):  # shuffle names its permutations after --out
             args.perm_out = args.perm_out or f"{args.out}.perm.jsonl"
-        inputs = _paths(args, _READS)
-        checked_paths(inputs, _paths(args, _WRITES))
-        outputs = args.func(args)
-        if outputs:
+        inputs, outputs = _paths(args, _READS), _paths(args, _WRITES)
+        checked_paths(inputs, outputs)
+        written = [path for _, path in outputs] + (args.func(args) or [])
+        if written:
             RunManifest(
                 command=args.command,
                 config={
@@ -422,8 +412,8 @@ def dispatch(argv: Sequence[str]) -> int:
                 },
                 seed=getattr(args, "seed", None),
                 input_digests={path: _sha256(path) for _, path in inputs},
-                output_digests={path: _sha256(path) for path in outputs},
-            ).write(manifest_path(outputs[0]))
+                output_digests={path: _sha256(path) for path in written},
+            ).write(manifest_path(written[0]))
     except (ValueError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename is not None:

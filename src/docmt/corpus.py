@@ -112,7 +112,8 @@ def aligned_pairs(
 class Value:
     """Base of the checked value types: equality, hashing and ``repr``
     over the ``__slots__`` fields, in order. Instances are not changed
-    after their constructor has checked them."""
+    after their constructor has checked them. ``ParallelCorpus``, which
+    holds a mutable ``metadata`` dict, is not hashable."""
 
     __slots__ = ()
 
@@ -253,6 +254,7 @@ class ParallelCorpus(Value):
     """An ordered collection of parallel documents with unique ids."""
 
     __slots__ = ("documents", "metadata")
+    __hash__ = None
 
     def __init__(
         self,

@@ -140,9 +140,9 @@ def manifest_path(output: str) -> str:
 
 
 def checked_paths(
-    inputs: Sequence[tuple[str, str | None]], outputs: Sequence[tuple[str, str | None]]
+    inputs: Sequence[tuple[str, str]], outputs: Sequence[tuple[str, str]]
 ) -> None:
-    """Check a run's set ``(flag, path)`` inputs and outputs, for the
+    """Check a run's ``(flag, path)`` inputs and outputs, for the
     manifest the CLI writes beside its first output, before anything is
     opened. No two outputs, nor the manifest, nor one of these and an
     input, may be one file (by resolved path), and no output nor the
@@ -150,20 +150,17 @@ def checked_paths(
     points). An input must be a regular file, which the manifest can hash
     again after the run; it is only ``stat``ed, so a FIFO is not opened.
     With no output set, there is no manifest, and nothing is checked."""
-    outs = [(flag, path) for flag, path in outputs if path is not None]
-    if not outs:
+    if not outputs:
         return
-    ins = [(flag, path) for flag, path in inputs if path is not None]
-    outs.append(("the manifest", manifest_path(outs[0][1])))
-    flags = {Path(path).resolve(): flag for flag, path in ins}
-    for flag, path in outs:
+    flags = {Path(path).resolve(): flag for flag, path in inputs}
+    for flag, path in [*outputs, ("the manifest", manifest_path(outputs[0][1]))]:
         resolved = Path(path).resolve()
         if resolved in flags:
             raise ValueError(f"{path}: {flags[resolved]} and {flag} name the same file")
         flags[resolved] = flag
         if os.path.isdir(path) and not os.path.islink(path):
             raise ValueError(f"{path}: Is a directory")
-    for _, path in ins:
+    for _, path in inputs:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise ValueError(
                 f"{path}: not a regular file, so the manifest cannot record its digest"

@@ -181,6 +181,19 @@ def oversample(corpus: ParallelCorpus, factor: int) -> ParallelCorpus:
     return corpus.derive(oversample_records(corpus.records(), factor))
 
 
+def check_budgets(token_budgets: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless budgets are non-empty, positive, strictly ascending."""
+    budgets = list(token_budgets)
+    if not budgets:
+        raise ValueError("token_budgets must be non-empty")
+    if any(b < 1 for b in budgets):
+        raise ValueError(f"token budgets must be positive: {budgets}")
+    if len(set(budgets)) < len(budgets):
+        raise ValueError(f"token budgets must not repeat: {budgets}")
+    if budgets != sorted(budgets):
+        raise ValueError(f"token budgets must be ascending: {budgets}")
+
+
 def bucket_by_length(
     corpus: ParallelCorpus, token_budgets: Sequence[int]
 ) -> dict[int, ParallelCorpus]:
@@ -191,17 +204,9 @@ def bucket_by_length(
     sentence forms its own paragraph. Paragraphs never cross document
     boundaries, and every sentence appears exactly once per budget.
     """
-    if not token_budgets:
-        raise ValueError("token_budgets must be non-empty")
-    budgets = list(token_budgets)
-    if any(b < 1 for b in budgets):
-        raise ValueError(f"token budgets must be positive: {budgets}")
-    if len(set(budgets)) < len(budgets):
-        raise ValueError(f"token budgets must not repeat: {budgets}")
-    if budgets != sorted(budgets):
-        raise ValueError(f"token budgets must be ascending: {budgets}")
+    check_budgets(token_budgets)
     buckets: dict[int, ParallelCorpus] = {}
-    for budget in budgets:
+    for budget in token_budgets:
         records = []
         for doc_id, src, tgt, _ in map(require_aligned, corpus.records()):
             counts = [len(s.split()) for s in src]

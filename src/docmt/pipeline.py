@@ -163,9 +163,12 @@ def _resegmented(records: Iterable[Record], removed: list[str]) -> Iterator[Reco
             yield Record(record.doc_id, src, tgt, len(src) == len(tgt))
 
 
-def _punctuated(sentences: tuple[str, ...], filler: str) -> tuple[str, ...]:
+def _check_filler(filler: str) -> None:
     if filler not in DEFAULT_TERMINALS:
         raise ValueError(f"filler {filler!r} is not a configured terminal character")
+
+
+def _punctuated(sentences: tuple[str, ...], filler: str) -> tuple[str, ...]:
     return tuple(s if s[-1] in _ENDINGS else s + filler for s in sentences)
 
 
@@ -174,6 +177,7 @@ def ensure_terminal_punctuation(doc: Document, filler: str = ".") -> Document:
 
     ``filler`` must be a terminal character so the operation is idempotent.
     """
+    _check_filler(filler)
     return Document(doc.doc_id, _punctuated(doc.sentences, filler))
 
 
@@ -333,6 +337,7 @@ def clean_records(
     if segment:
         stream = _resegmented(stream, report.removed_unaligned)
     if punct_filler is not None:
+        _check_filler(punct_filler)
         stream = (
             Record(
                 r.doc_id,

@@ -582,12 +582,11 @@ def naive_global_shuffle(
     return naive_rearrange(corpus, [list(islice(slots, len(pd.source))) for pd in corpus])
 
 
-def naive_cmd_shuffle(args) -> list[str]:
+def naive_cmd_shuffle(args) -> None:
     """Reference ``shuffle`` command: reads the whole corpus, shuffles it
     with the reference shuffles, then writes the output and the permutation
-    records one after the other. Like every handler, it returns the paths it
-    wrote, and ``cli.dispatch`` checks the paths, hashes the files and writes
-    the manifest."""
+    records one after the other. ``cli.dispatch`` checks the paths, hashes
+    the files and writes the manifest."""
     from docmt.corpus import read_records, write_records
     from docmt.harness import write_permutation_records
 
@@ -597,4 +596,3 @@ def naive_cmd_shuffle(args) -> list[str]:
     write_records(shuffled, args.out)
     write_permutation_records(records, args.perm_out)
     print(f"wrote {len(shuffled)} documents ({args.mode} shuffle, seed {args.seed})")
-    return [args.out, args.perm_out]

@@ -226,6 +226,18 @@ class TestClean:
         assert run("mr-split", "--in", out, "--out", tmp_path / "mr.jsonl") == 0
         assert len(read_records(tmp_path / "mr.jsonl")) == 3
 
+    @pytest.mark.parametrize("documents", [0, 2])
+    def test_a_filler_that_is_not_terminal_is_refused_with_or_without_documents(
+        self, tmp_path, capsys, documents
+    ):
+        corpus = tmp_path / "c.jsonl"
+        write_records(make_corpus([1] * documents), corpus)
+        assert run("clean", "--in", corpus, "--out", tmp_path / "o.jsonl", "--fix-punct", "X") == 1
+        assert capsys.readouterr().err == (
+            "error: filler 'X' is not a configured terminal character\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
 
     def test_a_failed_report_leaves_no_output(self, corpus_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -286,6 +298,21 @@ class TestOversampleAndBucket:
             "error: --budgets: invalid literal for int() with base 10: 'abc'\n"
         )
 
+    @pytest.mark.parametrize("budgets", ["4,,8", "4,"])
+    def test_bucket_refuses_an_empty_budget(self, corpus_file, tmp_path, capsys, budgets):
+        prefix = tmp_path / "b"
+        assert run("bucket", "--in", corpus_file, "--out-prefix", prefix, "--budgets", budgets) == 1
+        assert capsys.readouterr().err == (
+            "error: --budgets: invalid literal for int() with base 10: ''\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_bucket_checks_its_budgets_before_its_paths(self, tmp_path, capsys):
+        absent = tmp_path / "absent.jsonl"
+        assert run("bucket", "--in", absent, "--out-prefix", tmp_path / "b", "--budgets", "8,4") == 1
+        assert capsys.readouterr().err == "error: token budgets must be ascending: [8, 4]\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMetricsCommands:
     def test_bleu_identity_prints_100(self, tmp_path, capsys):
@@ -293,6 +320,18 @@ class TestMetricsCommands:
         hyp.write_text("the cat sat.\nthen it left.\n\nanother doc.\n", encoding="utf-8")
         assert run("bleu", "--hyp", hyp, "--ref", hyp, "--level", "doc") == 0
         assert "100.00" in capsys.readouterr().out
+
+    def test_bleu_cased_keeps_case_distinctions(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("The cat sat.\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("the cat sat.\n", encoding="utf-8")
+        args = ["bleu", "--hyp", tmp_path / "hyp.txt", "--ref", tmp_path / "ref.txt"]
+        assert run(*args) == 0
+        assert capsys.readouterr().out == "d-BLEU = 100.00\n"
+        assert run(*args, "--cased", "--out", tmp_path / "r.jsonl") == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("d-BLEU = ") and float(printed.split()[-1]) < 100
+        manifest = json.loads((tmp_path / "r.jsonl.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["cased"] == "True"
 
     def test_bleu_structure_mismatch_is_validation_error(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"
@@ -1163,6 +1202,24 @@ def test_manifest_config_follows_the_flags(command, workspace):
         assert list(manifest[key]) == names
         for name, digest in manifest[key].items():
             assert digest == hashlib.sha256((workspace / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CONFIGS))
+def test_manifest_hashes_only_the_outputs_whose_paths_were_checked(
+    command, workspace, monkeypatch
+):
+    from docmt.fileio import checked_paths
+    checked = []
+
+    def spy(inputs, outputs):
+        checked.extend(path for _, path in outputs)
+        checked_paths(inputs, outputs)
+
+    monkeypatch.setattr("docmt.cli.checked_paths", spy)
+    argv, output, _ = MANIFEST_CONFIGS[command]
+    assert run(*argv) == 0
+    manifest = json.loads((workspace / f"{output}.manifest.json").read_text())
+    assert sorted(checked) == MANIFEST_FILES[command][1] == list(manifest["output_digests"])
 
 
 # command -> the input of its MANIFEST_CONFIGS run that is made a FIFO

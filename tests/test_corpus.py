@@ -68,6 +68,10 @@ class TestDocumentModel:
         with pytest.raises(ValueError, match="duplicate"):
             ParallelCorpus((doc, dup))
 
+    def test_corpus_is_unhashable_by_name(self):
+        with pytest.raises(TypeError, match="unhashable type: 'ParallelCorpus'"):
+            hash(make_corpus([1]))
+
 
 class TestDocTextFormat:
     def test_reads_matching_blocks(self, tmp_path):
